@@ -86,14 +86,6 @@ RunResult run_experiment(const RunSpec& spec) {
   cfg.kv_shards =
       spec.kv_shards_override > 0 ? spec.kv_shards_override : spec.shards;
   if (spec.proxy_override) cfg.proxy = *spec.proxy_override;
-  // Sharded deployments provision one staging slot per op lane (DESIGN.md
-  // §15): the paper's single pre-established slot is the unsharded hot
-  // path's calibration, and keeping it would re-serialize every lane at the
-  // offload boundary (the store stage pins at the DMA-wait on slot 0 and
-  // the lanes buy ~nothing). An explicit proxy_override still wins.
-  if (!spec.proxy_override && cfg.osd_template.op_shards > 1) {
-    cfg.proxy.slots = std::max(cfg.proxy.slots, cfg.osd_template.op_shards);
-  }
   // spec.batching governs the enabled flags of every coalescing knob (the
   // proxy_override only tunes depths/deadlines), so batched and unbatched
   // cells differ in exactly one dimension.

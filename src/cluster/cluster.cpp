@@ -58,8 +58,7 @@ Status Cluster::start() {
           std::make_unique<proxy::ProxyObjectStore>(env_, *node->dpu, cfg_.proxy);
       node->backend = std::make_unique<proxy::HostBackendService>(
           env_, *node->host_cpu, *node->store, node->dpu->host_comch(),
-          node->pstore->slots().host_mmap(), node->pstore->slots().slot_size(),
-          cfg_.backend);
+          node->pstore->slots().host_mmap(), cfg_.backend);
       st = node->backend->start();
       if (!st.ok()) return st;
       st = node->pstore->mount();
@@ -218,16 +217,15 @@ Status Cluster::restart_osd(int i) {
   }
   if (cfg_.mode == DeployMode::doceph && !node.pstore) {
     // Re-create the DPU-side daemons over the surviving DpuDevice so the
-    // proxy re-attaches to the remounted host store (fresh slot pool, fresh
-    // RPC channel; the backend maps the new pool's host-side segments).
+    // proxy re-attaches to the remounted host store (fresh staging arena,
+    // fresh RPC channel; the backend maps the new arena's host-side region).
     // The old comm channel was closed by the teardown; renegotiate it first.
     node.dpu->reset_comch();
     node.pstore =
         std::make_unique<proxy::ProxyObjectStore>(env_, *node.dpu, cfg_.proxy);
     node.backend = std::make_unique<proxy::HostBackendService>(
         env_, *node.host_cpu, *node.store, node.dpu->host_comch(),
-        node.pstore->slots().host_mmap(), node.pstore->slots().slot_size(),
-        cfg_.backend);
+        node.pstore->slots().host_mmap(), cfg_.backend);
     Status st = node.backend->start();
     if (!st.ok()) return st;
     st = node.pstore->mount();

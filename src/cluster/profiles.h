@@ -107,15 +107,8 @@ inline dpu::DpuProfile default_dpu(NetworkKind net) {
   p.nic = nic_for(net);
   p.stack = default_stack();
   p.pcie = {.bw_bytes_per_sec = 26e9, .latency = 2'000};
-  // DMA engine fit from paper Table 3's DMA row (least squares over
-  // 1/4/8/16 MB): ~2.6 GB/s effective engine bandwidth + ~2.4 ms per-job
-  // setup/completion overhead (descriptor prep, doorbell, and the polling
-  // interval of the completion thread) that pipelining can overlap across
-  // jobs. Reproduces the paper's DMA row: 2.8/4.2/5.2/8.5 ms at 1/4/8/16 MB.
-  p.dma = {.max_transfer = 2 << 20,
-           .bw_bytes_per_sec = 2.6e9,
-           .setup_latency = 2'400'000,
-           .queue_depth = 64};
+  // p.dma keeps doca::DmaConfig's defaults: the Table 3 fit (2.6 GB/s engine
+  // bandwidth + 2.4 ms per-job setup that pipelining overlaps across jobs).
   p.comch = {.max_msg_size = 4080,
              .per_msg_overhead = 6'000,
              .cpu_ns_per_byte = 0.15,
@@ -123,13 +116,15 @@ inline dpu::DpuProfile default_dpu(NetworkKind net) {
   return p;
 }
 
-/// Proxy defaults: 2 MB segments (hardware cap) and a SINGLE paired
-/// staging/write buffer slot per node — the pre-established memory region
+/// Proxy defaults: 2 MB segments (hardware cap) and ONE segment's worth of
+/// paired staging/write region per node — the pre-established memory region
 /// the paper reuses "instead of performing CommChannel negotiation for each
-/// transfer" (§3.3). Serializing each node's staging pipeline through it is
-/// what produces the paper's large DMA-wait (44.8% of latency at 1 MB,
-/// Table 3/Fig. 9) and its DoCeph IOPS column (Fig. 10); ablations sweep
-/// the slot count to show the headroom more buffers would buy.
+/// transfer" (§3.3). The region is carved at byte granularity, so sub-segment
+/// writes (16 KB) co-reside and overlap their DMA setup, while every 2 MB
+/// segment still fills it: serializing large writes through it is what
+/// produces the paper's large DMA-wait (44.8% of latency at 1 MB with 2 MB
+/// jobs, Table 3/Fig. 9) and its 4-16 MB DoCeph IOPS column (Fig. 10);
+/// ablations sweep the region size to show the headroom more would buy.
 inline proxy::ProxyConfig default_proxy() {
   proxy::ProxyConfig cfg;
   cfg.segment_size = 2 << 20;

@@ -11,22 +11,25 @@ struct DmaBatcher::BatchState {
   std::vector<Entry> entries;
   std::vector<Status> statuses;
   std::size_t remaining = 0;
-  int slot = -1;
+  std::size_t off = 0;  ///< the batch's extent in the staging region
+  std::size_t len = 0;
   sim::Time submit = 0;
   trace::Span span;
 };
 
-DmaBatcher::DmaBatcher(sim::Env& env, dpu::DpuDevice& dpu, SlotPool& slots,
+DmaBatcher::DmaBatcher(sim::Env& env, dpu::DpuDevice& dpu, StagingArena& arena,
                        RpcChannel& rpc, FallbackManager& fallback,
                        perf::PerfCountersRef counters, DmaBatchConfig cfg,
+                       std::size_t max_batch_bytes,
                        double stage_copy_ns_per_byte, std::string name)
     : env_(env),
       dpu_(dpu),
-      slots_(slots),
+      arena_(arena),
       rpc_(rpc),
       fallback_(fallback),
       counters_(std::move(counters)),
       cfg_(cfg),
+      max_batch_bytes_(max_batch_bytes),
       stage_copy_ns_per_byte_(stage_copy_ns_per_byte),
       name_(std::move(name)),
       cv_(env.keeper(), "proxy.dma_batcher_cv") {}
@@ -59,7 +62,7 @@ bool DmaBatcher::enqueue(BufferList& seg, std::uint64_t token,
                          std::uint32_t seg_index,
                          const trace::TraceContext& ctx, DoneCb done) {
   const std::size_t len = seg.length();
-  if (len == 0 || len > slots_.slot_size()) return false;
+  if (len == 0 || len > max_batch_bytes_) return false;
   const dbg::LockGuard lk(m_);
   if (stopping_) return false;
   Entry e;
@@ -87,21 +90,21 @@ void DmaBatcher::loop() {
       if (q_.empty()) return;  // stopping with nothing left to drain
       if (!stopping_) {
         // Deadline coalescing: hold the oldest segment at most flush_delay,
-        // flushing early once the batch fills a slot or max_segments.
+        // flushing early once the batch fills a segment or max_segments.
         const sim::Time deadline = q_.front().enqueued + cfg_.flush_delay;
         (void)cv_.wait_until(lk, deadline, [&] {
           m_.assert_held();
           return stopping_ ||
                  static_cast<int>(q_.size()) >= cfg_.max_segments ||
-                 q_bytes_ >= slots_.slot_size();
+                 q_bytes_ >= max_batch_bytes_;
         });
       }
-      // Greedy prefix that shares one slot (order-preserving).
+      // Greedy prefix that shares one extent (order-preserving).
       std::size_t bytes = 0;
       while (!q_.empty() &&
              static_cast<int>(batch.size()) < cfg_.max_segments) {
         const std::size_t n = q_.front().seg.length();
-        if (!batch.empty() && bytes + n > slots_.slot_size()) break;
+        if (!batch.empty() && bytes + n > max_batch_bytes_) break;
         bytes += n;
         q_bytes_ -= n;
         batch.push_back(std::move(q_.front()));
@@ -130,12 +133,11 @@ void DmaBatcher::loop() {
 }
 
 void DmaBatcher::flush(std::vector<Entry> batch) {
-  // One slot hosts the whole batch; blocked time counts toward each
-  // member's batching wait (enqueue -> submit).
-  const int slot = slots_.acquire();
-
+  // One extent of exactly the batch's bytes hosts it; blocked time counts
+  // toward each member's batching wait (enqueue -> submit).
   std::size_t total = 0;
   for (auto& e : batch) total += e.seg.length();
+  const std::size_t base = arena_.reserve(total);
 
   // The batch span parents every member's doca.dma_job span; the first
   // sampled member donates the parent context (members of an unsampled-only
@@ -152,18 +154,16 @@ void DmaBatcher::flush(std::vector<Entry> batch) {
       env_.tracer().span("dpu.batch", "dpu." + name_, parent, first_enqueue,
                          batch.size()));
 
-  // Stage every payload at its running offset in the slot and describe the
-  // layout as scatter-gather extents (one engine pass for the lot).
-  const doca::Buf src_base = slots_.dpu_buf(slot, total);
-  const doca::Buf dst_base = slots_.host_buf(slot, total);
+  // Stage every payload at its running offset in the extent and describe
+  // the layout as scatter-gather extents (one engine pass for the lot).
   std::vector<doca::DmaExtent> extents;
   extents.reserve(batch.size());
   std::size_t off = 0;
   for (auto& e : batch) {
     const std::size_t n = e.seg.length();
-    e.off_in_slot = static_cast<std::uint32_t>(off);
-    const doca::Buf src{src_base.mmap, src_base.off + off, n};
-    const doca::Buf dst{dst_base.mmap, dst_base.off + off, n};
+    e.off_in_batch = static_cast<std::uint32_t>(off);
+    const doca::Buf src = arena_.dpu_buf(base + off, n);
+    const doca::Buf dst = arena_.host_buf(base + off, n);
     e.seg.copy_out(0, n, src.data());
     dpu_.cpu().charge(static_cast<sim::Duration>(stage_copy_ns_per_byte_ *
                                                  static_cast<double>(n)));
@@ -179,7 +179,8 @@ void DmaBatcher::flush(std::vector<Entry> batch) {
   bs->submit = env_.now();
   bs->statuses.assign(batch.size(), Status::OK());
   bs->remaining = batch.size();
-  bs->slot = slot;
+  bs->off = base;
+  bs->len = total;
   bs->entries = std::move(batch);
 
   const Status submitted = dpu_.dma().submit_sg(
@@ -194,7 +195,7 @@ void DmaBatcher::flush(std::vector<Entry> batch) {
     // The whole batch never reached the engine; members fall back to the
     // RPC path via their owners' any_failed machinery.
     fallback_.on_dma_failure(env_.now());
-    slots_.release(slot);
+    arena_.release(base, total);
     bs->span.end(env_.now());
     const sim::Time now = env_.now();
     for (auto& e : bs->entries) e.done(submitted, bs->submit, now);
@@ -207,7 +208,7 @@ void DmaBatcher::finish_batch(const std::shared_ptr<BatchState>& bs) {
   // unit, so an ack error fails every surviving member).
   const sim::Time now = env_.now();
   StageBatch msg;
-  msg.slot = static_cast<std::uint32_t>(bs->slot);
+  msg.off = static_cast<std::uint32_t>(bs->off);
   std::vector<std::size_t> ok_members;
   for (std::size_t i = 0; i < bs->entries.size(); ++i) {
     if (!bs->statuses[i].ok()) {
@@ -219,12 +220,12 @@ void DmaBatcher::finish_batch(const std::shared_ptr<BatchState>& bs) {
     msg.entries.push_back(StageBatchEntry{
         .token = e.token,
         .seg_index = e.seg_index,
-        .off = e.off_in_slot,
+        .off = e.off_in_batch,
         .len = static_cast<std::uint32_t>(e.seg.length())});
     ok_members.push_back(i);
   }
   if (ok_members.empty()) {
-    slots_.release(bs->slot);
+    arena_.release(bs->off, bs->len);
     bs->span.end(now);
     return;
   }
@@ -244,7 +245,7 @@ void DmaBatcher::finish_batch(const std::shared_ptr<BatchState>& bs) {
           else if (res != 0)
             st = Status(static_cast<Errc>(-res), "stage_batch host error");
         }
-        slots_.release(bs->slot);
+        arena_.release(bs->off, bs->len);
         const sim::Time done_at = env_.now();
         bs->span.end(done_at);
         for (const std::size_t i : ok_members)

@@ -13,13 +13,13 @@
 #include "dpu/dpu_device.h"
 #include "proxy/fallback.h"
 #include "proxy/rpc_channel.h"
-#include "proxy/slot_pool.h"
+#include "proxy/staging_arena.h"
 #include "sim/thread.h"
 
 namespace doceph::proxy {
 
 /// Knobs for the DPU-side segment coalescer. Disabled by default (unit
-/// tests exercise the legacy one-segment-per-slot path); cluster profiles
+/// tests exercise the legacy one-job-per-segment path); cluster profiles
 /// enable it so the bench paths batch.
 struct DmaBatchConfig {
   bool enabled = false;
@@ -30,12 +30,12 @@ struct DmaBatchConfig {
 };
 
 /// Coalesces small write segments from concurrent requests into one
-/// staging slot, one scatter-gather DMA pass, and one stage_batch RPC —
+/// staging extent, one scatter-gather DMA pass, and one stage_batch RPC —
 /// amortizing the per-job DMA setup latency and the per-message comch
 /// doorbell across the batch (the small-IO analogue of the paper's
-/// segmentation pipeline, which only helps large writes). Segments larger
-/// than a slot, fallback/probe traffic, and the pipelining/mr_cache
-/// ablations stay on the legacy path.
+/// segmentation pipeline, which only helps large writes). A batch holds at
+/// most one segment's worth of bytes (the engine's pass cap); fallback/probe
+/// traffic and the pipelining/mr_cache ablations stay on the legacy path.
 class DmaBatcher {
  public:
   /// Per-segment completion: `submit` is when the batch's DMA was issued
@@ -44,10 +44,12 @@ class DmaBatcher {
   using DoneCb =
       std::function<void(Status, sim::Time submit, sim::Time complete)>;
 
-  DmaBatcher(sim::Env& env, dpu::DpuDevice& dpu, SlotPool& slots,
+  /// A batch never exceeds `max_batch_bytes` (the proxy's segment size).
+  DmaBatcher(sim::Env& env, dpu::DpuDevice& dpu, StagingArena& arena,
              RpcChannel& rpc, FallbackManager& fallback,
              perf::PerfCountersRef counters, DmaBatchConfig cfg,
-             double stage_copy_ns_per_byte, std::string name);
+             std::size_t max_batch_bytes, double stage_copy_ns_per_byte,
+             std::string name);
   ~DmaBatcher();
 
   DmaBatcher(const DmaBatcher&) = delete;
@@ -62,7 +64,7 @@ class DmaBatcher {
   /// Queue one segment of request `token`. On accept, `seg` is consumed
   /// and `done` will fire exactly once. Returns false — leaving `seg`
   /// intact — when batching is off, the batcher is stopped, or the segment
-  /// cannot share a slot; the caller then takes the legacy path.
+  /// exceeds max_batch_bytes; the caller then takes the legacy path.
   bool enqueue(BufferList& seg, std::uint64_t token, std::uint32_t seg_index,
                const trace::TraceContext& ctx, DoneCb done);
 
@@ -71,7 +73,7 @@ class DmaBatcher {
     BufferList seg;
     std::uint64_t token = 0;
     std::uint32_t seg_index = 0;
-    std::uint32_t off_in_slot = 0;
+    std::uint32_t off_in_batch = 0;
     trace::TraceContext trace;
     DoneCb done;
     sim::Time enqueued = 0;
@@ -87,11 +89,12 @@ class DmaBatcher {
 
   sim::Env& env_;
   dpu::DpuDevice& dpu_;
-  SlotPool& slots_;
+  StagingArena& arena_;
   RpcChannel& rpc_;
   FallbackManager& fallback_;
   perf::PerfCountersRef counters_;
   DmaBatchConfig cfg_;
+  std::size_t max_batch_bytes_;
   double stage_copy_ns_per_byte_;
   std::string name_;
 

@@ -7,15 +7,13 @@ namespace doceph::proxy {
 HostBackendService::HostBackendService(sim::Env& env, sim::CpuDomain& domain,
                                        os::ObjectStore& store,
                                        doca::CommChannelRef channel,
-                                       doca::MmapRef host_mmap, std::size_t slot_size,
-                                       HostBackendConfig cfg)
+                                       doca::MmapRef host_mmap, HostBackendConfig cfg)
     : env_(env),
       domain_(domain),
       store_(store),
       rpc_(env, std::move(channel)),
       center_(env),
       host_mmap_(std::move(host_mmap)),
-      slot_size_(slot_size),
       cfg_(cfg),
       queue_cv_(env.keeper(), "proxy.host_backend.cv") {}
 
@@ -107,8 +105,6 @@ void HostBackendService::handle_request(BufferList req, bool oneway,
       case ProxyOp::read_obj:
         do_read(body, respond);
         break;
-      case ProxyOp::release_slots:
-        break;  // slot bookkeeping lives on the DPU side; nothing to do here
       case ProxyOp::abort_txn: {
         // The DPU gave up on this request (throttled abort): drop whatever
         // it had already staged so the token's write buffer doesn't leak.
@@ -132,16 +128,15 @@ void HostBackendService::do_stage_segment(BufferList body,
                                           const RpcChannel::Responder& respond) {
   StageSegment seg;
   BufferList::Cursor cur(body);
-  if (!seg.decode(cur) || static_cast<std::size_t>(seg.len) > slot_size_) {
+  if (!seg.decode(cur) || !in_region(seg.off, seg.len)) {
     if (respond) respond(encode_to_bl(std::int32_t{
         -static_cast<std::int32_t>(Errc::corrupt)}));
     return;
   }
   // Copy out of the shared DMA region into this request's write buffer so
-  // the slot can recycle immediately (Fig. 4's staging -> write buffer hop).
-  const std::size_t off = static_cast<std::size_t>(seg.slot) * slot_size_;
+  // the extent can recycle immediately (Fig. 4's staging -> write buffer hop).
   BufferList copy;
-  copy.append(host_mmap_->data() + off, seg.len);
+  copy.append(host_mmap_->data() + seg.off, seg.len);
   domain_.charge(static_cast<sim::Duration>(cfg_.copy_ns_per_byte *
                                             static_cast<double>(seg.len)));
   dma_bytes_.fetch_add(seg.len, std::memory_order_relaxed);
@@ -168,16 +163,15 @@ void HostBackendService::do_stage_batch(BufferList body,
   // The batch is acked as a unit: every entry is copied out (Fig. 4's
   // staging -> write-buffer hop, one doorbell for the whole batch) and the
   // single ack carries 0 or the first per-entry validation error.
-  const std::size_t slot_base =
-      static_cast<std::size_t>(batch.slot) * slot_size_;
   std::int32_t result = 0;
   for (const auto& e : batch.entries) {
-    if (static_cast<std::size_t>(e.off) + e.len > slot_size_) {
+    const std::uint64_t off = std::uint64_t{batch.off} + e.off;
+    if (!in_region(off, e.len)) {
       if (result == 0) result = -static_cast<std::int32_t>(Errc::corrupt);
       continue;
     }
     BufferList copy;
-    copy.append(host_mmap_->data() + slot_base + e.off, e.len);
+    copy.append(host_mmap_->data() + off, e.len);
     domain_.charge(static_cast<sim::Duration>(cfg_.copy_ns_per_byte *
                                               static_cast<double>(e.len)));
     dma_bytes_.fetch_add(e.len, std::memory_order_relaxed);
@@ -190,8 +184,12 @@ void HostBackendService::do_stage_batch(BufferList body,
   if (respond) respond(encode_to_bl(result));
 }
 
-BufferList HostBackendService::assemble_payload(std::uint64_t token,
-                                                const std::vector<DataRef>& refs)
+bool HostBackendService::in_region(std::uint64_t off, std::uint64_t len) const {
+  return off <= host_mmap_->size() && len <= host_mmap_->size() - off;
+}
+
+Result<BufferList> HostBackendService::assemble_payload(
+    std::uint64_t token, const std::vector<DataRef>& refs)
     DOCEPH_NO_THREAD_SAFETY_ANALYSIS {
   // waiver: staged_mutex_ is acquired lazily (first staged ref) and held to
   // scope end — conditional acquisition is outside the analysis model.
@@ -216,11 +214,12 @@ BufferList HostBackendService::assemble_payload(std::uint64_t token,
         }
         break;
       }
-      case DataRef::Kind::slot: {
-        // Read-path style direct slot reference (not used for writes in the
-        // staged protocol, but accepted for robustness).
-        const std::size_t off = static_cast<std::size_t>(ref.index) * slot_size_;
-        out.append(host_mmap_->data() + off, ref.len);
+      case DataRef::Kind::region: {
+        // Read-path style direct region reference (not used for writes in
+        // the staged protocol, but accepted for robustness).
+        if (!in_region(ref.index, ref.len))
+          return Status(Errc::corrupt, "payload ref outside the DMA region");
+        out.append(host_mmap_->data() + ref.index, ref.len);
         domain_.charge(static_cast<sim::Duration>(cfg_.copy_ns_per_byte *
                                                   static_cast<double>(ref.len)));
         break;
@@ -241,13 +240,24 @@ void HostBackendService::do_submit_txn(BufferList body,
     if (respond) respond(encode_to_bl(reply));
     return;
   }
-  for (std::size_t i = 0; i < wire.meta.ops().size(); ++i) {
-    if (!wire.parts[i].empty())
-      wire.meta.ops()[i].data = assemble_payload(wire.token, wire.parts[i]);
+  Status assembled;
+  for (std::size_t i = 0; i < wire.meta.ops().size() && assembled.ok(); ++i) {
+    if (wire.parts[i].empty()) continue;
+    auto payload = assemble_payload(wire.token, wire.parts[i]);
+    if (payload.ok())
+      wire.meta.ops()[i].data = std::move(*payload);
+    else
+      assembled = payload.status();
   }
   {
     const dbg::LockGuard lk(staged_mutex_);
     staged_.erase(wire.token);
+  }
+  if (!assembled.ok()) {
+    TxnReply reply{.result = -static_cast<std::int32_t>(assembled.code()),
+                   .host_write_ns = 0};
+    if (respond) respond(encode_to_bl(reply));
+    return;
   }
   txns_.fetch_add(1, std::memory_order_relaxed);
 
@@ -275,7 +285,7 @@ void HostBackendService::do_read(BufferList body,
   ReadRequest req;
   BufferList::Cursor cur(body);
   ReadReply reply;
-  if (!req.decode(cur)) {
+  if (!req.decode(cur) || !in_region(req.buf_off, req.buf_len)) {
     reply.result = -static_cast<std::int32_t>(Errc::corrupt);
     if (respond) respond(encode_to_bl(reply));
     return;
@@ -294,27 +304,24 @@ void HostBackendService::do_read(BufferList body,
     if (respond) respond(encode_to_bl(reply));
     return;
   }
-  // Stage into the offered write-buffer slots (host-side staging for reads,
-  // paper §5.5); the DPU DMAs them back and releases the slots.
-  std::size_t off = 0;
-  for (const std::uint32_t slot : req.slots) {
-    if (off >= data->length()) break;
-    const std::size_t n =
-        std::min<std::size_t>(slot_size_, data->length() - off);
-    data->copy_out(off, n, host_mmap_->data() + static_cast<std::size_t>(slot) * slot_size_);
+  // Stage into the offered region extent (host-side staging for reads,
+  // paper §5.5); the DPU DMAs it back and releases it.
+  const std::size_t staged = std::min<std::size_t>(req.buf_len, data->length());
+  if (staged > 0) {
+    data->copy_out(0, staged, host_mmap_->data() + req.buf_off);
     domain_.charge(
-        static_cast<sim::Duration>(cfg_.copy_ns_per_byte * static_cast<double>(n)));
-    reply.refs.push_back(DataRef{.kind = DataRef::Kind::slot,
-                                 .index = slot,
-                                 .len = static_cast<std::uint32_t>(n)});
-    off += n;
+        static_cast<sim::Duration>(cfg_.copy_ns_per_byte * static_cast<double>(staged)));
+    reply.refs.push_back(DataRef{.kind = DataRef::Kind::region,
+                                 .index = req.buf_off,
+                                 .len = static_cast<std::uint32_t>(staged)});
   }
-  if (off < data->length()) {
-    // Not enough slots offered: remainder rides inline (correct, if slower).
+  if (staged < data->length()) {
+    // The offered extent was short (or absent): the remainder rides inline
+    // (correct, if slower).
     DataRef rest;
     rest.kind = DataRef::Kind::inline_;
-    rest.len = static_cast<std::uint32_t>(data->length() - off);
-    rest.data = data->substr(off, data->length() - off);
+    rest.len = static_cast<std::uint32_t>(data->length() - staged);
+    rest.data = data->substr(staged, data->length() - staged);
     reply.refs.push_back(std::move(rest));
   }
   if (respond) respond(encode_to_bl(reply));

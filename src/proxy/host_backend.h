@@ -34,11 +34,12 @@ struct HostBackendConfig {
 /// runs on the host in a DoCeph deployment.
 class HostBackendService {
  public:
-  /// `host_mmap` is the pre-exported write-buffer region shared with the
-  /// DPU's SlotPool (the MR cache). `slot_size` must match the pool's.
+  /// `host_mmap` is the pre-exported write region shared with the DPU's
+  /// StagingArena (the MR cache). The DPU names extents of it by byte
+  /// offset; every offset/length it sends is bounds-checked here.
   HostBackendService(sim::Env& env, sim::CpuDomain& domain, os::ObjectStore& store,
                      doca::CommChannelRef channel, doca::MmapRef host_mmap,
-                     std::size_t slot_size, HostBackendConfig cfg = {});
+                     HostBackendConfig cfg = {});
   ~HostBackendService();
 
   Status start();
@@ -62,8 +63,12 @@ class HostBackendService {
   void do_read(BufferList body, const RpcChannel::Responder& respond);
 
   /// Materialize one op's payload from its DataRefs (staged segments were
-  /// already copied out of the DMA slots by do_stage_segment).
-  BufferList assemble_payload(std::uint64_t token, const std::vector<DataRef>& refs);
+  /// already copied out of the DMA region by do_stage_segment). Errc::corrupt
+  /// for a ref outside the region.
+  Result<BufferList> assemble_payload(std::uint64_t token,
+                                      const std::vector<DataRef>& refs);
+  /// True iff [off, off+len) lies inside the shared host region.
+  [[nodiscard]] bool in_region(std::uint64_t off, std::uint64_t len) const;
 
   void worker_loop();
 
@@ -73,7 +78,6 @@ class HostBackendService {
   RpcChannel rpc_;
   event::EventCenter center_;
   doca::MmapRef host_mmap_;
-  std::size_t slot_size_;
   HostBackendConfig cfg_;
 
   // Work queue: handlers run on worker threads so blocking store calls never
@@ -84,7 +88,7 @@ class HostBackendService {
   bool stopping_ DOCEPH_GUARDED_BY(queue_mutex_) = false;
 
   // Per-request write buffers (Fig. 4): segments copied out of the DMA
-  // slots, keyed by (request token, segment index) until submit_txn.
+  // region, keyed by (request token, segment index) until submit_txn.
   dbg::Mutex staged_mutex_{"proxy.host_backend.staged"};
   std::map<std::uint64_t, std::map<std::uint32_t, BufferList>> staged_
       DOCEPH_GUARDED_BY(staged_mutex_);

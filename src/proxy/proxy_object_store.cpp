@@ -15,7 +15,7 @@ ProxyObjectStore::ProxyObjectStore(sim::Env& env, dpu::DpuDevice& dpu, ProxyConf
       cfg_(cfg),
       rpc_(env, dpu.dpu_comch()),
       center_(env),
-      slots_(env, cfg.slots, cfg.segment_size),
+      arena_(env, cfg.slots, cfg.segment_size),
       fallback_(cfg.cooldown),
       counters_(perf::Builder("dpu", l_dpu_first, l_dpu_last)
                     .add_counter(l_dpu_writes, "writes")
@@ -52,8 +52,8 @@ Status ProxyObjectStore::mount() {
   rpc_.start(center_);
   if (cfg_.dma_batch.enabled) {
     batcher_ = std::make_unique<DmaBatcher>(
-        env_, dpu_, slots_, rpc_, fallback_, counters_, cfg_.dma_batch,
-        cfg_.stage_copy_ns_per_byte, dpu_.name());
+        env_, dpu_, arena_, rpc_, fallback_, counters_, cfg_.dma_batch,
+        cfg_.segment_size, cfg_.stage_copy_ns_per_byte, dpu_.name());
     batcher_->start();
   }
   stopping_ = false;
@@ -190,9 +190,9 @@ DataRef ProxyObjectStore::move_segment(BufferList seg,
   }
 
   // Coalesced fast path: hand the segment to the batcher, which packs it
-  // with companions from concurrent requests into one slot, one
+  // with companions from concurrent requests into one region extent, one
   // scatter-gather DMA pass, and one stage_batch RPC. Probe transfers and
-  // the pipelining/mr_cache ablations keep the legacy one-slot-per-segment
+  // the pipelining/mr_cache ablations keep the legacy one-job-per-segment
   // path (the probe must exercise exactly the plain DMA machinery).
   if (batcher_ != nullptr && cfg_.pipelining && cfg_.mr_cache &&
       path == FallbackManager::Path::dma) {
@@ -235,30 +235,32 @@ DataRef ProxyObjectStore::move_segment(BufferList seg,
     ctx->cv.notify_all();
   }
 
-  // Acquire a paired staging/write buffer; blocked time is DMA-wait. With a
-  // deadline configured, starvation surfaces as a throttled txn instead of
-  // wedging this worker behind a saturated DMA pipeline.
+  // Reserve the segment's bytes in the paired staging/write region; blocked
+  // time is DMA-wait. With a deadline configured, starvation surfaces as a
+  // throttled txn instead of wedging this worker behind a saturated DMA
+  // pipeline.
+  const std::size_t len = seg.length();
   const sim::Time w0 = env_.now();
-  int slot = -1;
+  std::size_t off = 0;
   if (cfg_.slot_acquire_timeout > 0) {
-    const auto acquired = slots_.acquire_for(cfg_.slot_acquire_timeout);
+    const auto reserved = arena_.reserve_for(len, cfg_.slot_acquire_timeout);
     {
       const dbg::LockGuard lk(ctx->m);
       ctx->dma_wait += env_.now() - w0;
     }
-    if (!acquired) {
+    if (!reserved) {
       counters_->inc(l_dpu_throttle_slot);
       const dbg::LockGuard lk(ctx->m);
       ctx->slot_timed_out = true;
       DataRef ref;  // placeholder; process_write aborts the whole request
       ref.kind = DataRef::Kind::inline_;
-      ref.len = static_cast<std::uint32_t>(seg.length());
+      ref.len = static_cast<std::uint32_t>(len);
       ref.data = std::move(seg);
       return ref;
     }
-    slot = *acquired;
+    off = *reserved;
   } else {
-    slot = slots_.acquire();
+    off = arena_.reserve(len);
     const dbg::LockGuard lk(ctx->m);
     ctx->dma_wait += env_.now() - w0;
   }
@@ -271,22 +273,22 @@ DataRef ProxyObjectStore::move_segment(BufferList seg,
 
   // Stage: copy the payload into the DMA-capable buffer.
   const std::uint32_t seg_index = ctx->next_seg++;
-  doca::Buf src = slots_.dpu_buf(slot, seg.length());
-  seg.copy_out(0, seg.length(), src.data());
+  doca::Buf src = arena_.dpu_buf(off, len);
+  seg.copy_out(0, len, src.data());
   dpu_.cpu().charge(static_cast<sim::Duration>(cfg_.stage_copy_ns_per_byte *
-                                               static_cast<double>(seg.length())));
+                                               static_cast<double>(len)));
 
-  doca::Buf dst = slots_.host_buf(slot, seg.length());
+  doca::Buf dst = arena_.host_buf(off, len);
   const bool probing = path == FallbackManager::Path::probe;
-  const auto seg_len = static_cast<std::uint32_t>(seg.length());
+  const auto seg_len = static_cast<std::uint32_t>(len);
   {
     const dbg::LockGuard lk(ctx->m);
     ++ctx->outstanding;
     if (ctx->first_submit < 0) ctx->first_submit = env_.now();
   }
 
-  auto finish_segment = [this, ctx, slot](bool failed) {
-    slots_.release(slot);
+  auto finish_segment = [this, ctx, off, len](bool failed) {
+    arena_.release(off, len);
     const dbg::LockGuard lk(ctx->m);
     if (failed) ctx->any_failed = true;
     --ctx->outstanding;
@@ -295,7 +297,7 @@ DataRef ProxyObjectStore::move_segment(BufferList seg,
 
   const Status submitted = dpu_.dma().submit(
       src, dst, doca::DmaDir::dpu_to_host,
-      [this, ctx, slot, seg_index, seg_len, probing,
+      [this, ctx, off, seg_index, seg_len, probing,
        finish_segment](Status st) {
         ctx->last_complete.store(env_.now(), std::memory_order_relaxed);
         if (!st.ok()) {
@@ -304,11 +306,11 @@ DataRef ProxyObjectStore::move_segment(BufferList seg,
           return;
         }
         if (probing) fallback_.on_dma_success();
-        // Hand the slot's content to the host's per-request write buffer;
-        // the slot recycles as soon as the host acks the copy (Fig. 4).
+        // Hand the extent's content to the host's per-request write buffer;
+        // the bytes recycle as soon as the host acks the copy (Fig. 4).
         StageSegment msg{.token = ctx->token,
                          .seg_index = seg_index,
-                         .slot = static_cast<std::uint32_t>(slot),
+                         .off = static_cast<std::uint32_t>(off),
                          .len = seg_len};
         BufferList request;
         encode(ProxyOp::stage_segment, request);
@@ -331,8 +333,8 @@ DataRef ProxyObjectStore::move_segment(BufferList seg,
     fallback_.on_dma_failure(env_.now());
     finish_segment(true);
   } else {
-    dma_bytes_.fetch_add(seg.length(), std::memory_order_relaxed);
-    counters_->inc(l_dpu_dma_bytes, seg.length());
+    dma_bytes_.fetch_add(len, std::memory_order_relaxed);
+    counters_->inc(l_dpu_dma_bytes, len);
     if (!cfg_.pipelining) {
       // Ablation: strictly serial -- wait out this transfer (and its staging
       // handoff) before touching the next segment.
@@ -431,7 +433,7 @@ void ProxyObjectStore::process_write(WriteReq req) {
     write_span.end(env_.now());
     if (req.on_commit)
       req.on_commit(Status(Errc::throttled,
-                           "DPU staging slots exhausted past deadline"));
+                           "DPU staging region exhausted past deadline"));
     return;
   }
 
@@ -483,7 +485,7 @@ void ProxyObjectStore::process_write(WriteReq req) {
   // Table 3 tracks client *write* requests; metadata-only transactions
   // (collection creates etc.) are not part of the taxonomy. The DMA phase
   // splits into transfer time (job setup + bytes/bandwidth, the paper's
-  // "actual data transfer time") and DMA-wait (slot acquisition + the
+  // "actual data transfer time") and DMA-wait (region reservation + the
   // serialization remainder of the phase's wall time).
   if (total_bytes > 0) {
     const auto& dma_cfg = dpu_.dma().config();
@@ -552,20 +554,27 @@ Result<BufferList> ProxyObjectStore::read(const os::coll_t& c, const os::ghobjec
   rr.len = len;
   rr.inline_max = fallback_.dma_enabled() ? cfg_.inline_read_max
                                           : std::numeric_limits<std::uint64_t>::max();
-  // Opportunistically offer slots for the bulk path (host-side staging).
-  std::vector<int> held;
+  // Opportunistically offer one region extent for the bulk path
+  // (host-side staging); whatever does not fit rides inline. len 0 reads
+  // to the object's end, so it offers the whole region.
+  std::optional<std::size_t> buf;
   if (fallback_.dma_enabled()) {
-    for (int i = 0; i < 8; ++i) {
-      auto s = slots_.try_acquire();
-      if (!s) break;
-      held.push_back(*s);
-      rr.slots.push_back(static_cast<std::uint32_t>(*s));
+    const std::size_t want = len == 0 ? arena_.capacity()
+                                      : std::min<std::uint64_t>(len, arena_.capacity());
+    buf = arena_.try_reserve(want);
+    if (buf) {
+      rr.buf_off = static_cast<std::uint32_t>(*buf);
+      rr.buf_len = static_cast<std::uint32_t>(want);
     }
   }
-  auto release_all = [&] {
-    for (const int s : held) slots_.release(s);
-    held.clear();
-  };
+  struct Release {
+    StagingArena& arena;
+    const std::optional<std::size_t>& buf;
+    std::size_t len;
+    ~Release() {
+      if (buf) arena.release(*buf, len);
+    }
+  } release{arena_, buf, rr.buf_len};
 
   BufferList body;
   rr.encode(body);
@@ -573,63 +582,52 @@ Result<BufferList> ProxyObjectStore::read(const os::coll_t& c, const os::ghobjec
   encode(ProxyOp::read_obj, request);
   request.claim_append(body);
   auto response = timed_call(std::move(request));
-  if (!response.ok()) {
-    release_all();
-    return response.status();
-  }
+  if (!response.ok()) return response.status();
   ReadReply reply;
   BufferList::Cursor cur(*response);
-  if (!reply.decode(cur)) {
-    release_all();
-    return Status(Errc::corrupt, "bad read reply");
-  }
-  if (reply.result != 0) {
-    release_all();
+  if (!reply.decode(cur)) return Status(Errc::corrupt, "bad read reply");
+  if (reply.result != 0)
     return Status(static_cast<Errc>(-reply.result), "host read error");
-  }
-  if (reply.inline_data) {
-    release_all();
-    return reply.data;
-  }
+  if (reply.inline_data) return reply.data;
 
-  // DMA the filled slots back (host -> DPU), in order.
+  // DMA the filled extent back (host -> DPU) in engine-sized jobs, in order.
   BufferList out;
   for (const auto& ref : reply.refs) {
     if (ref.kind == DataRef::Kind::inline_) {
       out.append(ref.data);
       continue;
     }
+    if (!buf || ref.index < *buf || ref.index + ref.len > *buf + rr.buf_len)
+      return Status(Errc::corrupt, "read ref outside the offered extent");
+    std::vector<doca::DmaExtent> jobs;
+    for (std::size_t done = 0; done < ref.len; done += cfg_.segment_size) {
+      const std::size_t n = std::min<std::size_t>(cfg_.segment_size, ref.len - done);
+      jobs.push_back({arena_.host_buf(ref.index + done, n),
+                      arena_.dpu_buf(ref.index + done, n)});
+    }
     dbg::Mutex m{"proxy.read_wait"};
     dbg::CondVar cv(env_.keeper(), "proxy.read_cv");
-    bool done = false;
+    std::size_t pending = jobs.size();
     Status st;
-    doca::Buf src = slots_.host_buf(static_cast<int>(ref.index), ref.len);
-    doca::Buf dst = slots_.dpu_buf(static_cast<int>(ref.index), ref.len);
-    const Status submitted =
-        dpu_.dma().submit(src, dst, doca::DmaDir::host_to_dpu, [&](Status s) {
+    const Status submitted = dpu_.dma().submit_sg(
+        jobs, doca::DmaDir::host_to_dpu, [&](std::size_t, Status s) {
           const dbg::LockGuard lk(m);
-          st = s;
-          done = true;
-          cv.notify_all();
+          if (!s.ok()) st = s;
+          if (--pending == 0) cv.notify_all();
         });
-    if (!submitted.ok()) {
-      release_all();
-      return submitted;
-    }
+    if (!submitted.ok()) return submitted;
     {
       dbg::UniqueLock lk(m);
-      cv.wait(lk, [&] { return done; });
+      cv.wait(lk, [&] { return pending == 0; });
     }
     if (!st.ok()) {
       fallback_.on_dma_failure(env_.now());
-      release_all();
       return st;
     }
-    out.append(dst.data(), ref.len);
+    out.append(arena_.dpu_buf(ref.index, ref.len).data(), ref.len);
     dpu_.cpu().charge(static_cast<sim::Duration>(cfg_.stage_copy_ns_per_byte *
                                                  static_cast<double>(ref.len)));
   }
-  release_all();
   return out;
 }
 

@@ -13,7 +13,7 @@
 #include "proxy/fallback.h"
 #include "proxy/proxy_protocol.h"
 #include "proxy/rpc_channel.h"
-#include "proxy/slot_pool.h"
+#include "proxy/staging_arena.h"
 #include "sim/thread.h"
 
 namespace doceph::proxy {
@@ -26,8 +26,8 @@ enum {
   l_dpu_rpc_fallback_bytes,  ///< payload bytes that rode the RPC channel
   l_dpu_rpc_timeout,         ///< blocking RPCs that timed out (slot reclaimed)
   l_dpu_write_lat,           ///< enqueue -> host commit, ns histogram
-  l_dpu_dma_wait,            ///< per-request DMA wait (slots + serialization)
-  l_dpu_batch_flushes,       ///< coalesced SG flushes (one slot+pass+RPC each)
+  l_dpu_dma_wait,            ///< per-request DMA wait (staging + serialization)
+  l_dpu_batch_flushes,       ///< coalesced SG flushes (one extent+pass+RPC each)
   l_dpu_batch_segments,      ///< segments that rode a coalesced flush
   l_dpu_batch_bytes,         ///< payload bytes moved by coalesced flushes
   l_dpu_batch_stalls,        ///< flushes deferred by dpu.batch_flush_stall
@@ -42,7 +42,9 @@ enum {
 struct ProxyConfig {
   /// DMA segment size; must not exceed the engine's hardware cap (2 MB).
   std::uint64_t segment_size = 2 << 20;
-  /// Paired staging/write buffers (Fig. 4). 16 x 2 MB by default.
+  /// Size of the paired staging/write regions (Fig. 4), in segments: each
+  /// side holds slots x segment_size bytes, carved per reservation at byte
+  /// granularity (StagingArena). 16 x 2 MB by default.
   int slots = 16;
   /// Pipeline workers driving concurrent write requests. Requests hash to a
   /// worker by collection, preserving Ceph's per-PG ordering.
@@ -69,7 +71,7 @@ struct ProxyConfig {
   /// queue holds this many entries is completed immediately with
   /// Errc::throttled instead of enqueued. 0 = unbounded (legacy behavior).
   std::size_t max_worker_queue = 0;
-  /// Deadline for staging-slot acquisition on the legacy (non-batched) DMA
+  /// Deadline for a staging reservation on the legacy (non-batched) DMA
   /// path; on expiry the txn fails with Errc::throttled so the throttle
   /// propagates to the OSD/client instead of wedging a write worker.
   /// 0 = block forever (legacy behavior).
@@ -84,7 +86,7 @@ struct BreakdownSnapshot {
   /// Engine transfer time (job setup + bytes/bandwidth — the paper's "actual
   /// data transfer time").
   std::uint64_t dma_ns = 0;
-  /// Waiting caused by serial DMA transfers: staging-slot acquisition plus
+  /// Waiting caused by serial DMA transfers: staging reservation plus
   /// the queueing portion of the DMA phase (wall time minus transfer time).
   std::uint64_t dma_wait_ns = 0;
   std::uint64_t host_write_ns = 0; ///< host-side commit (from TxnReply)
@@ -104,7 +106,7 @@ struct BreakdownSnapshot {
 /// ObjectStore interface on the DPU, forwarding every backend call to the
 /// host. Control-plane operations travel as lightweight RPCs over the
 /// CommChannel; bulk write payloads are segmented to the 2 MB DMA cap,
-/// staged into reusable buffers, and moved by the DMA engine with staging
+/// staged into the reusable region, and moved by the DMA engine with staging
 /// pipelined against in-flight transfers. A DMA error trips the adaptive
 /// fallback: segments re-route through RPC during a cooldown, then a probe
 /// transfer re-enables the fast path.
@@ -137,7 +139,8 @@ class ProxyObjectStore final : public os::ObjectStore {
   }
 
   // ---- introspection ------------------------------------------------------------
-  [[nodiscard]] SlotPool& slots() noexcept { return slots_; }
+  /// The staging arena (named for ProxyConfig::slots, which sizes it).
+  [[nodiscard]] StagingArena& slots() noexcept { return arena_; }
   [[nodiscard]] FallbackManager& fallback() noexcept { return fallback_; }
   [[nodiscard]] const ProxyConfig& config() const noexcept { return cfg_; }
   /// The proxy's comch RPC endpoint (batching diagnostics live on it).
@@ -180,7 +183,7 @@ class ProxyObjectStore final : public os::ObjectStore {
     /// with Errc::throttled after draining whatever was already in flight.
     bool slot_timed_out DOCEPH_GUARDED_BY(m) = false;
     sim::Time first_submit DOCEPH_GUARDED_BY(m) = -1;
-    // Accumulated batching/slot wait: mutated by the worker (legacy path)
+    // Accumulated batching/staging wait: mutated by the worker (legacy path)
     // and by batch completion callbacks, so it lives under m.
     sim::Duration dma_wait DOCEPH_GUARDED_BY(m) = 0;
     std::atomic<sim::Time> last_complete{-1};
@@ -192,7 +195,8 @@ class ProxyObjectStore final : public os::ObjectStore {
   };
 
   /// Move one payload chunk to the host, honoring fallback state. Returns
-  /// the DataRef to embed; slot release happens from the stage-ack callback.
+  /// the DataRef to embed; its staging extent is released from the
+  /// stage-ack callback.
   DataRef move_segment(BufferList seg, const std::shared_ptr<SegCtx>& ctx);
 
   Result<BufferList> control_call(ProxyOp op, const BufferList& body);
@@ -207,7 +211,7 @@ class ProxyObjectStore final : public os::ObjectStore {
   ProxyConfig cfg_;
   RpcChannel rpc_;
   event::EventCenter center_;
-  SlotPool slots_;
+  StagingArena arena_;
   FallbackManager fallback_;
   std::unique_ptr<DmaBatcher> batcher_;
 

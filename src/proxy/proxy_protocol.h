@@ -11,35 +11,36 @@ namespace doceph::proxy {
 /// Operations of the Proxy Interface between the DPU-resident
 /// ProxyObjectStore and the host-resident backend (paper §3.2). The binary
 /// classification the paper describes: submit_txn/read_obj are data-plane
-/// (payload moves via DMA slots when possible), the rest are control-plane
-/// RPCs over the CommChannel.
+/// (payload moves through the shared DMA region when possible), the rest are
+/// control-plane RPCs over the CommChannel.
 enum class ProxyOp : std::uint8_t {
   ping = 1,
   submit_txn = 2,
   read_obj = 3,
-  stage_segment = 11,  ///< one DMA'd segment is ready in a write-buffer slot
-  stage_batch = 12,    ///< a coalesced batch of segments landed in one slot
+  stage_segment = 11,  ///< one DMA'd segment is ready in the write region
+  stage_batch = 12,    ///< a coalesced batch of segments landed in the region
   stat = 4,
   exists = 5,
   omap_get = 6,
   list_objects = 7,
   list_collections = 8,
   coll_exists = 9,
-  release_slots = 10,  ///< oneway: read-path slots returned by the DPU
   abort_txn = 13,      ///< oneway: drop staged segments of an aborted token
 };
 
 /// Where one chunk of an op's bulk payload lives. `staged`: it was DMA'd
-/// into a slot and already copied by the host into that request's write
-/// buffer (stage_segment), indexed by a per-request sequence number —
-/// Fig. 4's staging-buffer -> write-buffer handoff, which lets the scarce
-/// DMA slots recycle immediately. `inline` data rides in the RPC itself
-/// (control fallback after a DMA error, or tiny payloads). For the read
-/// path, refs point at slots directly (`slot`), since the DPU drains them.
+/// into the shared region and already copied by the host into that
+/// request's write buffer (stage_segment), indexed by a per-request sequence
+/// number — Fig. 4's staging-buffer -> write-buffer handoff, which lets the
+/// scarce region bytes recycle immediately. `inline` data rides in the RPC
+/// itself (control fallback after a DMA error, or tiny payloads). For the
+/// read path, refs point into the region directly (`region`), since the DPU
+/// drains them.
 struct DataRef {
-  enum class Kind : std::uint8_t { inline_ = 0, staged = 1, slot = 2 };
+  enum class Kind : std::uint8_t { inline_ = 0, staged = 1, region = 2 };
   Kind kind = Kind::inline_;
-  std::uint32_t index = 0;  ///< staged: per-request segment seq; slot: slot id
+  /// staged: per-request segment seq; region: byte offset into the region.
+  std::uint32_t index = 0;
   std::uint32_t len = 0;
   BufferList data;          ///< used when kind == inline_
 
@@ -60,27 +61,28 @@ struct DataRef {
 };
 
 /// stage_segment request: segment `seg_index` of request `token` has landed
-/// in write-buffer `slot`; the host copies it out so the slot can recycle.
+/// at byte offset `off` of the write region; the host copies it out so the
+/// bytes can recycle.
 struct StageSegment {
   std::uint64_t token = 0;
   std::uint32_t seg_index = 0;
-  std::uint32_t slot = 0;
+  std::uint32_t off = 0;
   std::uint32_t len = 0;
 
   void encode(BufferList& bl) const {
     doceph::encode(token, bl);
     doceph::encode(seg_index, bl);
-    doceph::encode(slot, bl);
+    doceph::encode(off, bl);
     doceph::encode(len, bl);
   }
   bool decode(BufferList::Cursor& cur) {
     return doceph::decode(token, cur) && doceph::decode(seg_index, cur) &&
-           doceph::decode(slot, cur) && doceph::decode(len, cur);
+           doceph::decode(off, cur) && doceph::decode(len, cur);
   }
 };
 
 /// One member of a stage_batch: segment `seg_index` of request `token` lies
-/// at byte offset `off` inside the batch's slot.
+/// at byte offset `off` inside the batch's extent.
 struct StageBatchEntry {
   std::uint64_t token = 0;
   std::uint32_t seg_index = 0;
@@ -100,19 +102,20 @@ struct StageBatchEntry {
 };
 
 /// stage_batch request: the DPU packed several segments (possibly from
-/// different requests) into write-buffer `slot` with one scatter-gather DMA
-/// pass; the host copies each out to its request's write buffer and acks
-/// the batch as a unit (0, or the first per-entry error).
+/// different requests) into the write-region extent starting at byte `off`
+/// with one scatter-gather DMA pass; the host copies each out to its
+/// request's write buffer and acks the batch as a unit (0, or the first
+/// per-entry error).
 struct StageBatch {
-  std::uint32_t slot = 0;
+  std::uint32_t off = 0;
   std::vector<StageBatchEntry> entries;
 
   void encode(BufferList& bl) const {
-    doceph::encode(slot, bl);
+    doceph::encode(off, bl);
     doceph::encode(entries, bl);
   }
   bool decode(BufferList::Cursor& cur) {
-    return doceph::decode(slot, cur) && doceph::decode(entries, cur);
+    return doceph::decode(off, cur) && doceph::decode(entries, cur);
   }
 };
 
@@ -155,15 +158,17 @@ struct TxnReply {
   }
 };
 
-/// read_obj request: the DPU offers `slots` it has acquired; the host fills
-/// them (or replies inline when the result is tiny).
+/// read_obj request: the DPU offers the region extent [buf_off,
+/// buf_off+buf_len) it has reserved (buf_len 0: none); the host fills it
+/// (or replies inline when the result is tiny).
 struct ReadRequest {
   os::coll_t cid;
   os::ghobject_t oid;
   std::uint64_t off = 0;
   std::uint64_t len = 0;
   std::uint64_t inline_max = 4096;
-  std::vector<std::uint32_t> slots;
+  std::uint32_t buf_off = 0;
+  std::uint32_t buf_len = 0;
 
   void encode(BufferList& bl) const {
     cid.encode(bl);
@@ -171,22 +176,23 @@ struct ReadRequest {
     doceph::encode(off, bl);
     doceph::encode(len, bl);
     doceph::encode(inline_max, bl);
-    doceph::encode(slots, bl);
+    doceph::encode(buf_off, bl);
+    doceph::encode(buf_len, bl);
   }
   bool decode(BufferList::Cursor& cur) {
     return cid.decode(cur) && oid.decode(cur) && doceph::decode(off, cur) &&
            doceph::decode(len, cur) && doceph::decode(inline_max, cur) &&
-           doceph::decode(slots, cur);
+           doceph::decode(buf_off, cur) && doceph::decode(buf_len, cur);
   }
 };
 
-/// read_obj response: either inline data, or the filled slot layout the DPU
-/// should DMA back (host->DPU).
+/// read_obj response: either inline data, or the filled region layout the
+/// DPU should DMA back (host->DPU).
 struct ReadReply {
   std::int32_t result = 0;
   bool inline_data = false;
   BufferList data;                       ///< when inline
-  std::vector<DataRef> refs;             ///< slot refs when not inline
+  std::vector<DataRef> refs;             ///< region refs when not inline
   std::uint64_t total_len = 0;
 
   void encode(BufferList& bl) const {

@@ -80,8 +80,7 @@ struct ChaosProxyNode {
     store = std::make_unique<bluestore::BlueStore>(env, &host_cpu, scfg);
     proxy = std::make_unique<proxy::ProxyObjectStore>(env, dpu, pcfg);
     backend = std::make_unique<proxy::HostBackendService>(
-        env, host_cpu, *store, dpu.host_comch(), proxy->slots().host_mmap(),
-        proxy->slots().slot_size());
+        env, host_cpu, *store, dpu.host_comch(), proxy->slots().host_mmap());
   }
 
   Status up() {

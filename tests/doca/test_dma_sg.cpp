@@ -135,7 +135,7 @@ TEST(DmaSg, BatchPaysOneSetupLatency) {
     // One pass: bytes/bw + ONE setup — not 16 setups. (16 individual
     // submits would still pipeline the setup, but each would pay its own
     // engine pass; the packed pass is what batching buys.)
-    const auto expect = transfer_time(64 << 10, 2.6e9) + 280_us;
+    const auto expect = transfer_time(64 << 10, 2.6e9) + f.dma.config().setup_latency;
     EXPECT_NEAR(static_cast<double>(last - t0), static_cast<double>(expect),
                 static_cast<double>(5_us));
   });

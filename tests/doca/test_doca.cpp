@@ -103,7 +103,7 @@ TEST(DmaEngine, TimingSetupPlusBandwidth) {
                     .ok());
     std::unique_lock<std::mutex> lk(m);
     cv.wait(lk, [&] { return done; });
-    const auto expect = transfer_time(2 << 20, 2.6e9) + 280_us;
+    const auto expect = transfer_time(2 << 20, 2.6e9) + f.dma.config().setup_latency;
     EXPECT_NEAR(static_cast<double>(finished - t0), static_cast<double>(expect),
                 static_cast<double>(5_us));
   });
@@ -136,7 +136,7 @@ TEST(DmaEngine, SegmentsSerializeButSetupOverlaps) {
     cv.wait(lk, [&] { return done == 4; });
     // 4 segments serialized at engine bw + ONE setup latency visible at the
     // end (pipelining property the proxy relies on).
-    const auto expect = 4 * transfer_time(2 << 20, 2.6e9) + 280_us;
+    const auto expect = 4 * transfer_time(2 << 20, 2.6e9) + f.dma.config().setup_latency;
     EXPECT_NEAR(static_cast<double>(last - t0), static_cast<double>(expect),
                 static_cast<double>(10_us));
   });

@@ -175,8 +175,7 @@ struct BatchProxyFixture {
     HostBackendConfig bcfg;
     bcfg.rpc_batch = pcfg.rpc_batch;
     backend = std::make_unique<HostBackendService>(
-        env, host_cpu, *store, dpu.host_comch(), proxy->slots().host_mmap(),
-        proxy->slots().slot_size(), bcfg);
+        env, host_cpu, *store, dpu.host_comch(), proxy->slots().host_mmap(), bcfg);
   }
 
   void up() {
@@ -360,8 +359,7 @@ std::string traced_batched_run(std::uint64_t seed) {
   bluestore::BlueStore store(env, &host_cpu, scfg);
   auto proxy = std::make_unique<ProxyObjectStore>(env, dpu, batched_config());
   HostBackendService backend(env, host_cpu, store, dpu.host_comch(),
-                             proxy->slots().host_mmap(),
-                             proxy->slots().slot_size());
+                             proxy->slots().host_mmap());
   run_sim(env, [&] {
     ASSERT_TRUE(store.mkfs().ok());
     ASSERT_TRUE(store.mount().ok());

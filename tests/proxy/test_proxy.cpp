@@ -33,8 +33,7 @@ struct ProxyFixture {
     store = std::make_unique<bluestore::BlueStore>(env, &host_cpu, scfg);
     proxy = std::make_unique<ProxyObjectStore>(env, dpu, pcfg);
     backend = std::make_unique<HostBackendService>(
-        env, host_cpu, *store, dpu.host_comch(), proxy->slots().host_mmap(),
-        proxy->slots().slot_size());
+        env, host_cpu, *store, dpu.host_comch(), proxy->slots().host_mmap());
   }
 
   void up() {
@@ -299,6 +298,153 @@ TEST(Proxy, PipeliningOffStillCorrect) {
     t.write_full(kColl, kObj, BufferList::copy_of(big));
     ASSERT_TRUE(f.commit(std::move(t)).ok());
     EXPECT_EQ(f.store->read(kColl, kObj, 0, 0)->to_string(), big);
+  });
+  f.down();
+}
+
+TEST(Proxy, SubSegmentWritesOverlapInOneSegmentRegion) {
+  // The paper's calibration: ONE segment's worth of staging region. Eight
+  // 16 KiB writes on eight PGs (hence eight write workers) share it at byte
+  // granularity, so their DMA setups overlap instead of taking turns.
+  ProxyConfig cfg;
+  cfg.slots = 1;
+  ProxyFixture f(cfg);
+  f.up();
+  constexpr int kN = 8;
+  Time elapsed = 0;
+  run_sim(f.env, [&] {
+    for (std::uint32_t pg = 1; pg < kN; ++pg) {
+      os::Transaction t;
+      t.create_collection({1, pg});
+      ASSERT_TRUE(f.commit(std::move(t)).ok());
+    }
+    std::mutex m;
+    CondVar cv(f.env.keeper());
+    int done = 0;
+    const Time t0 = f.env.now();
+    for (std::uint32_t pg = 0; pg < kN; ++pg) {
+      os::Transaction t;
+      t.write_full({1, pg}, {1, "w" + std::to_string(pg)},
+                   BufferList::copy_of(pattern(16 << 10, pg)));
+      f.proxy->queue_transaction(std::move(t), [&](Status st) {
+        EXPECT_TRUE(st.ok()) << st.to_string();
+        const std::lock_guard<std::mutex> lk(m);
+        ++done;
+        cv.notify_all();
+      });
+    }
+    std::unique_lock<std::mutex> lk(m);
+    cv.wait(lk, [&] { return done == kN; });
+    elapsed = f.env.now() - t0;
+    for (std::uint32_t pg = 0; pg < kN; ++pg) {
+      EXPECT_EQ(f.store->read({1, pg}, {1, "w" + std::to_string(pg)}, 0, 0)->to_string(),
+                pattern(16 << 10, pg));
+    }
+  });
+  EXPECT_EQ(f.dpu.dma().jobs_completed(), static_cast<std::uint64_t>(kN));
+  EXPECT_LT(elapsed, 2 * f.dpu.dma().config().setup_latency);
+  EXPECT_EQ(f.proxy->slots().free_bytes(), f.proxy->slots().capacity());
+  f.down();
+}
+
+// ---- host-side bounds checks on DPU-supplied region offsets -------------------
+
+/// Sends a hand-built request on the proxy's channel and returns the host's
+/// int32 result code (the first field of every reply).
+std::int32_t host_result(ProxyFixture& f, ProxyOp op, const BufferList& body) {
+  BufferList request;
+  encode(op, request);
+  request.append(body);
+  auto r = f.proxy->rpc().call(std::move(request), 1'000'000'000);
+  EXPECT_TRUE(r.ok()) << r.status().to_string();
+  if (!r.ok()) return 0;
+  BufferList::Cursor cur(*r);
+  std::int32_t result = 0;
+  EXPECT_TRUE(decode(result, cur));
+  return result;
+}
+
+constexpr std::int32_t kCorrupt = -static_cast<std::int32_t>(Errc::corrupt);
+
+TEST(ProxyBounds, OutOfRangeStageSegmentIsRejected) {
+  ProxyConfig cfg;
+  cfg.slots = 1;
+  ProxyFixture f(cfg);
+  f.up();
+  const auto cap = static_cast<std::uint32_t>(f.proxy->slots().capacity());
+  run_sim(f.env, [&] {
+    for (const auto& [off, len] : {std::pair<std::uint32_t, std::uint32_t>{cap, 1},
+                                   {cap - 4096, 8192},
+                                   {1000u * cap, 4096},
+                                   {16, 0xffffffffu}}) {
+      BufferList body;
+      StageSegment{.token = 7, .seg_index = 0, .off = off, .len = len}.encode(body);
+      EXPECT_EQ(host_result(f, ProxyOp::stage_segment, body), kCorrupt) << off;
+    }
+    // In range is fine.
+    BufferList body;
+    StageSegment{.token = 7, .seg_index = 0, .off = cap - 4096, .len = 4096}.encode(body);
+    EXPECT_EQ(host_result(f, ProxyOp::stage_segment, body), 0);
+  });
+  f.down();
+}
+
+TEST(ProxyBounds, OutOfRangeStageBatchIsRejected) {
+  ProxyConfig cfg;
+  cfg.slots = 1;
+  ProxyFixture f(cfg);
+  f.up();
+  const auto cap = static_cast<std::uint32_t>(f.proxy->slots().capacity());
+  run_sim(f.env, [&] {
+    StageBatch batch;
+    batch.off = cap - 1024;  // the base is in range, the entry runs past the end
+    batch.entries.push_back({.token = 9, .seg_index = 0, .off = 0, .len = 2048});
+    BufferList body;
+    batch.encode(body);
+    EXPECT_EQ(host_result(f, ProxyOp::stage_batch, body), kCorrupt);
+  });
+  f.down();
+}
+
+TEST(ProxyBounds, OutOfRangeReadExtentIsRejected) {
+  ProxyConfig cfg;
+  cfg.slots = 1;
+  ProxyFixture f(cfg);
+  f.up();
+  const auto cap = static_cast<std::uint32_t>(f.proxy->slots().capacity());
+  run_sim(f.env, [&] {
+    os::Transaction t;
+    t.write_full(kColl, kObj, BufferList::copy_of(pattern(64 << 10)));
+    ASSERT_TRUE(f.commit(std::move(t)).ok());
+    ReadRequest rr;
+    rr.cid = kColl;
+    rr.oid = kObj;
+    rr.buf_off = 1000u * cap;  // the host would stage the object here
+    rr.buf_len = 64 << 10;
+    BufferList body;
+    rr.encode(body);
+    EXPECT_EQ(host_result(f, ProxyOp::read_obj, body), kCorrupt);
+  });
+  f.down();
+}
+
+TEST(ProxyBounds, OutOfRangeRegionRefFailsTheTxn) {
+  ProxyConfig cfg;
+  cfg.slots = 1;
+  ProxyFixture f(cfg);
+  f.up();
+  const auto cap = static_cast<std::uint32_t>(f.proxy->slots().capacity());
+  run_sim(f.env, [&] {
+    WireTxn wire;
+    wire.token = 11;
+    wire.meta.write_full(kColl, kObj, BufferList{});
+    wire.parts.resize(1);
+    wire.parts[0].push_back(DataRef{
+        .kind = DataRef::Kind::region, .index = cap - 16, .len = 4096, .data = {}});
+    BufferList body;
+    wire.encode(body);
+    EXPECT_EQ(host_result(f, ProxyOp::submit_txn, body), kCorrupt);
+    EXPECT_FALSE(f.store->exists(kColl, kObj));  // nothing was applied
   });
   f.down();
 }

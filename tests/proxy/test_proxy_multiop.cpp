@@ -32,8 +32,7 @@ struct MultiFixture {
     store = std::make_unique<bluestore::BlueStore>(env, &host_cpu, scfg);
     proxy = std::make_unique<ProxyObjectStore>(env, dpu, ProxyConfig{});
     backend = std::make_unique<HostBackendService>(
-        env, host_cpu, *store, dpu.host_comch(), proxy->slots().host_mmap(),
-        proxy->slots().slot_size());
+        env, host_cpu, *store, dpu.host_comch(), proxy->slots().host_mmap());
   }
 
   void up() {

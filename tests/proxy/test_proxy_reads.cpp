@@ -1,5 +1,5 @@
 // Read-path (paper §5.5 extension) unit coverage on the single-node proxy
-// stack: inline vs DMA returns, offsets, fallback interplay, and slot reuse.
+// stack: inline vs DMA returns, offsets, fallback interplay, and staging reuse.
 #include <gtest/gtest.h>
 
 #include "../test_util.h"
@@ -32,8 +32,7 @@ struct ReadFixture {
     store = std::make_unique<bluestore::BlueStore>(env, &host_cpu, scfg);
     proxy = std::make_unique<ProxyObjectStore>(env, dpu, pcfg);
     backend = std::make_unique<HostBackendService>(
-        env, host_cpu, *store, dpu.host_comch(), proxy->slots().host_mmap(),
-        proxy->slots().slot_size());
+        env, host_cpu, *store, dpu.host_comch(), proxy->slots().host_mmap());
   }
 
   void up_with(const std::string& content) {
@@ -119,7 +118,7 @@ TEST(ProxyReads, OffsetRangesAcrossSegmentBoundaries) {
   run_sim(f.env, [&] {
     for (const auto [off, len] :
          {std::pair<std::size_t, std::size_t>{0, 100},
-          {2 << 20, 4096},            // exactly at a slot boundary
+          {2 << 20, 4096},            // exactly at a segment boundary
           {(2 << 20) - 50, 100},      // straddles it
           {(6 << 20) - 10, 100}}) {   // clamped tail
       auto r = f.proxy->read(kColl, kObj, off, len);
@@ -148,20 +147,20 @@ TEST(ProxyReads, ReadDuringCooldownFallsBackInline) {
   f.down();
 }
 
-TEST(ProxyReads, SlotsAreReleasedAfterReads) {
+TEST(ProxyReads, StagingIsReleasedAfterReads) {
   ProxyConfig cfg;
   cfg.slots = 2;
   ReadFixture f(cfg);
   const std::string content = pattern(4 << 20, 3);
   f.up_with(content);
   run_sim(f.env, [&] {
-    // Many sequential large reads through a 2-slot pool: leaks would wedge.
+    // Many sequential large reads through a 2-segment arena: leaks would wedge.
     for (int i = 0; i < 10; ++i) {
       auto r = f.proxy->read(kColl, kObj, 0, 0);
       ASSERT_TRUE(r.ok()) << i;
       ASSERT_EQ(r->length(), content.size()) << i;
     }
-    EXPECT_TRUE(f.proxy->slots().try_acquire().has_value());  // pool not empty
+    EXPECT_EQ(f.proxy->slots().free_bytes(), f.proxy->slots().capacity());  // no leak
   });
   f.down();
 }

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "../test_util.h"
 #include "proxy/fallback.h"
-#include "proxy/slot_pool.h"
+#include "proxy/staging_arena.h"
 
 namespace doceph::proxy {
 namespace {
@@ -10,67 +12,122 @@ namespace {
 using namespace doceph::sim;
 using doceph::testing::run_sim;
 
-TEST(SlotPool, AcquireReleaseCycle) {
-  Env env;
-  SlotPool pool(env, 2, 4096);
-  EXPECT_EQ(pool.capacity(), 2);
-  EXPECT_EQ(pool.slot_size(), 4096u);
-  run_sim(env, [&] {
-    const int a = pool.acquire();
-    const int b = pool.acquire();
-    EXPECT_NE(a, b);
-    EXPECT_FALSE(pool.try_acquire().has_value());
-    pool.release(a);
-    auto c = pool.try_acquire();
-    ASSERT_TRUE(c.has_value());
-    EXPECT_EQ(*c, a);  // FIFO recycle
-    pool.release(b);
-    pool.release(*c);
-  });
-  EXPECT_EQ(pool.total_wait_ns(), 0);
-}
+constexpr std::size_t k16K = 16 << 10;
 
-TEST(SlotPool, BlockedAcquireWaitsAndAccounts) {
+TEST(StagingArena, SubCapacityReservationsCoResideAndAreDisjoint) {
   Env env;
-  SlotPool pool(env, 1, 4096);
+  StagingArena arena(env, 1, 4 * k16K);
+  EXPECT_EQ(arena.capacity(), 4 * k16K);
+  std::vector<std::size_t> offs;
   run_sim(env, [&] {
-    const int a = pool.acquire();
-    // Free the slot 5 ms from now.
-    env.scheduler().schedule_after(5'000'000, [&, a] { pool.release(a); });
-    const Time t0 = env.now();
-    const int b = pool.acquire();  // blocks until the release
-    EXPECT_EQ(env.now() - t0, 5'000'000);
-    pool.release(b);
+    for (int i = 0; i < 4; ++i) {
+      auto off = arena.try_reserve(k16K);
+      ASSERT_TRUE(off.has_value()) << i;
+      offs.push_back(*off);
+    }
+    EXPECT_FALSE(arena.try_reserve(1).has_value());  // full
   });
-  EXPECT_EQ(pool.total_wait_ns(), 5'000'000);
-}
-
-TEST(SlotPool, BuffersAreDisjointAndPaired) {
-  Env env;
-  SlotPool pool(env, 4, 1024);
-  for (int i = 0; i < 4; ++i) {
-    auto d = pool.dpu_buf(i, 1024);
-    auto h = pool.host_buf(i, 1024);
+  std::sort(offs.begin(), offs.end());
+  for (std::size_t i = 0; i < offs.size(); ++i) {
+    EXPECT_EQ(offs[i], i * k16K);  // disjoint, exactly tiling the region
+    const auto d = arena.dpu_buf(offs[i], k16K);
+    const auto h = arena.host_buf(offs[i], k16K);
     ASSERT_TRUE(d.valid());
     ASSERT_TRUE(h.valid());
-    EXPECT_EQ(d.off, static_cast<std::size_t>(i) * 1024);
     EXPECT_EQ(h.off, d.off);
     EXPECT_NE(d.mmap.get(), h.mmap.get());  // DPU vs host memory
   }
+  EXPECT_EQ(arena.free_bytes(), 0u);
+  EXPECT_EQ(arena.total_wait_ns(), 0);
 }
 
-TEST(SlotPool, ManyContendersAllServed) {
+TEST(StagingArena, FullCapacityWaiterIsServedBeforeLaterSmallOnes) {
   Env env;
-  SlotPool pool(env, 2, 64);
+  StagingArena arena(env, 1, 4 * k16K);
+  Time big_at = -1;
+  Time small_at = -1;
+  run_sim(env, [&] {
+    const std::size_t first = arena.reserve(k16K);
+    auto hold = TimeKeeper::AdvanceHold(env.keeper());
+    std::vector<Thread> threads;
+    threads.push_back(env.spawn("big", nullptr, [&] {
+      const std::size_t off = arena.reserve(arena.capacity());
+      big_at = env.now();
+      env.keeper().sleep_for(1'000'000);
+      arena.release(off, arena.capacity());
+    }));
+    threads.push_back(env.spawn("small", nullptr, [&] {
+      env.keeper().sleep_for(1'000'000);
+      // 48 KiB are free, but the full-size request queued first.
+      EXPECT_FALSE(arena.try_reserve(k16K).has_value());
+      const std::size_t off = arena.reserve(k16K);
+      small_at = env.now();
+      arena.release(off, k16K);
+    }));
+    env.scheduler().schedule_after(2'000'000, [&, first] { arena.release(first, k16K); });
+    hold.release();
+    threads.clear();
+  });
+  EXPECT_EQ(big_at, 2'000'000);    // as soon as the first extent came back
+  EXPECT_EQ(small_at, 3'000'000);  // only after the big one let go
+}
+
+TEST(StagingArena, ReleasesMergeBackToOneFullExtent) {
+  Env env;
+  StagingArena arena(env, 2, 64 << 10);
+  run_sim(env, [&] {
+    std::vector<std::pair<std::size_t, std::size_t>> held;
+    for (const std::size_t len : {4096u, 100u, 65536u, 7u, 30000u}) {
+      auto off = arena.try_reserve(len);
+      ASSERT_TRUE(off.has_value()) << len;
+      held.emplace_back(*off, len);
+    }
+    // Release out of order so merges happen on both sides.
+    for (const std::size_t i : {1u, 3u, 0u, 4u, 2u}) {
+      arena.release(held[i].first, held[i].second);
+    }
+  });
+  EXPECT_EQ(arena.free_extents(), 1u);
+  EXPECT_EQ(arena.free_bytes(), arena.capacity());
+  run_sim(env, [&] {
+    auto whole = arena.try_reserve(arena.capacity());
+    ASSERT_TRUE(whole.has_value());
+    EXPECT_EQ(*whole, 0u);
+    arena.release(*whole, arena.capacity());
+  });
+}
+
+TEST(StagingArena, TotalWaitAccountsBlockedTime) {
+  Env env;
+  StagingArena arena(env, 1, 4096);
+  run_sim(env, [&] {
+    const std::size_t a = arena.reserve(4096);
+    // A bounded reservation gives up after its timeout and leaves the queue.
+    EXPECT_FALSE(arena.reserve_for(1, 2'000'000).has_value());
+    // Free the region 5 ms from now; a blocking reservation waits it out.
+    env.scheduler().schedule_after(5'000'000, [&, a] { arena.release(a, 4096); });
+    const Time t0 = env.now();
+    const std::size_t b = arena.reserve(4096);
+    EXPECT_EQ(env.now() - t0, 5'000'000);
+    arena.release(b, 4096);
+  });
+  EXPECT_EQ(arena.total_wait_ns(), 7'000'000);
+  EXPECT_EQ(arena.free_bytes(), arena.capacity());
+}
+
+TEST(StagingArena, ManyContendersAllServed) {
+  Env env;
+  StagingArena arena(env, 2, 64);
   std::atomic<int> served{0};
   run_sim(env, [&] {
     auto hold = TimeKeeper::AdvanceHold(env.keeper());
     std::vector<Thread> workers;
     for (int i = 0; i < 10; ++i) {
-      workers.push_back(env.spawn("w" + std::to_string(i), nullptr, [&] {
-        const int s = pool.acquire();
+      workers.push_back(env.spawn("w" + std::to_string(i), nullptr, [&, i] {
+        const std::size_t len = i % 2 == 0 ? 64 : 128;  // half of them fill it
+        const std::size_t off = arena.reserve(len);
         env.keeper().sleep_for(1'000'000);
-        pool.release(s);
+        arena.release(off, len);
         served.fetch_add(1);
       }));
     }
@@ -78,8 +135,8 @@ TEST(SlotPool, ManyContendersAllServed) {
     workers.clear();
   });
   EXPECT_EQ(served.load(), 10);
-  // 10 holders x 1ms over 2 slots => at least 8 slot-waits happened.
-  EXPECT_GE(pool.total_wait_ns(), 3'000'000);
+  EXPECT_GE(arena.total_wait_ns(), 3'000'000);
+  EXPECT_EQ(arena.free_extents(), 1u);
 }
 
 TEST(FallbackManager, StartsEnabled) {
