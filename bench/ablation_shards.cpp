@@ -31,7 +31,6 @@ RunSpec small_write_spec(int op_shards, int kv_shards) {
   spec.mode = cluster::DeployMode::doceph;
   spec.object_size = 16 << 10;
   spec.concurrency = 64;
-  spec.batching = true;
   spec.backpressure = true;
   spec.warmup = 200'000'000;   // 200 ms
   spec.measure = 250'000'000;  // 250 ms: sized so the fastest sharded cell's
@@ -85,12 +84,11 @@ int main(int argc, char** argv) {
   }
   t.print();
   std::printf(
-      "\nReading: on the offload path, op lanes carry a proxy staging slot\n"
-      "each (the store stage — dominated by DMA-wait on the single slot —\n"
-      "falls first); KV shards then parallelize the host WAL group-commit,\n"
-      "but only pay off once the lanes feed them (row 1x4 is flat). The\n"
-      "diagonal compounds both. Ordering is untouched — ops for one object\n"
-      "share a PG, hence a lane, hence a KV shard (DESIGN.md §15).\n");
+      "\nReading: on the offload path, op lanes carry the gain (the OSD\n"
+      "queue stage falls first); KV shards alone are flat (row 1x4), and\n"
+      "past two lanes the store stage — the proxy's synchronous write\n"
+      "workers — caps the diagonal. Ordering is untouched — ops for one\n"
+      "object share a PG, hence a lane, hence a KV shard (DESIGN.md §15).\n");
 
   if (!out_path.empty()) {
     JsonWriter w;

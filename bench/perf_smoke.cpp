@@ -18,22 +18,19 @@
 //              [--cores-threshold 0.25] [--shard-gate 1.15]
 //              [--measure-ms 1500] [--repeats N]
 //              [--trace-out TRACE.json] [--trace-sample N]
-//              [--disable-batching]
 //
 // Two laps per deploy mode: the 1 MB DMA-path lap ("baseline"/"doceph")
 // and a 16 KB qd64 fresh-object small-write lap ("baseline_smallwrite"/
-// "doceph_smallwrite") that exercises the batched offload hot path (comch
-// doorbell coalescing + scatter-gather DMA + write corking) plus the
-// chained-KV-checkpoint + backpressure degradation path (every write is a
-// new object; the map snapshot outgrows one WAL segment mid-run).
+// "doceph_smallwrite") that exercises the per-op costs of the offload path
+// (one comch doorbell and one DMA job per sub-segment payload, overlapped
+// inside the byte-granular staging arena) plus the chained-KV-checkpoint +
+// backpressure degradation path (every write is a new object; the map
+// snapshot outgrows one WAL segment mid-run).
 // --measure-ms scales only the 1 MB laps; the small lap has dedicated
 // durations sized against the store's nearfull ratio. The small-write lap
 // is then re-run with op_shards = kv_shards = 4 ("*_smallwrite_sharded")
 // and gated intra-run: DoCeph sharded ops/s must be >= --shard-gate times
 // the unsharded lap (0 disables), with zero failed ops.
-// --disable-batching strips all batching knobs — that is how the committed
-// BENCH_baseline.json is produced, so the delta against it shows the
-// batching win.
 //
 // A threshold of 0 disables that gate (iops/p99/cores each independently).
 // --trace-out makes the DoCeph lap sample 1-in-N client ops (default 64)
@@ -128,7 +125,6 @@ int main(int argc, char** argv) {
   long repeats = 1;
   std::string trace_out;
   long trace_sample = 64;
-  bool batching = true;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : ""; };
@@ -143,7 +139,6 @@ int main(int argc, char** argv) {
     else if (arg == "--trace-out") trace_out = next();
     else if (arg == "--trace-sample")
       trace_sample = std::max(1l, std::strtol(next(), nullptr, 10));
-    else if (arg == "--disable-batching") batching = false;
     else {
       std::fprintf(stderr, "unknown arg: %s\n", arg.c_str());
       return 2;
@@ -156,7 +151,6 @@ int main(int argc, char** argv) {
   spec.warmup = 500'000'000;
   spec.measure = measure_ms * 1'000'000;
   spec.pg_num = 32;
-  spec.batching = batching;
 
   doceph::JsonWriter w;
   w.begin_object();
@@ -181,11 +175,11 @@ int main(int argc, char** argv) {
   }
 
   // Small-write lap (16 KB, qd64, fresh object names): many sub-segment
-  // payloads per interval — the workload the batched offload hot path is
-  // built for. Every write creates a new object, so the 16 KB inline
-  // payloads accumulate in the KV map: the baseline lap's snapshot grows
-  // past one 32 MiB WAL segment mid-run, exercising the chained
-  // checkpoint path (pre-chaining this lap died with no_space).
+  // payloads per interval, so per-op costs dominate. Every write creates a
+  // new object, so the 16 KB inline payloads accumulate in the KV map: the
+  // baseline lap's snapshot grows past one 32 MiB WAL segment mid-run,
+  // exercising the chained checkpoint path (pre-chaining this lap died with
+  // no_space).
   // Backpressure is on so the run degrades gracefully instead of
   // collapsing if a queue or the store ever saturates; durations are
   // sized to stay under the 0.85 nearfull ratio (~3300 objects), above
@@ -194,7 +188,6 @@ int main(int argc, char** argv) {
     RunSpec small = spec;
     small.object_size = 16 << 10;
     small.concurrency = 64;
-    small.reuse_objects = 0;
     small.backpressure = true;
     small.warmup = 200'000'000;    // 200 ms
     small.measure = 400'000'000;   // 400 ms: ~2700 fresh objects ≈ 43 MiB of
@@ -287,10 +280,9 @@ int main(int argc, char** argv) {
 
   // Intra-run sharding gate: needs no committed baseline, so it guards the
   // sharded write path even on a fresh checkout. op_shards=kv_shards=4 must
-  // keep a real speedup over the unsharded small-write lap (measured ~1.27x
-  // batched / ~1.36x unbatched; gated at 1.15x, DESIGN.md §15.6) and must
-  // finish with zero failed ops — backpressure may defer writes, never drop
-  // them.
+  // keep a real speedup over the unsharded small-write lap (measured ~1.36x;
+  // gated at 1.15x, DESIGN.md §15.6) and must finish with zero failed ops —
+  // backpressure may defer writes, never drop them.
   if (shard_gate > 0 && doceph_small.iops > 0) {
     const double speedup = doceph_small_sharded.iops / doceph_small.iops;
     std::fprintf(stderr,
@@ -324,7 +316,7 @@ int main(int argc, char** argv) {
   const std::string baseline_json = ss.str();
 
   // Gate 1: DoCeph throughput may not DROP past `threshold` — on the 1 MB
-  // lap and on the 16 KB small-write lap (the batching hot path).
+  // lap and on the 16 KB small-write lap (the per-op offload costs).
   const struct {
     const char* object;
     double current;

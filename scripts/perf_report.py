@@ -157,9 +157,9 @@ def main(argv):
     lines += [
         "",
         "IOPS: higher is better; p50/p99/host cores: lower is better. "
-        "The `*_smallwrite` rows are the 16 KB qd16 lap where the batched "
-        "offload hot path (comch doorbell coalescing + scatter-gather DMA + "
-        "write corking) earns its keep.",
+        "The `*_smallwrite` rows are the 16 KB qd64 fresh-object lap, where "
+        "per-op costs dominate: one comch doorbell and one DMA job per write, "
+        "overlapped inside the byte-granular staging arena.",
     ]
     report = "\n".join(lines) + "\n"
 

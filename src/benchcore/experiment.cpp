@@ -34,7 +34,6 @@ std::string RunSpec::cache_key() const {
        << (proxy_override->segment_size >> 10) << "k";
   }
   if (dma_failure_rate > 0) os << "_f" << static_cast<int>(dma_failure_rate * 1e4);
-  if (reuse_objects > 0) os << "_r" << reuse_objects;
   if (backpressure) os << "_bp";
   {
     // Sharded cells (DESIGN.md §15): `_shN` on the diagonal, `_shOPxKV`
@@ -46,16 +45,6 @@ std::string RunSpec::cache_key() const {
       os << "_sh" << op_sh << "x" << kv_sh;
     else if (op_sh > 1)
       os << "_sh" << op_sh;
-  }
-  if (batching) {
-    // Batched cells key on the coalescing knobs too (swept by
-    // ablation_batching): depth and flush deadlines change the numbers.
-    const auto& db = proxy_override ? proxy_override->dma_batch
-                                    : cluster::default_proxy().dma_batch;
-    const auto& rb = proxy_override ? proxy_override->rpc_batch
-                                    : cluster::default_proxy().rpc_batch;
-    os << "_batch" << db.max_segments << "_" << db.flush_delay / 1'000 << "u"
-       << rb.flush_delay / 1'000;
   }
   return os.str();
 }
@@ -86,13 +75,6 @@ RunResult run_experiment(const RunSpec& spec) {
   cfg.kv_shards =
       spec.kv_shards_override > 0 ? spec.kv_shards_override : spec.shards;
   if (spec.proxy_override) cfg.proxy = *spec.proxy_override;
-  // spec.batching governs the enabled flags of every coalescing knob (the
-  // proxy_override only tunes depths/deadlines), so batched and unbatched
-  // cells differ in exactly one dimension.
-  cfg.msgr.cork.enabled = spec.batching;
-  cfg.proxy.rpc_batch.enabled = spec.batching;
-  cfg.proxy.dma_batch.enabled = spec.batching;
-  cfg.backend.rpc_batch.enabled = spec.batching;
   if (spec.backpressure) {
     // End-to-end admission control: bounded queues at every layer, typed
     // throttled bounces, nearfull write shedding, client AIMD windowing.
@@ -128,7 +110,6 @@ RunResult run_experiment(const RunSpec& spec) {
     wcfg.object_size = spec.object_size;
     wcfg.duration = spec.warmup;
     wcfg.prefix = "warm";
-    wcfg.reuse_objects = spec.reuse_objects;
     client::RadosBench warm(cl.client(), wcfg);
     (void)warm.run(&cl.client_cpu());
 
@@ -157,7 +138,6 @@ RunResult run_experiment(const RunSpec& spec) {
     bcfg.object_size = spec.object_size;
     bcfg.duration = spec.measure;
     bcfg.prefix = "bench";
-    bcfg.reuse_objects = spec.reuse_objects;
     client::RadosBench bench(cl.client(), bcfg);
     const auto bres = bench.run(&cl.client_cpu());
 

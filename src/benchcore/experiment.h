@@ -19,18 +19,6 @@ struct RunSpec {
   std::uint32_t pg_num = 64;
   std::uint64_t seed = 42;
 
-  /// Hot-path batching (comch doorbell coalescing, scatter-gather DMA,
-  /// messenger write corking). Off by default: the paper's hot path has no
-  /// coalescing and the figure sweeps (and their committed bench_cache
-  /// cells) reproduce the paper. perf_smoke and ablation_batching opt in.
-  bool batching = false;
-
-  /// >0: writers cycle through a bounded object working set (see
-  /// BenchConfig::reuse_objects). Documented opt-in for bounding metadata
-  /// growth; fresh-object small-write floods now degrade gracefully via
-  /// chained KV checkpoints + backpressure instead of dying with no_space.
-  std::uint64_t reuse_objects = 0;
-
   /// End-to-end backpressure: bounded OSD/proxy queues replying
   /// Errc::throttled, nearfull write shedding, and client AIMD flow
   /// control. Off by default — the paper profiles predate admission

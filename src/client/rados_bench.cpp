@@ -47,10 +47,8 @@ BenchResult RadosBench::run(sim::CpuDomain* domain) {
           [&, t] {
             std::uint64_t seq = 0;
             while (env.now() < end) {
-              std::uint64_t i = seq++;
-              if (cfg_.reuse_objects > 0) i %= cfg_.reuse_objects;
               const std::string name = cfg_.prefix + "_" + std::to_string(t) + "_" +
-                                       std::to_string(i);
+                                       std::to_string(seq++);
               const sim::Time t0 = env.now();
               const Status st = io.write_full(name, payload);
               if (!st.ok()) {

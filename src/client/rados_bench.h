@@ -16,12 +16,6 @@ struct BenchConfig {
   std::uint64_t object_size = 4 << 20;     ///< bytes per object (-b)
   sim::Duration duration = 10'000'000'000; ///< 10 s
   std::string prefix = "bench";            ///< object name prefix
-  /// >0: each writer cycles through this many object names instead of a
-  /// fresh name per op. Documented opt-in for bounding KV metadata growth
-  /// on very long small-object runs; fresh-object floods now degrade
-  /// gracefully (chained WAL checkpoints + backpressure) instead of dying
-  /// with no_space, so most runs no longer need it.
-  std::uint64_t reuse_objects = 0;
   /// Dump the client's admin-socket surface ("perf dump", historic ops) to
   /// stderr when the run completes, so every experiment ships its per-stage
   /// latency table.

@@ -70,9 +70,6 @@ Status Cluster::start() {
 
     auto osd_cfg = cfg_.osd_template;
     osd_cfg.id = i;
-    // Only the cork knobs ride along: the messenger keeps its own calibrated
-    // cost model (cfg_.msgr.costs model a different aggregation level).
-    osd_cfg.msgr.cork = cfg_.msgr.cork;
     node->osd = std::make_unique<osd::OSD>(env_, fabric_, *osd_net, osd_domain,
                                            *osd_store, mon_addr, osd_cfg);
     st = node->osd->init();
@@ -242,7 +239,6 @@ Status Cluster::restart_osd(int i) {
   }
   auto osd_cfg = cfg_.osd_template;
   osd_cfg.id = i;
-  osd_cfg.msgr.cork = cfg_.msgr.cork;
   node.osd = std::make_unique<osd::OSD>(env_, fabric_, *osd_net, osd_domain,
                                         *osd_store, mon_->addr(), osd_cfg);
   const Status st = node.osd->init();

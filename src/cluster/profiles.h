@@ -10,7 +10,6 @@
 #include "client/rados_client.h"
 #include "common/fault.h"
 #include "dpu/dpu_device.h"
-#include "msgr/messenger.h"
 #include "net/fabric.h"
 #include "osd/osd.h"
 #include "proxy/host_backend.h"
@@ -48,21 +47,6 @@ inline net::NicProfile nic_for(NetworkKind k) {
 inline net::StackModel default_stack() {
   return net::StackModel{
       .per_syscall = 1'500, .per_byte_ns = 0.45, .per_frame = 250, .mtu = 9000};
-}
-
-/// Messenger bookkeeping: real Ceph burns tens of microseconds of CPU per
-/// message on dispatch, throttles and serialization; these drive the per-op
-/// (size-independent) CPU floor that makes Baseline utilization fall from
-/// ~94% at 1 MB to ~67% at 16 MB as the op rate drops (Fig. 7).
-inline msgr::MessengerConfig default_msgr() {
-  msgr::MessengerConfig cfg;
-  cfg.num_workers = 3;
-  cfg.costs = {.per_msg_encode = 60'000, .per_msg_decode = 70'000,
-               .crc_per_byte_ns = 0.3};
-  // cfg.cork stays disabled here: the paper's hot path has no write
-  // coalescing, and the figure sweeps reproduce the paper. Batched runs
-  // (RunSpec::batching, perf_smoke, ablation_batching) switch it on.
-  return cfg;
 }
 
 /// PM893-class SATA SSD behind BlueStore-lite.
@@ -134,10 +118,6 @@ inline proxy::ProxyConfig default_proxy() {
   cfg.mr_cache = true;
   cfg.cooldown = 500'000'000;
   cfg.stage_copy_ns_per_byte = 0.15;
-  // rpc_batch / dma_batch stay disabled here for the same reason as the
-  // messenger cork: the paper's offload path issues one doorbell and one
-  // DMA job per segment, and the calibration (Table 3's DMA row) encodes
-  // that. RunSpec::batching flips all three on for batched runs.
   return cfg;
 }
 
@@ -171,7 +151,6 @@ struct ClusterConfig {
   /// >= 1 in store_config(); 1 keeps the paper cells byte-identical.
   int kv_shards = 1;
 
-  msgr::MessengerConfig msgr = default_msgr();
   osd::OsdConfig osd_template = default_osd(0);
   proxy::ProxyConfig proxy = default_proxy();
   proxy::HostBackendConfig backend = default_backend();

@@ -27,17 +27,9 @@ inline constexpr std::string_view kNetDrop = "net.drop";
 inline constexpr std::string_view kNetPartition = "net.partition";
 
 // doca/ — CommChannel sends and DMA transfers (scope: device name).
-// doca.dma_error is batch-aware: on a scatter-gather job it is consulted
-// once per extent (scope "<engine>#<extent-index>") and fails only the
-// matched extent, not the whole batch.
 inline constexpr std::string_view kDocaComchDrop = "doca.comch_drop";
 inline constexpr std::string_view kDocaComchStall = "doca.comch_stall";
 inline constexpr std::string_view kDocaDmaError = "doca.dma_error";
-
-// proxy/ (DPU side) — batching hot path (scope: batcher/channel name).
-// Firing stalls the doorbell: the flush is deferred by the fault's
-// delay_ns instead of being sent, then retried.
-inline constexpr std::string_view kDpuBatchFlushStall = "dpu.batch_flush_stall";
 
 // bluestore/ — per block-device IO (scope: BlockDeviceConfig::name).
 inline constexpr std::string_view kBdevIoError = "bdev.io_error";
@@ -54,11 +46,10 @@ inline constexpr std::string_view kOsdRestart = "osd.restart";
 }  // namespace points
 
 /// Every registered point, for enumeration (admin tooling, tests).
-inline constexpr std::array<std::string_view, 14> kAllFaultPoints = {
+inline constexpr std::array<std::string_view, 13> kAllFaultPoints = {
     points::kNetDelay,      points::kNetDisconnect,   points::kNetDrop,
     points::kNetPartition,  points::kDocaComchDrop,   points::kDocaComchStall,
-    points::kDocaDmaError,  points::kDpuBatchFlushStall,
-    points::kBdevIoError,   points::kBdevLatencySpike,
+    points::kDocaDmaError,  points::kBdevIoError,     points::kBdevLatencySpike,
     points::kOsdCrash,      points::kOsdHardCrash,    points::kOsdOverload,
     points::kOsdRestart,
 };

@@ -30,16 +30,13 @@ inline constexpr std::string_view kClientOp = "client.op";
 // doca/ — one DMA copy job, submit -> completion (domain "dma.<engine>").
 inline constexpr std::string_view kDocaDmaJob = "doca.dma_job";
 
-// proxy/ (DPU side) — domain "dpu.<name>". dpu.batch parents the
-// doca.dma_job spans of every segment that rode one coalesced flush.
-inline constexpr std::string_view kDpuBatch = "dpu.batch";
+// proxy/ (DPU side) — domain "dpu.<name>".
 inline constexpr std::string_view kDpuRead = "dpu.read";
 inline constexpr std::string_view kDpuRpcSubmitTxn = "dpu.rpc.submit_txn";
 inline constexpr std::string_view kDpuWrite = "dpu.write";
 
 // proxy/ (host side) — comch request arrival -> store commit (domain
 // "host.<name>").
-inline constexpr std::string_view kHostStageBatch = "host.stage_batch";
 inline constexpr std::string_view kHostSubmitTxn = "host.submit_txn";
 
 // msgr/ — header arrival -> dispatcher return (domain "msgr.<entity>").
@@ -64,11 +61,10 @@ inline constexpr std::string_view kOsdThrottle = "osd.throttle";
 }  // namespace points
 
 /// Every registered point, for enumeration (admin tooling, tests).
-inline constexpr std::array<std::string_view, 18> kAllTracePoints = {
+inline constexpr std::array<std::string_view, 16> kAllTracePoints = {
     points::kBluestoreTxn,     points::kClientOp,       points::kDocaDmaJob,
-    points::kDpuBatch,         points::kDpuRead,        points::kDpuRpcSubmitTxn,
-    points::kDpuWrite,         points::kHostStageBatch, points::kHostSubmitTxn,
-    points::kMsgrDispatch,     points::kOsdOp,
+    points::kDpuRead,          points::kDpuRpcSubmitTxn, points::kDpuWrite,
+    points::kHostSubmitTxn,    points::kMsgrDispatch,   points::kOsdOp,
     points::kOsdStageMessenger, points::kOsdStageQueue,  points::kOsdStageStore,
     points::kOsdStageRepl,     points::kOsdStageReply,
     points::kOsdShardEnqueue,  points::kOsdThrottle,

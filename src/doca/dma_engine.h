@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <functional>
 #include <string>
-#include <vector>
 
 #include "common/result.h"
 #include "common/trace.h"
@@ -36,19 +35,9 @@ struct DmaConfig {
 
 enum class DmaDir { dpu_to_host, host_to_dpu };
 
-/// One source->destination extent of a scatter-gather job. Lengths must
-/// match; a single extent may not exceed the hardware transfer cap.
-struct DmaExtent {
-  Buf src;
-  Buf dst;
-};
-
 class DmaEngine {
  public:
   using JobCb = std::function<void(Status)>;
-  /// Per-extent completion fan-out for scatter-gather jobs: called once per
-  /// extent (in extent order within each pass) with the extent's index.
-  using ExtentCb = std::function<void(std::size_t index, Status)>;
 
   /// `name` scopes this engine's faults: a "doca.dma_error" spec with
   /// match=<name> hits only this engine.
@@ -65,24 +54,10 @@ class DmaEngine {
   Status submit(const Buf& src, const Buf& dst, DmaDir dir, JobCb cb,
                 const trace::TraceContext& ctx = {});
 
-  /// Submit one scatter-gather job: consecutive extents are greedy-packed
-  /// into engine passes, splitting ONLY at the hardware transfer cap, so a
-  /// batch of small payloads pays one setup latency per <=2MB pass instead
-  /// of one per extent. `cb` fires once per extent. Fault injection stays
-  /// per-extent: "doca.dma_error" is consulted once per extent with scope
-  /// "<name>#<index>", and a firing fails only that extent — the rest of
-  /// the pass completes normally. A sampled `ctx` records one
-  /// "doca.dma_job" span per extent (disambiguated by source offset).
-  Status submit_sg(const std::vector<DmaExtent>& extents, DmaDir dir,
-                   ExtentCb cb, const trace::TraceContext& ctx = {});
-
   [[nodiscard]] const DmaConfig& config() const noexcept { return cfg_; }
   [[nodiscard]] std::uint64_t jobs_completed() const noexcept { return jobs_done_; }
   [[nodiscard]] std::uint64_t bytes_moved() const noexcept { return bytes_; }
   [[nodiscard]] std::uint64_t jobs_failed() const noexcept { return failed_; }
-  /// Total engine passes issued: one per submit(), one per <=cap chunk of
-  /// each scatter-gather job. passes < extents is the amortization win.
-  [[nodiscard]] std::uint64_t sg_passes() const noexcept { return passes_; }
   [[nodiscard]] int inflight() const noexcept { return inflight_.load(); }
 
   /// Error injection, backed by the env's FaultRegistry "doca.dma_error"
@@ -105,7 +80,6 @@ class DmaEngine {
   std::atomic<std::uint64_t> jobs_done_{0};
   std::atomic<std::uint64_t> bytes_{0};
   std::atomic<std::uint64_t> failed_{0};
-  std::atomic<std::uint64_t> passes_{0};
 };
 
 }  // namespace doceph::doca

@@ -45,38 +45,9 @@ void Connection::send_message(MessageRef m) {
   center_.dispatch([self, m = std::move(m)] {
     if (self->state_.load() == State::closed) return;  // dropped, like a reset
     BufferList frame = self->encode_message(*m);
-    const std::size_t frame_len = frame.length();
     self->tx_buf_.claim_append(frame);
     self->sent_.fetch_add(1, std::memory_order_relaxed);
-
-    const CorkConfig& cork = self->msgr_.config().cork;
-    if (!cork.enabled) {
-      self->try_flush();
-      return;
-    }
-    self->corked_msgs_++;
-    if (frame_len >= cork.min_bytes ||
-        self->tx_buf_.length() >= cork.max_bytes ||
-        self->corked_msgs_ >= cork.max_msgs) {
-      self->msgr_.counters_->inc(l_msgr_cork_flush_size);
-      self->corked_msgs_ = 0;
-      self->try_flush();
-      return;
-    }
-    // Small message: hold it for companions; the timer bounds the wait.
-    self->msgr_.counters_->inc(l_msgr_cork_queued);
-    if (!self->cork_timer_armed_) {
-      self->cork_timer_armed_ = true;
-      self->center_.add_timer(cork.timeout, [self] {
-        // Timer handlers run on the owner worker thread, like this lambda.
-        self->cork_timer_armed_ = false;
-        if (self->state_.load() == State::closed) return;
-        if (self->tx_buf_.length() == 0) return;
-        self->msgr_.counters_->inc(l_msgr_cork_flush_timeout);
-        self->corked_msgs_ = 0;
-        self->try_flush();
-      });
-    }
+    self->try_flush();
   });
 }
 
@@ -254,9 +225,6 @@ Messenger::Messenger(sim::Env& env, net::Fabric& fabric, net::NetNode& node,
                     .add_counter(l_msgr_msg_send, "msg_send")
                     .add_counter(l_msgr_bytes_recv, "bytes_recv")
                     .add_counter(l_msgr_bytes_send, "bytes_send")
-                    .add_counter(l_msgr_cork_queued, "cork_queued")
-                    .add_counter(l_msgr_cork_flush_size, "cork_flush_size")
-                    .add_counter(l_msgr_cork_flush_timeout, "cork_flush_timeout")
                     .create()) {
   centers_.reserve(static_cast<std::size_t>(cfg_.num_workers));
   for (int i = 0; i < cfg_.num_workers; ++i)

@@ -40,9 +40,6 @@ enum {
   l_msgr_msg_send,    ///< messages encoded for transmission
   l_msgr_bytes_recv,  ///< payload bytes (front + data) received
   l_msgr_bytes_send,  ///< payload bytes (front + data) sent
-  l_msgr_cork_queued,         ///< small messages held back by the cork
-  l_msgr_cork_flush_size,     ///< cork flushes rung by the size doorbells
-  l_msgr_cork_flush_timeout,  ///< cork flushes rung by the timeout
   l_msgr_last,
 };
 
@@ -55,24 +52,9 @@ struct MsgrCostModel {
   double crc_per_byte_ns = 0.3;         ///< crc32c over front+data
 };
 
-/// Nagle-like write corking: small same-connection messages coalesce in the
-/// connection's tx buffer and leave as one fabric send, amortizing the
-/// per-send syscall/frame costs of the stack model. Bounded: a frame of
-/// min_bytes or more, a full cork (max_bytes / max_msgs), or the
-/// virtual-clock timeout rings the doorbell, so nothing waits longer than
-/// `timeout`.
-struct CorkConfig {
-  bool enabled = false;
-  std::size_t min_bytes = 4096;    ///< frames this big flush immediately
-  std::size_t max_bytes = 65536;   ///< flush when the tx buffer reaches this
-  int max_msgs = 16;               ///< flush after this many corked messages
-  sim::Duration timeout = 50'000;  ///< cork deadline (virtual ns)
-};
-
 struct MessengerConfig {
   int num_workers = 3;  ///< Ceph default: 3 async msgr workers
   MsgrCostModel costs;
-  CorkConfig cork;
 };
 
 /// One wire connection. All state is owned by a single worker's event loop;
@@ -97,12 +79,6 @@ class Connection : public std::enable_shared_from_this<Connection> {
   /// Messages fully handed to the socket layer (tests/diagnostics).
   [[nodiscard]] std::uint64_t sent_count() const noexcept { return sent_.load(); }
   [[nodiscard]] std::uint64_t received_count() const noexcept { return received_.load(); }
-
-  /// send() invocations on the underlying socket that moved bytes — the
-  /// per-call stack cost the write cork amortizes (tests/diagnostics).
-  [[nodiscard]] std::uint64_t socket_send_calls() const noexcept {
-    return sock_ ? sock_->send_calls() : 0;
-  }
 
  private:
   friend class Messenger;
@@ -134,8 +110,6 @@ class Connection : public std::enable_shared_from_this<Connection> {
   BufferList rx_buf_;
   BufferList tx_buf_;
   std::uint64_t next_seq_ = 1;
-  int corked_msgs_ = 0;           // messages held back since the last flush
-  bool cork_timer_armed_ = false;
 
   // Parser state.
   bool have_header_ = false;

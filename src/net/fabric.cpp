@@ -45,9 +45,6 @@ struct Socket::Core : std::enable_shared_from_this<Socket::Core> {
   // without taking the core lock on the NIC booking path.
   std::atomic<std::int64_t> min_deliver[2]{};
 
-  // send() invocations that moved bytes, per side (cork diagnostics).
-  std::atomic<std::uint64_t> send_calls[2]{};
-
   /// Queue a readable notification for half[hi] if armed.
   void notify_readable_locked(int hi) DOCEPH_REQUIRES(m) {
     Half& h = half[hi];
@@ -123,7 +120,6 @@ Result<std::size_t> Socket::send(BufferList& bl) {
     data = bl.substr(0, take);
   }
   bl = bl.substr(take, bl.length() - take);
-  c.send_calls[side_].fetch_add(1, std::memory_order_relaxed);
 
   // CPU: user->kernel copy etc., on the calling thread's domain. Done
   // outside the core lock — charging advances simulated time.
@@ -247,10 +243,6 @@ void Socket::clear_handlers() {
   Core::Half& wr = core_->half[side_];
   wr.wr_center = {};
   wr.on_writable = nullptr;
-}
-
-std::uint64_t Socket::send_calls() const noexcept {
-  return core_->send_calls[side_].load(std::memory_order_relaxed);
 }
 
 Address Socket::local_addr() const {

@@ -146,11 +146,6 @@ class Socket {
   /// EventCenter::Handle).
   void clear_handlers();
 
-  /// send() invocations by this side that actually moved bytes — each one
-  /// paid the stack model's per-syscall cost, so corking tests can observe
-  /// coalescing directly.
-  [[nodiscard]] std::uint64_t send_calls() const noexcept;
-
   [[nodiscard]] Address local_addr() const;
   [[nodiscard]] Address remote_addr() const;
 

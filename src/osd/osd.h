@@ -57,8 +57,8 @@ struct OsdConfig {
   /// legacy single dispatch queue.
   int op_shards = 1;
 
-  /// Passed to this OSD's messenger (cluster wiring plumbs the cork knobs
-  /// here; the cost model keeps the messenger defaults).
+  /// Passed to this OSD's messenger (the cluster keeps the MsgrCostModel
+  /// defaults).
   msgr::MessengerConfig msgr;
 
   sim::Duration heartbeat_interval = 1'000'000'000;   // 1 s

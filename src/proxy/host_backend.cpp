@@ -25,7 +25,6 @@ Status HostBackendService::start() {
              const trace::TraceContext& ctx) {
         handle_request(std::move(req), oneway, std::move(respond), ctx);
       });
-  rpc_.set_batch_config(cfg_.rpc_batch);
   rpc_.start(center_);
   {
     const dbg::LockGuard lk(queue_mutex_);
@@ -99,9 +98,6 @@ void HostBackendService::handle_request(BufferList req, bool oneway,
       case ProxyOp::stage_segment:
         do_stage_segment(body, respond);
         break;
-      case ProxyOp::stage_batch:
-        do_stage_batch(body, respond, ctx);
-        break;
       case ProxyOp::read_obj:
         do_read(body, respond);
         break;
@@ -145,43 +141,6 @@ void HostBackendService::do_stage_segment(BufferList body,
     staged_[seg.token][seg.seg_index] = std::move(copy);
   }
   if (respond) respond(encode_to_bl(std::int32_t{0}));
-}
-
-void HostBackendService::do_stage_batch(BufferList body,
-                                        const RpcChannel::Responder& respond,
-                                        const trace::TraceContext& ctx) {
-  StageBatch batch;
-  BufferList::Cursor cur(body);
-  if (!batch.decode(cur)) {
-    if (respond) respond(encode_to_bl(std::int32_t{
-        -static_cast<std::int32_t>(Errc::corrupt)}));
-    return;
-  }
-  const sim::Time t0 = env_.now();
-  auto sp = env_.tracer().span("host.stage_batch", "host." + cfg_.name, ctx, t0,
-                               batch.entries.size());
-  // The batch is acked as a unit: every entry is copied out (Fig. 4's
-  // staging -> write-buffer hop, one doorbell for the whole batch) and the
-  // single ack carries 0 or the first per-entry validation error.
-  std::int32_t result = 0;
-  for (const auto& e : batch.entries) {
-    const std::uint64_t off = std::uint64_t{batch.off} + e.off;
-    if (!in_region(off, e.len)) {
-      if (result == 0) result = -static_cast<std::int32_t>(Errc::corrupt);
-      continue;
-    }
-    BufferList copy;
-    copy.append(host_mmap_->data() + off, e.len);
-    domain_.charge(static_cast<sim::Duration>(cfg_.copy_ns_per_byte *
-                                              static_cast<double>(e.len)));
-    dma_bytes_.fetch_add(e.len, std::memory_order_relaxed);
-    {
-      const dbg::LockGuard lk(staged_mutex_);
-      staged_[e.token][e.seg_index] = std::move(copy);
-    }
-  }
-  sp.end(env_.now());
-  if (respond) respond(encode_to_bl(result));
 }
 
 bool HostBackendService::in_region(std::uint64_t off, std::uint64_t len) const {

@@ -22,9 +22,6 @@ struct HostBackendConfig {
   /// write buffers into store-owned memory (Fig. 4's post-transfer write
   /// buffers) — the residual host CPU DoCeph cannot eliminate.
   double copy_ns_per_byte = 0.15;
-  /// Doorbell coalescing for the host endpoint of the proxy channel
-  /// (responses batch under load).
-  RpcBatchConfig rpc_batch;
 };
 
 /// The lightweight host-side server of Fig. 3: it owns no OSD logic — it
@@ -57,8 +54,6 @@ class HostBackendService {
   void do_submit_txn(BufferList body, const RpcChannel::Responder& respond,
                      const trace::TraceContext& ctx);
   void do_stage_segment(BufferList body, const RpcChannel::Responder& respond);
-  void do_stage_batch(BufferList body, const RpcChannel::Responder& respond,
-                      const trace::TraceContext& ctx);
   void do_control(ProxyOp op, BufferList body, const RpcChannel::Responder& respond);
   void do_read(BufferList body, const RpcChannel::Responder& respond);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <functional>
+#include <limits>
 
 #include "common/logger.h"
 #include "common/shard.h"
@@ -24,11 +25,6 @@ ProxyObjectStore::ProxyObjectStore(sim::Env& env, dpu::DpuDevice& dpu, ProxyConf
                     .add_counter(l_dpu_rpc_timeout, "rpc_timeout")
                     .add_histogram(l_dpu_write_lat, "write_lat")
                     .add_histogram(l_dpu_dma_wait, "dma_wait")
-                    .add_counter(l_dpu_batch_flushes, "batch_flushes")
-                    .add_counter(l_dpu_batch_segments, "batch_segments")
-                    .add_counter(l_dpu_batch_bytes, "batch_bytes")
-                    .add_counter(l_dpu_batch_stalls, "batch_stalls")
-                    .add_histogram(l_dpu_batch_fill, "batch_fill")
                     .add_counter(l_dpu_throttle_queue, "throttle_queue")
                     .add_counter(l_dpu_throttle_slot, "throttle_slot")
                     .add_gauge(l_dpu_worker_queue_depth, "worker_queue_depth")
@@ -48,14 +44,7 @@ ProxyObjectStore::~ProxyObjectStore() {  // NOLINT(bugprone-exception-escape): t
 }
 
 Status ProxyObjectStore::mount() {
-  rpc_.set_batch_config(cfg_.rpc_batch);
   rpc_.start(center_);
-  if (cfg_.dma_batch.enabled) {
-    batcher_ = std::make_unique<DmaBatcher>(
-        env_, dpu_, arena_, rpc_, fallback_, counters_, cfg_.dma_batch,
-        cfg_.segment_size, cfg_.stage_copy_ns_per_byte, dpu_.name());
-    batcher_->start();
-  }
   stopping_ = false;
   pump_thread_ = sim::Thread(env_.keeper(), env_.stats(), "dpu-proxy-ch",
                              &dpu_.cpu(), [this] { center_.run(); },
@@ -102,13 +91,6 @@ Status ProxyObjectStore::umount() {
     q->cv->notify_all();
   }
   workers_.clear();
-  // The batcher outlives the workers (their in-flight segments complete
-  // through it) but must stop while the channel pump can still deliver
-  // stage_batch acks.
-  if (batcher_ != nullptr) {
-    batcher_->stop();
-    batcher_.reset();
-  }
   rpc_.detach();  // stop channel -> center dispatches before the center dies
   center_.stop();
   pump_thread_.join();
@@ -187,52 +169,6 @@ DataRef ProxyObjectStore::move_segment(BufferList seg,
     ref.len = static_cast<std::uint32_t>(seg.length());
     ref.data = std::move(seg);
     return ref;
-  }
-
-  // Coalesced fast path: hand the segment to the batcher, which packs it
-  // with companions from concurrent requests into one region extent, one
-  // scatter-gather DMA pass, and one stage_batch RPC. Probe transfers and
-  // the pipelining/mr_cache ablations keep the legacy one-job-per-segment
-  // path (the probe must exercise exactly the plain DMA machinery).
-  if (batcher_ != nullptr && cfg_.pipelining && cfg_.mr_cache &&
-      path == FallbackManager::Path::dma) {
-    const std::uint32_t seg_index = ctx->next_seg;
-    const auto seg_len = static_cast<std::uint32_t>(seg.length());
-    const sim::Time enq = env_.now();
-    {
-      const dbg::LockGuard lk(ctx->m);
-      ++ctx->outstanding;
-    }
-    auto done = [this, ctx, enq](Status st, sim::Time submit,
-                                 sim::Time complete) {
-      sim::Time prev = ctx->last_complete.load(std::memory_order_relaxed);
-      while (complete > prev &&
-             !ctx->last_complete.compare_exchange_weak(prev, complete)) {
-      }
-      const dbg::LockGuard lk(ctx->m);
-      if (ctx->first_submit < 0 || submit < ctx->first_submit)
-        ctx->first_submit = submit;
-      ctx->dma_wait += submit > enq ? submit - enq : 0;
-      if (!st.ok()) ctx->any_failed = true;
-      --ctx->outstanding;
-      ctx->cv.notify_all();
-    };
-    if (batcher_->enqueue(seg, ctx->token, seg_index, ctx->trace,
-                          std::move(done))) {
-      ctx->next_seg++;
-      dma_bytes_.fetch_add(seg_len, std::memory_order_relaxed);
-      counters_->inc(l_dpu_dma_bytes, seg_len);
-      DataRef ref;
-      ref.kind = DataRef::Kind::staged;
-      ref.index = seg_index;
-      ref.len = seg_len;
-      return ref;
-    }
-    // Rejected (oversized segment or batcher stopped): undo and fall
-    // through to the legacy path, which consumes `seg` itself.
-    const dbg::LockGuard lk(ctx->m);
-    --ctx->outstanding;
-    ctx->cv.notify_all();
   }
 
   // Reserve the segment's bytes in the paired staging/write region; blocked
@@ -547,35 +483,46 @@ Result<BufferList> ProxyObjectStore::control_call(ProxyOp op, const BufferList& 
 
 Result<BufferList> ProxyObjectStore::read(const os::coll_t& c, const os::ghobject_t& o,
                                           std::uint64_t off, std::uint64_t len) {
+  constexpr auto kUnlimited = std::numeric_limits<std::uint64_t>::max();
   ReadRequest rr;
   rr.cid = c;
   rr.oid = o;
   rr.off = off;
   rr.len = len;
-  rr.inline_max = fallback_.dma_enabled() ? cfg_.inline_read_max
-                                          : std::numeric_limits<std::uint64_t>::max();
+  rr.inline_max = fallback_.dma_enabled() ? cfg_.inline_read_max : kUnlimited;
   // Opportunistically offer one region extent for the bulk path
   // (host-side staging); whatever does not fit rides inline. len 0 reads
   // to the object's end, so it offers the whole region.
-  std::optional<std::size_t> buf;
   if (fallback_.dma_enabled()) {
     const std::size_t want = len == 0 ? arena_.capacity()
                                       : std::min<std::uint64_t>(len, arena_.capacity());
-    buf = arena_.try_reserve(want);
-    if (buf) {
+    if (const auto buf = arena_.try_reserve(want)) {
       rr.buf_off = static_cast<std::uint32_t>(*buf);
       rr.buf_len = static_cast<std::uint32_t>(want);
     }
   }
-  struct Release {
-    StagingArena& arena;
-    const std::optional<std::size_t>& buf;
-    std::size_t len;
-    ~Release() {
-      if (buf) arena.release(*buf, len);
-    }
-  } release{arena_, buf, rr.buf_len};
+  bool dma_failed = false;
+  auto r = read_obj(rr, dma_failed);
+  if (rr.buf_len > 0) arena_.release(rr.buf_off, rr.buf_len);
+  if (!dma_failed) return r;
 
+  // A DMA error mid-read falls back like the write path (§4.5): withdraw
+  // the extent and ask once more with the whole result inline. Called
+  // directly, not through read(): with cooldown 0 that would pick DMA again.
+  fallback_.on_dma_failure(env_.now());
+  rr.inline_max = kUnlimited;
+  rr.buf_off = 0;
+  rr.buf_len = 0;
+  r = read_obj(rr, dma_failed);
+  if (r.ok()) {
+    rpc_fallback_bytes_.fetch_add(r->length(), std::memory_order_relaxed);
+    counters_->inc(l_dpu_rpc_fallback_bytes, r->length());
+  }
+  return r;
+}
+
+Result<BufferList> ProxyObjectStore::read_obj(const ReadRequest& rr,
+                                              bool& dma_failed) {
   BufferList body;
   rr.encode(body);
   BufferList request;
@@ -597,32 +544,42 @@ Result<BufferList> ProxyObjectStore::read(const os::coll_t& c, const os::ghobjec
       out.append(ref.data);
       continue;
     }
-    if (!buf || ref.index < *buf || ref.index + ref.len > *buf + rr.buf_len)
+    if (rr.buf_len == 0 || ref.index < rr.buf_off ||
+        std::uint64_t{ref.index} + ref.len > std::uint64_t{rr.buf_off} + rr.buf_len)
       return Status(Errc::corrupt, "read ref outside the offered extent");
-    std::vector<doca::DmaExtent> jobs;
-    for (std::size_t done = 0; done < ref.len; done += cfg_.segment_size) {
-      const std::size_t n = std::min<std::size_t>(cfg_.segment_size, ref.len - done);
-      jobs.push_back({arena_.host_buf(ref.index + done, n),
-                      arena_.dpu_buf(ref.index + done, n)});
-    }
+    // The wait state lives on this stack: every job that was submitted is
+    // waited out before returning, even when a later submit fails.
     dbg::Mutex m{"proxy.read_wait"};
     dbg::CondVar cv(env_.keeper(), "proxy.read_cv");
-    std::size_t pending = jobs.size();
+    std::size_t pending = 0;
     Status st;
-    const Status submitted = dpu_.dma().submit_sg(
-        jobs, doca::DmaDir::host_to_dpu, [&](std::size_t, Status s) {
-          const dbg::LockGuard lk(m);
-          if (!s.ok()) st = s;
-          if (--pending == 0) cv.notify_all();
-        });
-    if (!submitted.ok()) return submitted;
+    Status submitted;
+    for (std::size_t done = 0; done < ref.len && submitted.ok();
+         done += cfg_.segment_size) {
+      const std::size_t n = std::min<std::size_t>(cfg_.segment_size, ref.len - done);
+      {
+        const dbg::LockGuard lk(m);
+        ++pending;
+      }
+      submitted = dpu_.dma().submit(
+          arena_.host_buf(ref.index + done, n), arena_.dpu_buf(ref.index + done, n),
+          doca::DmaDir::host_to_dpu, [&](Status s) {
+            const dbg::LockGuard lk(m);
+            if (!s.ok()) st = s;
+            if (--pending == 0) cv.notify_all();
+          });
+      if (!submitted.ok()) {
+        const dbg::LockGuard lk(m);
+        --pending;
+      }
+    }
     {
       dbg::UniqueLock lk(m);
       cv.wait(lk, [&] { return pending == 0; });
     }
-    if (!st.ok()) {
-      fallback_.on_dma_failure(env_.now());
-      return st;
+    if (!submitted.ok() || !st.ok()) {
+      dma_failed = true;
+      return submitted.ok() ? st : submitted;
     }
     out.append(arena_.dpu_buf(ref.index, ref.len).data(), ref.len);
     dpu_.cpu().charge(static_cast<sim::Duration>(cfg_.stage_copy_ns_per_byte *

@@ -9,7 +9,6 @@
 #include "dbg/mutex.h"
 #include "dpu/dpu_device.h"
 #include "os/object_store.h"
-#include "proxy/dma_batcher.h"
 #include "proxy/fallback.h"
 #include "proxy/proxy_protocol.h"
 #include "proxy/rpc_channel.h"
@@ -27,11 +26,6 @@ enum {
   l_dpu_rpc_timeout,         ///< blocking RPCs that timed out (slot reclaimed)
   l_dpu_write_lat,           ///< enqueue -> host commit, ns histogram
   l_dpu_dma_wait,            ///< per-request DMA wait (staging + serialization)
-  l_dpu_batch_flushes,       ///< coalesced SG flushes (one extent+pass+RPC each)
-  l_dpu_batch_segments,      ///< segments that rode a coalesced flush
-  l_dpu_batch_bytes,         ///< payload bytes moved by coalesced flushes
-  l_dpu_batch_stalls,        ///< flushes deferred by dpu.batch_flush_stall
-  l_dpu_batch_fill,          ///< segments per flush, histogram
   l_dpu_throttle_queue,      ///< txns bounced: worker queue at max_worker_queue
   l_dpu_throttle_slot,       ///< txns failed: slot_acquire_timeout expired
   l_dpu_worker_queue_depth,    ///< gauge: total queued write txns (all workers)
@@ -60,21 +54,14 @@ struct ProxyConfig {
   std::uint64_t inline_read_max = 4096;
   double stage_copy_ns_per_byte = 0.25;   ///< DPU staging memcpy cost
 
-  /// Doorbell coalescing on the DPU endpoint of the proxy channel.
-  RpcBatchConfig rpc_batch;
-  /// Segment coalescing into scatter-gather DMA passes (small-write
-  /// amortization; engages only on the pipelined, MR-cached fast path).
-  DmaBatchConfig dma_batch;
-
   // ---- backpressure (OFF by default; paper sweeps unchanged) ------------
   /// Bound on each write worker's queue: a txn arriving while the target
   /// queue holds this many entries is completed immediately with
   /// Errc::throttled instead of enqueued. 0 = unbounded (legacy behavior).
   std::size_t max_worker_queue = 0;
-  /// Deadline for a staging reservation on the legacy (non-batched) DMA
-  /// path; on expiry the txn fails with Errc::throttled so the throttle
-  /// propagates to the OSD/client instead of wedging a write worker.
-  /// 0 = block forever (legacy behavior).
+  /// Deadline for a write segment's staging reservation; on expiry the txn
+  /// fails with Errc::throttled so the throttle propagates to the OSD/client
+  /// instead of wedging a write worker. 0 = block forever (legacy behavior).
   sim::Duration slot_acquire_timeout = 0;
 };
 
@@ -143,7 +130,7 @@ class ProxyObjectStore final : public os::ObjectStore {
   [[nodiscard]] StagingArena& slots() noexcept { return arena_; }
   [[nodiscard]] FallbackManager& fallback() noexcept { return fallback_; }
   [[nodiscard]] const ProxyConfig& config() const noexcept { return cfg_; }
-  /// The proxy's comch RPC endpoint (batching diagnostics live on it).
+  /// The proxy's comch RPC endpoint (frame diagnostics live on it).
   [[nodiscard]] RpcChannel& rpc() noexcept { return rpc_; }
 
   [[nodiscard]] BreakdownSnapshot breakdown() const;
@@ -179,13 +166,11 @@ class ProxyObjectStore final : public os::ObjectStore {
     dbg::CondVar cv;
     int outstanding DOCEPH_GUARDED_BY(m) = 0;
     bool any_failed DOCEPH_GUARDED_BY(m) = false;
-    /// slot_acquire_timeout expired on the legacy path: the request aborts
-    /// with Errc::throttled after draining whatever was already in flight.
+    /// slot_acquire_timeout expired: the request aborts with
+    /// Errc::throttled after draining whatever was already in flight.
     bool slot_timed_out DOCEPH_GUARDED_BY(m) = false;
     sim::Time first_submit DOCEPH_GUARDED_BY(m) = -1;
-    // Accumulated batching/staging wait: mutated by the worker (legacy path)
-    // and by batch completion callbacks, so it lives under m.
-    sim::Duration dma_wait DOCEPH_GUARDED_BY(m) = 0;
+    sim::Duration dma_wait DOCEPH_GUARDED_BY(m) = 0;  ///< staging wait
     std::atomic<sim::Time> last_complete{-1};
     // token/next_seg/trace are touched only by the owning write worker
     // before any callback can observe them.
@@ -201,6 +186,10 @@ class ProxyObjectStore final : public os::ObjectStore {
 
   Result<BufferList> control_call(ProxyOp op, const BufferList& body);
 
+  /// One read_obj round trip, DMAing any filled region extent back. Sets
+  /// `dma_failed` when a DMA job failed (the caller then falls back inline).
+  Result<BufferList> read_obj(const ReadRequest& rr, bool& dma_failed);
+
   /// Blocking RPC with the configured timeout; accounts timed-out calls in
   /// l_dpu_rpc_timeout (the channel slot itself is reclaimed by RpcChannel).
   Result<BufferList> timed_call(BufferList request,
@@ -213,7 +202,6 @@ class ProxyObjectStore final : public os::ObjectStore {
   event::EventCenter center_;
   StagingArena arena_;
   FallbackManager fallback_;
-  std::unique_ptr<DmaBatcher> batcher_;
 
   struct WorkerQueue {
     dbg::Mutex m{"proxy.worker_queue"};

@@ -18,7 +18,7 @@ enum class ProxyOp : std::uint8_t {
   submit_txn = 2,
   read_obj = 3,
   stage_segment = 11,  ///< one DMA'd segment is ready in the write region
-  stage_batch = 12,    ///< a coalesced batch of segments landed in the region
+  // 12 is retired: the host answers it not_supported, so do not reuse it.
   stat = 4,
   exists = 5,
   omap_get = 6,
@@ -78,44 +78,6 @@ struct StageSegment {
   bool decode(BufferList::Cursor& cur) {
     return doceph::decode(token, cur) && doceph::decode(seg_index, cur) &&
            doceph::decode(off, cur) && doceph::decode(len, cur);
-  }
-};
-
-/// One member of a stage_batch: segment `seg_index` of request `token` lies
-/// at byte offset `off` inside the batch's extent.
-struct StageBatchEntry {
-  std::uint64_t token = 0;
-  std::uint32_t seg_index = 0;
-  std::uint32_t off = 0;
-  std::uint32_t len = 0;
-
-  void encode(BufferList& bl) const {
-    doceph::encode(token, bl);
-    doceph::encode(seg_index, bl);
-    doceph::encode(off, bl);
-    doceph::encode(len, bl);
-  }
-  bool decode(BufferList::Cursor& cur) {
-    return doceph::decode(token, cur) && doceph::decode(seg_index, cur) &&
-           doceph::decode(off, cur) && doceph::decode(len, cur);
-  }
-};
-
-/// stage_batch request: the DPU packed several segments (possibly from
-/// different requests) into the write-region extent starting at byte `off`
-/// with one scatter-gather DMA pass; the host copies each out to its
-/// request's write buffer and acks the batch as a unit (0, or the first
-/// per-entry error).
-struct StageBatch {
-  std::uint32_t off = 0;
-  std::vector<StageBatchEntry> entries;
-
-  void encode(BufferList& bl) const {
-    doceph::encode(off, bl);
-    doceph::encode(entries, bl);
-  }
-  bool decode(BufferList::Cursor& cur) {
-    return doceph::decode(off, cur) && doceph::decode(entries, cur);
   }
 };
 

@@ -1,5 +1,7 @@
 #include "proxy/rpc_channel.h"
 
+#include <vector>
+
 #include "common/encoding.h"
 #include "dbg/cond_var.h"
 #include "common/logger.h"
@@ -16,65 +18,10 @@ RpcChannel::RpcChannel(sim::Env& env, doca::CommChannelRef channel)
     : env_(env), ch_(std::move(channel)) {}
 
 void RpcChannel::start(event::EventCenter& center) {
-  center_ = &center;
   ch_->set_recv_handler(center, [this](BufferList msg) { on_message(std::move(msg)); });
 }
 
-void RpcChannel::detach() {
-  {
-    const dbg::LockGuard lk(mutex_);
-    if (timer_armed_ && center_ != nullptr) {
-      (void)center_->cancel_timer(timer_id_);
-      timer_armed_ = false;
-    }
-  }
-  ch_->close();
-}
-
-void RpcChannel::arm_timer_locked(sim::Duration delay) {
-  if (timer_armed_ || center_ == nullptr) return;
-  timer_armed_ = true;
-  timer_id_ = center_->add_timer(delay, [this] {
-    {
-      const dbg::LockGuard lk(mutex_);
-      timer_armed_ = false;
-      flush_locked();
-    }
-    drain_sends();
-  });
-}
-
-void RpcChannel::flush_locked() {
-  if (batch_entries_.empty()) return;
-
-  // Chaos hook: a fired stall defers the doorbell instead of ringing it.
-  const fault::FaultHit stall =
-      env_.faults().hit("dpu.batch_flush_stall", env_.now(), ch_->config().name);
-  if (stall.fired && center_ != nullptr) {
-    stalls_.fetch_add(1, std::memory_order_relaxed);
-    arm_timer_locked(stall.delay_ns > 0 ? stall.delay_ns
-                                        : batch_cfg_.flush_delay);
-    return;
-  }
-
-  // Pack entries into as few comch messages as fit (normally one; a
-  // stall-deferred batch may have outgrown the message cap).
-  const std::size_t cap = ch_->config().max_msg_size;
-  OutMsg out;
-  for (std::size_t i = 0; i < batch_entries_.size(); ++i) {
-    BufferList& e = batch_entries_[i];
-    if (out.msg.length() != 0 && out.msg.length() + e.length() > cap) {
-      sendq_.push_back(std::move(out));
-      out = OutMsg{};
-    }
-    out.msg.claim_append(e);
-    if (batch_entry_ids_[i] != 0) out.req_ids.push_back(batch_entry_ids_[i]);
-  }
-  if (out.msg.length() != 0) sendq_.push_back(std::move(out));
-  batch_entries_.clear();
-  batch_entry_ids_.clear();
-  batch_bytes_ = 0;
-}
+void RpcChannel::detach() { ch_->close(); }
 
 void RpcChannel::drain_sends() {
   std::vector<ResponseCb> failed;
@@ -88,17 +35,14 @@ void RpcChannel::drain_sends() {
       sendq_.pop_front();
       lk.unlock();
       const Status st = ch_->send(std::move(out.msg));
-      flushes_.fetch_add(1, std::memory_order_relaxed);
       lk.lock();
       if (!st.ok()) {
-        // The message fails as a unit: every request frame that rode it
-        // gets the send error (responses/oneways have no callback to fail).
-        for (const std::uint64_t id : out.req_ids) {
-          auto it = pending_.find(id);
-          if (it == pending_.end()) continue;
+        // A failed request frame gets the send error (responses/oneways
+        // have no callback to fail).
+        auto it = pending_.find(out.req_id);
+        if (it != pending_.end()) {
           failed.push_back(std::move(it->second));
           pending_.erase(it);
-          inflight_ops_.fetch_sub(1, std::memory_order_relaxed);
         }
         fail_st = st;
       }
@@ -108,42 +52,13 @@ void RpcChannel::drain_sends() {
   for (auto& cb : failed) cb(fail_st);
 }
 
-void RpcChannel::enqueue_frame_locked(BufferList frame, bool is_request,
-                                      std::uint64_t req_id) {
-  BufferList entry;
-  encode(static_cast<std::uint32_t>(frame.length()), entry);
-  entry.claim_append(frame);
+void RpcChannel::enqueue_frame_locked(BufferList frame, std::uint64_t req_id) {
+  OutMsg out;
+  encode(static_cast<std::uint32_t>(frame.length()), out.msg);
+  out.msg.claim_append(frame);
+  out.req_id = req_id;
   frames_sent_.fetch_add(1, std::memory_order_relaxed);
-
-  if (!batch_cfg_.enabled) {
-    OutMsg out;
-    out.msg = std::move(entry);
-    if (is_request) out.req_ids.push_back(req_id);
-    sendq_.push_back(std::move(out));
-    return;
-  }
-
-  // Size doorbell, part 1: flush what's queued before this entry would
-  // overflow one message (keeps the common flush a single send).
-  if (batch_bytes_ != 0 &&
-      batch_bytes_ + entry.length() > ch_->config().max_msg_size)
-    flush_locked();
-
-  batch_bytes_ += entry.length();
-  batch_entries_.push_back(std::move(entry));
-  batch_entry_ids_.push_back(is_request ? req_id : 0);
-
-  if (static_cast<int>(batch_entries_.size()) >= batch_cfg_.max_frames ||
-      (inflight_ops_.load(std::memory_order_relaxed) <= 1 &&
-       dispatching_.load(std::memory_order_relaxed) == 0) ||
-      center_ == nullptr) {
-    // Size doorbell (batch full) or idle doorbell (nobody else is in
-    // flight and no incoming batch is mid-dispatch, so coalescing would
-    // only add latency).
-    flush_locked();
-  } else {
-    arm_timer_locked(batch_cfg_.flush_delay);
-  }
+  sendq_.push_back(std::move(out));
 }
 
 Status RpcChannel::send_fragmented(std::uint64_t req_id, std::uint8_t flags,
@@ -168,7 +83,7 @@ Status RpcChannel::send_fragmented(std::uint64_t req_id, std::uint8_t flags,
       encode(static_cast<std::uint8_t>(flags | (last ? kLastPart : 0)), frame);
       encode(ctx, frame);
       frame.append(payload.substr(off, n));
-      enqueue_frame_locked(std::move(frame), is_request, req_id);
+      enqueue_frame_locked(std::move(frame), is_request ? req_id : 0);
       off += n;
     } while (off < payload.length());
   }
@@ -183,7 +98,6 @@ std::uint64_t RpcChannel::call_async(BufferList request, ResponseCb cb,
     const dbg::LockGuard lk(mutex_);
     pending_[id] = std::move(cb);
   }
-  inflight_ops_.fetch_add(1, std::memory_order_relaxed);
   // A send failure fires the pending callback with the error from inside
   // drain_sends (possibly synchronously, on this thread).
   (void)send_fragmented(id, 0, std::move(request), ctx);
@@ -192,9 +106,7 @@ std::uint64_t RpcChannel::call_async(BufferList request, ResponseCb cb,
 
 bool RpcChannel::cancel(std::uint64_t id) {
   const dbg::LockGuard lk(mutex_);
-  if (pending_.erase(id) == 0) return false;
-  inflight_ops_.fetch_sub(1, std::memory_order_relaxed);
-  return true;
+  return pending_.erase(id) != 0;
 }
 
 Result<BufferList> RpcChannel::call(BufferList request, sim::Duration timeout,
@@ -240,7 +152,6 @@ Status RpcChannel::notify(BufferList request, const trace::TraceContext& ctx) {
 
 void RpcChannel::on_message(BufferList msg) {
   // One comch message carries one or more [u32 len][frame] entries.
-  dispatching_.fetch_add(1, std::memory_order_relaxed);
   BufferList::Cursor cur(msg);
   while (cur.remaining() > 0) {
     std::uint32_t len = 0;
@@ -252,14 +163,6 @@ void RpcChannel::on_message(BufferList msg) {
     (void)cur.get_buffer_list(len, frame);
     on_frame(std::move(frame));
   }
-  dispatching_.fetch_sub(1, std::memory_order_relaxed);
-  // Ring once for everything the dispatch loop enqueued (inline responses
-  // to this message's frames): one incoming batch, one outgoing batch.
-  {
-    const dbg::LockGuard lk(mutex_);
-    flush_locked();
-  }
-  drain_sends();
 }
 
 void RpcChannel::on_frame(BufferList frame) {
@@ -302,7 +205,6 @@ void RpcChannel::on_frame(BufferList frame) {
       cb = std::move(it->second);
       pending_.erase(it);
     }
-    inflight_ops_.fetch_sub(1, std::memory_order_relaxed);
     cb(std::move(full));
     return;
   }
@@ -314,20 +216,8 @@ void RpcChannel::on_frame(BufferList frame) {
   const bool oneway = (flags & kOneway) != 0;
   Responder respond;
   if (!oneway) {
-    // The server side of the idle detector: this op counts as in flight
-    // until its response is enqueued (or the responder is dropped — the
-    // guard's deleter backstops that path).
-    inflight_ops_.fetch_add(1, std::memory_order_relaxed);
-    auto done = std::make_shared<std::atomic<bool>>(false);
-    auto finish = [this, done] {
-      if (!done->exchange(true))
-        inflight_ops_.fetch_sub(1, std::memory_order_relaxed);
-    };
-    auto guard = std::shared_ptr<void>(nullptr, [finish](void*) { finish(); });
-    respond = [this, req_id, finish, guard](BufferList response) {
-      const Status st = send_fragmented(req_id, kResponse, std::move(response));
-      (void)st;
-      finish();
+    respond = [this, req_id](BufferList response) {
+      (void)send_fragmented(req_id, kResponse, std::move(response));
     };
   }
   handler_(std::move(full), oneway, std::move(respond), ctx);

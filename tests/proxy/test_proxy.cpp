@@ -389,19 +389,16 @@ TEST(ProxyBounds, OutOfRangeStageSegmentIsRejected) {
   f.down();
 }
 
-TEST(ProxyBounds, OutOfRangeStageBatchIsRejected) {
-  ProxyConfig cfg;
-  cfg.slots = 1;
-  ProxyFixture f(cfg);
+TEST(ProxyBounds, RetiredOpByteIsNotSupported) {
+  // Op byte 12 is retired (ProxyOp): the host refuses it like any unknown
+  // op instead of interpreting the body.
+  ProxyFixture f;
   f.up();
-  const auto cap = static_cast<std::uint32_t>(f.proxy->slots().capacity());
   run_sim(f.env, [&] {
-    StageBatch batch;
-    batch.off = cap - 1024;  // the base is in range, the entry runs past the end
-    batch.entries.push_back({.token = 9, .seg_index = 0, .off = 0, .len = 2048});
     BufferList body;
-    batch.encode(body);
-    EXPECT_EQ(host_result(f, ProxyOp::stage_batch, body), kCorrupt);
+    encode(std::uint32_t{0}, body);
+    EXPECT_EQ(host_result(f, static_cast<ProxyOp>(12), body),
+              -static_cast<std::int32_t>(Errc::not_supported));
   });
   f.down();
 }

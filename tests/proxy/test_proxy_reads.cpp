@@ -21,12 +21,13 @@ struct ReadFixture {
   Env env;
   net::Fabric fabric{env};
   CpuDomain host_cpu{env.keeper(), "host-0", 8, 1.0};
-  dpu::DpuDevice dpu{env, fabric, "dpu-0", dpu::DpuProfile{}};
+  dpu::DpuDevice dpu;
   std::unique_ptr<bluestore::BlueStore> store;
   std::unique_ptr<HostBackendService> backend;
   std::unique_ptr<ProxyObjectStore> proxy;
 
-  explicit ReadFixture(ProxyConfig pcfg = {}) {
+  explicit ReadFixture(ProxyConfig pcfg = {}, dpu::DpuProfile prof = {})
+      : dpu(env, fabric, "dpu-0", prof) {
     bluestore::BlueStoreConfig scfg;
     scfg.device.size_bytes = 2ull << 30;
     store = std::make_unique<bluestore::BlueStore>(env, &host_cpu, scfg);
@@ -143,6 +144,56 @@ TEST(ProxyReads, ReadDuringCooldownFallsBackInline) {
     ASSERT_TRUE(r.ok());
     EXPECT_EQ(r->to_string(), content);              // correct...
     EXPECT_EQ(f.dpu.dma().jobs_completed(), jobs0);  // ...without touching DMA
+  });
+  f.down();
+}
+
+TEST(ProxyReads, DmaErrorMidReadFallsBackInline) {
+  // 5 MiB comes back in three DMA jobs (2 + 2 + 1 MiB) and the second one
+  // fails: the read re-sends the data over RPC instead (DESIGN.md §4.5).
+  ReadFixture f;
+  const std::string content = pattern(5 << 20, 5);
+  f.up_with(content);
+  run_sim(f.env, [&] {
+    fault::FaultSpec spec;
+    spec.fire_at_hit = 2;
+    spec.count = 1;
+    spec.match = "dpu-0";
+    f.env.faults().set("doca.dma_error", spec);
+    const auto failed0 = f.dpu.dma().jobs_failed();
+    auto r = f.proxy->read(kColl, kObj, 0, 0);
+    ASSERT_TRUE(r.ok()) << r.status().to_string();
+    EXPECT_EQ(r->to_string(), content);
+    EXPECT_EQ(f.dpu.dma().jobs_failed(), failed0 + 1);
+    EXPECT_EQ(f.proxy->fallback().failures(), 1u);
+    EXPECT_GT(f.proxy->rpc_fallback_bytes(), 0u);
+    EXPECT_EQ(f.proxy->slots().free_bytes(), f.proxy->slots().capacity());
+  });
+  f.down();
+}
+
+TEST(ProxyReads, DmaQueueFullMidReadWaitsThenFallsBack) {
+  // A two-deep engine queue takes the first two of the read's three jobs and
+  // refuses the third: the read waits both out before it withdraws its
+  // extent, then re-sends inline. (Unpipelined writes keep the preload to
+  // one job in flight.)
+  ProxyConfig cfg;
+  cfg.pipelining = false;
+  dpu::DpuProfile prof;
+  prof.dma.queue_depth = 2;
+  ReadFixture f(cfg, prof);
+  const std::string content = pattern(5 << 20, 6);
+  f.up_with(content);
+  run_sim(f.env, [&] {
+    ASSERT_EQ(f.proxy->fallback().failures(), 0u);
+    const auto jobs0 = f.dpu.dma().jobs_completed();
+    auto r = f.proxy->read(kColl, kObj, 0, 0);
+    ASSERT_TRUE(r.ok()) << r.status().to_string();
+    EXPECT_EQ(r->to_string(), content);
+    EXPECT_EQ(f.dpu.dma().jobs_completed(), jobs0 + 2);
+    EXPECT_EQ(f.dpu.dma().inflight(), 0);
+    EXPECT_EQ(f.proxy->fallback().failures(), 1u);
+    EXPECT_EQ(f.proxy->slots().free_bytes(), f.proxy->slots().capacity());
   });
   f.down();
 }
