@@ -85,10 +85,11 @@ int main(int argc, char** argv) {
   t.print();
   std::printf(
       "\nReading: on the offload path, op lanes carry the gain (the OSD\n"
-      "queue stage falls first); KV shards alone are flat (row 1x4), and\n"
-      "past two lanes the store stage — the proxy's synchronous write\n"
-      "workers — caps the diagonal. Ordering is untouched — ops for one\n"
-      "object share a PG, hence a lane, hence a KV shard (DESIGN.md §15).\n");
+      "queue stage falls, and the proxy overlaps the extra requests in\n"
+      "flight); KV shards alone are flat (row 1x4), but four lanes on one\n"
+      "KV commit stream (row 4x1) pay for it in p99. Ordering is untouched\n"
+      "— ops for one object share a PG, hence a lane, hence a KV shard\n"
+      "(DESIGN.md §15).\n");
 
   if (!out_path.empty()) {
     JsonWriter w;

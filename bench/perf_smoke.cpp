@@ -280,7 +280,7 @@ int main(int argc, char** argv) {
 
   // Intra-run sharding gate: needs no committed baseline, so it guards the
   // sharded write path even on a fresh checkout. op_shards=kv_shards=4 must
-  // keep a real speedup over the unsharded small-write lap (measured ~1.36x;
+  // keep a real speedup over the unsharded small-write lap (measured ~3.05x;
   // gated at 1.15x, DESIGN.md §15.6) and must finish with zero failed ops —
   // backpressure may defer writes, never drop them.
   if (shard_gate > 0 && doceph_small.iops > 0) {

@@ -82,8 +82,7 @@ RunResult run_experiment(const RunSpec& spec) {
     cfg.osd_template.max_conn_inflight = 128;
     cfg.osd_template.throttle_retry_delay = 2'000'000;  // 2 ms
     cfg.osd_template.nearfull_ratio = 0.85;
-    cfg.proxy.max_worker_queue = 512;
-    cfg.proxy.slot_acquire_timeout = 5'000'000'000;  // 5 s
+    cfg.proxy.max_inflight = 4096;
     cfg.client.flow_control = true;
   }
 
@@ -235,8 +234,7 @@ RunResult run_experiment(const RunSpec& spec) {
       result.osd_throttled += cl.osd(i).perf_counters()->get(osd::l_osd_op_throttled);
       if (auto* p = cl.proxy_store(i)) {
         const auto& pc = p->perf_counters();
-        result.proxy_throttled += pc->get(proxy::l_dpu_throttle_queue) +
-                                  pc->get(proxy::l_dpu_throttle_slot);
+        result.proxy_throttled += pc->get(proxy::l_dpu_throttle_queue);
       }
     }
     result.client_throttled =

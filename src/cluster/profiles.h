@@ -113,7 +113,6 @@ inline proxy::ProxyConfig default_proxy() {
   proxy::ProxyConfig cfg;
   cfg.segment_size = 2 << 20;
   cfg.slots = 1;
-  cfg.write_workers = 8;
   cfg.pipelining = true;
   cfg.mr_cache = true;
   cfg.cooldown = 500'000'000;

@@ -8,11 +8,10 @@ namespace doceph::common {
 
 /// Canonical PG-stable lane hash: maps a placement group (pool, seed) onto
 /// one of `n` shards. Every layer that fans PG-ordered work across parallel
-/// lanes (OSD op shards, DPU proxy write workers) MUST use this exact
-/// function so an object's work lands on the same lane at every hop and
-/// per-object ordering is preserved end to end (DESIGN.md §15). The mixing
-/// constant is JS-hash's; it predates the sharded OSD (the proxy write
-/// workers shipped with it), so it is frozen for replay compatibility.
+/// lanes (the OSD op shards) MUST use this exact function so an object's
+/// work lands on the same lane at every hop and per-object ordering is
+/// preserved end to end (DESIGN.md §15). The mixing constant is JS-hash's;
+/// it predates the sharded OSD, so it is frozen for replay compatibility.
 [[nodiscard]] inline std::size_t shard_of_pg(std::int64_t pool,
                                              std::uint32_t pg_seed,
                                              std::size_t n) noexcept {

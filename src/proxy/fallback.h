@@ -11,7 +11,7 @@ namespace doceph::proxy {
 /// The paper's adaptive fallback (§4): after a DMA error the data path
 /// reverts to socket-style RPC for a cooldown period, then a single probe
 /// transfer decides whether DMA can be re-enabled. Thread-safe; the write
-/// workers consult it per segment.
+/// path consults it per segment.
 class FallbackManager {
  public:
   explicit FallbackManager(sim::Duration cooldown) : cooldown_(cooldown) {}
@@ -38,6 +38,13 @@ class FallbackManager {
     const dbg::LockGuard lk(m_);
     if (disabled_) ++recoveries_;
     disabled_ = false;
+    probe_outstanding_ = false;
+  }
+
+  /// The probe's request died before its transfer was submitted: the next
+  /// choose() hands the probe out again.
+  void on_probe_abandoned() {
+    const dbg::LockGuard lk(m_);
     probe_outstanding_ = false;
   }
 

@@ -1,12 +1,12 @@
 #include "proxy/proxy_object_store.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstring>
-#include <functional>
 #include <limits>
+#include <vector>
 
-#include "common/logger.h"
-#include "common/shard.h"
+#include "dbg/cond_var.h"
 
 namespace doceph::proxy {
 
@@ -26,16 +26,9 @@ ProxyObjectStore::ProxyObjectStore(sim::Env& env, dpu::DpuDevice& dpu, ProxyConf
                     .add_histogram(l_dpu_write_lat, "write_lat")
                     .add_histogram(l_dpu_dma_wait, "dma_wait")
                     .add_counter(l_dpu_throttle_queue, "throttle_queue")
-                    .add_counter(l_dpu_throttle_slot, "throttle_slot")
-                    .add_gauge(l_dpu_worker_queue_depth, "worker_queue_depth")
-                    .add_gauge(l_dpu_worker_queue_depth_hw, "worker_queue_depth_hw")
+                    .add_gauge(l_dpu_inflight, "inflight")
+                    .add_gauge(l_dpu_inflight_hw, "inflight_hw")
                     .create()) {
-  queues_.reserve(static_cast<std::size_t>(cfg_.write_workers));
-  for (int i = 0; i < cfg_.write_workers; ++i) {
-    auto q = std::make_unique<WorkerQueue>();
-    q->cv = std::make_unique<dbg::CondVar>(env.keeper(), "proxy.queue_cv");
-    queues_.push_back(std::move(q));
-  }
   perf_.add(counters_);
 }
 
@@ -45,15 +38,9 @@ ProxyObjectStore::~ProxyObjectStore() {  // NOLINT(bugprone-exception-escape): t
 
 Status ProxyObjectStore::mount() {
   rpc_.start(center_);
-  stopping_ = false;
   pump_thread_ = sim::Thread(env_.keeper(), env_.stats(), "dpu-proxy-ch",
                              &dpu_.cpu(), [this] { center_.run(); },
                              /*daemon=*/true);
-  for (int i = 0; i < cfg_.write_workers; ++i) {
-    workers_.emplace_back(env_.keeper(), env_.stats(),
-                          "dpu-dma-pipe-" + std::to_string(i), &dpu_.cpu(),
-                          [this, i] { write_worker(i); }, /*daemon=*/true);
-  }
   mounted_ = true;
   // Verify the channel end-to-end.
   auto r = control_call(ProxyOp::ping, {});
@@ -77,26 +64,17 @@ Status ProxyObjectStore::mount() {
 Status ProxyObjectStore::umount() {
   if (!mounted_) return Status::OK();
   mounted_ = false;
-  std::vector<WriteReq> orphans;
-  for (auto& q : queues_) {
-    const dbg::LockGuard lk(q->m);
-    for (auto& req : q->q) orphans.push_back(std::move(req));
-    q->q.clear();
-  }
-  queued_writes_.fetch_sub(static_cast<std::int64_t>(orphans.size()),
-                           std::memory_order_relaxed);
-  stopping_ = true;
-  for (auto& q : queues_) {
-    const dbg::LockGuard lk(q->m);
-    q->cv->notify_all();
-  }
-  workers_.clear();
+  // Every write not yet committed fails with shutting_down. stop() below
+  // lets the loop run this before it exits.
+  center_.dispatch([this] {
+    stopping_ = true;
+    std::vector<OpRef> ops;
+    for (const auto& [cid, q] : pgs_) ops.insert(ops.end(), q.begin(), q.end());
+    for (const auto& op : ops) abort(op, Status(Errc::shutting_down, "proxy umount"));
+  });
   rpc_.detach();  // stop channel -> center dispatches before the center dies
   center_.stop();
   pump_thread_.join();
-  for (auto& req : orphans) {
-    if (req.on_commit) req.on_commit(Status(Errc::shutting_down, "proxy umount"));
-  }
   admin_.unregister_all();
   return Status::OK();
 }
@@ -108,300 +86,253 @@ void ProxyObjectStore::queue_transaction(os::Transaction txn, OnCommit on_commit
     if (on_commit) on_commit(Status(Errc::shutting_down, "proxy not mounted"));
     return;
   }
-  // Per-collection ordering: requests for one PG always land on one worker.
-  // Uses the same PG hash as the OSD op lanes (common::shard_of_pg), so a
-  // PG's proxy worker and its OSD lane agree across the offload boundary.
-  const os::coll_t cid = txn.ops().empty() ? os::coll_t{} : txn.ops().front().cid;
-  const std::size_t idx = common::shard_of_pg(cid.pool, cid.pg_seed, queues_.size());
-  auto& q = *queues_[idx];
-  bool bounced = false;
-  {
-    const dbg::LockGuard lk(q.m);
-    if (cfg_.max_worker_queue > 0 && q.q.size() >= cfg_.max_worker_queue) {
-      bounced = true;  // complete below, outside the queue lock
-    } else {
-      q.q.push_back(WriteReq{std::move(txn), std::move(on_commit), env_.now()});
-      q.cv->notify_one();
-    }
-  }
-  if (bounced) {
+  const std::size_t n = inflight_.fetch_add(1, std::memory_order_relaxed) + 1;
+  if (cfg_.max_inflight > 0 && n > cfg_.max_inflight) {
+    inflight_.fetch_sub(1, std::memory_order_relaxed);
     counters_->inc(l_dpu_throttle_queue);
-    if (on_commit) on_commit(Status(Errc::throttled, "DPU worker queue full"));
+    if (on_commit) on_commit(Status(Errc::throttled, "DPU proxy in-flight cap"));
     return;
   }
-  const auto depth = static_cast<std::uint64_t>(
-      queued_writes_.fetch_add(1, std::memory_order_relaxed) + 1);
-  counters_->set(l_dpu_worker_queue_depth, depth);
-  if (depth > counters_->get(l_dpu_worker_queue_depth_hw))
-    counters_->set(l_dpu_worker_queue_depth_hw, depth);
+  counters_->set(l_dpu_inflight, n);
+  if (n > counters_->get(l_dpu_inflight_hw)) counters_->set(l_dpu_inflight_hw, n);
+
+  // Per-PG ordering keys on the collection of the first op. Everything past
+  // this point runs on the loop thread, so none of it is booked to the
+  // caller's (OSD) CPU.
+  auto op = std::make_shared<WriteOp>();
+  op->cid = txn.ops().empty() ? os::coll_t{} : txn.ops().front().cid;
+  op->on_commit = std::move(on_commit);
+  op->enqueued = env_.now();
+  op->wire.meta = std::move(txn);
+  center_.dispatch([this, op] { admit(op); });
 }
 
-void ProxyObjectStore::write_worker(int idx) {
-  auto& q = *queues_[static_cast<std::size_t>(idx)];
-  while (true) {
-    WriteReq req;
-    {
-      dbg::UniqueLock lk(q.m);
-      q.cv->wait(lk, [&] {
-        q.m.assert_held();  // predicate runs as a separate function
-        return stopping_.load() || !q.q.empty();
-      });
-      if (stopping_.load()) return;
-      req = std::move(q.q.front());
-      q.q.pop_front();
-    }
-    counters_->set(
-        l_dpu_worker_queue_depth,
-        static_cast<std::uint64_t>(std::max<std::int64_t>(
-            queued_writes_.fetch_sub(1, std::memory_order_relaxed) - 1, 0)));
-    process_write(std::move(req));
-  }
+void ProxyObjectStore::admit(const OpRef& op) {
+  auto& q = pgs_[op->cid];
+  q.push_back(op);
+  if (stopping_)
+    abort(op, Status(Errc::shutting_down, "proxy umount"));  // umount emptied pgs_
+  else if (q.size() == 1)
+    start(op);
 }
 
-DataRef ProxyObjectStore::move_segment(BufferList seg,
-                                       const std::shared_ptr<SegCtx>& ctx) {
-  const auto path = fallback_.choose(env_.now());
-  if (path == FallbackManager::Path::rpc) {
-    rpc_fallback_bytes_.fetch_add(seg.length(), std::memory_order_relaxed);
-    counters_->inc(l_dpu_rpc_fallback_bytes, seg.length());
-    DataRef ref;
-    ref.kind = DataRef::Kind::inline_;
-    ref.len = static_cast<std::uint32_t>(seg.length());
-    ref.data = std::move(seg);
-    return ref;
-  }
-
-  // Reserve the segment's bytes in the paired staging/write region; blocked
-  // time is DMA-wait. With a deadline configured, starvation surfaces as a
-  // throttled txn instead of wedging this worker behind a saturated DMA
-  // pipeline.
-  const std::size_t len = seg.length();
-  const sim::Time w0 = env_.now();
-  std::size_t off = 0;
-  if (cfg_.slot_acquire_timeout > 0) {
-    const auto reserved = arena_.reserve_for(len, cfg_.slot_acquire_timeout);
-    {
-      const dbg::LockGuard lk(ctx->m);
-      ctx->dma_wait += env_.now() - w0;
+void ProxyObjectStore::start(const OpRef& op) {
+  // Detach bulk payloads from the transaction metadata, cut to the segment
+  // size. Tiny requests are not worth a DMA round: they ride the control
+  // channel. The rest is routed segment by segment in advance().
+  auto& ops = op->wire.meta.ops();
+  for (const auto& o : ops) op->total_bytes += o.data.length();
+  const bool tiny = op->total_bytes <= cfg_.inline_write_max;
+  op->wire.parts.resize(ops.size());
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    const BufferList& data = ops[i].data;
+    const std::size_t step = tiny ? data.length() : cfg_.segment_size;
+    for (std::size_t off = 0; off < data.length(); off += step) {
+      DataRef ref;
+      ref.kind = tiny ? DataRef::Kind::inline_ : DataRef::Kind::staged;
+      ref.data = data.substr(off, step);
+      ref.len = static_cast<std::uint32_t>(ref.data.length());
+      op->wire.parts[i].push_back(std::move(ref));
     }
-    if (!reserved) {
-      counters_->inc(l_dpu_throttle_slot);
-      const dbg::LockGuard lk(ctx->m);
-      ctx->slot_timed_out = true;
-      DataRef ref;  // placeholder; process_write aborts the whole request
-      ref.kind = DataRef::Kind::inline_;
-      ref.len = static_cast<std::uint32_t>(len);
-      ref.data = std::move(seg);
-      return ref;
-    }
-    off = *reserved;
-  } else {
-    off = arena_.reserve(len);
-    const dbg::LockGuard lk(ctx->m);
-    ctx->dma_wait += env_.now() - w0;
+    ops[i].data = BufferList{};
   }
-
-  if (!cfg_.mr_cache) {
-    // Without the MR cache each transfer renegotiates its memory region
-    // over the CommChannel (one round trip).
-    (void)control_call(ProxyOp::ping, {});
-  }
-
-  // Stage: copy the payload into the DMA-capable buffer.
-  const std::uint32_t seg_index = ctx->next_seg++;
-  doca::Buf src = arena_.dpu_buf(off, len);
-  seg.copy_out(0, len, src.data());
-  dpu_.cpu().charge(static_cast<sim::Duration>(cfg_.stage_copy_ns_per_byte *
-                                               static_cast<double>(len)));
-
-  doca::Buf dst = arena_.host_buf(off, len);
-  const bool probing = path == FallbackManager::Path::probe;
-  const auto seg_len = static_cast<std::uint32_t>(len);
-  {
-    const dbg::LockGuard lk(ctx->m);
-    ++ctx->outstanding;
-    if (ctx->first_submit < 0) ctx->first_submit = env_.now();
-  }
-
-  auto finish_segment = [this, ctx, off, len](bool failed) {
-    arena_.release(off, len);
-    const dbg::LockGuard lk(ctx->m);
-    if (failed) ctx->any_failed = true;
-    --ctx->outstanding;
-    ctx->cv.notify_all();
-  };
-
-  const Status submitted = dpu_.dma().submit(
-      src, dst, doca::DmaDir::dpu_to_host,
-      [this, ctx, off, seg_index, seg_len, probing,
-       finish_segment](Status st) {
-        ctx->last_complete.store(env_.now(), std::memory_order_relaxed);
-        if (!st.ok()) {
-          fallback_.on_dma_failure(env_.now());
-          finish_segment(true);
-          return;
-        }
-        if (probing) fallback_.on_dma_success();
-        // Hand the extent's content to the host's per-request write buffer;
-        // the bytes recycle as soon as the host acks the copy (Fig. 4).
-        StageSegment msg{.token = ctx->token,
-                         .seg_index = seg_index,
-                         .off = static_cast<std::uint32_t>(off),
-                         .len = seg_len};
-        BufferList request;
-        encode(ProxyOp::stage_segment, request);
-        msg.encode(request);
-        rpc_.call_async(
-            std::move(request),
-            [finish_segment](Result<BufferList> r) {
-              bool failed = !r.ok();
-              if (r.ok()) {
-                BufferList::Cursor cur(*r);
-                std::int32_t res = 0;
-                failed = !decode(res, cur) || res != 0;
-              }
-              finish_segment(failed);
-            },
-            ctx->trace);
-      },
-      ctx->trace);
-  if (!submitted.ok()) {
-    fallback_.on_dma_failure(env_.now());
-    finish_segment(true);
-  } else {
-    dma_bytes_.fetch_add(len, std::memory_order_relaxed);
-    counters_->inc(l_dpu_dma_bytes, len);
-    if (!cfg_.pipelining) {
-      // Ablation: strictly serial -- wait out this transfer (and its staging
-      // handoff) before touching the next segment.
-      dbg::UniqueLock lk(ctx->m);
-      ctx->cv.wait(lk, [&] {
-        ctx->m.assert_held();
-        return ctx->outstanding == 0;
-      });
-    }
-  }
-
-  DataRef ref;
-  ref.kind = DataRef::Kind::staged;
-  ref.index = seg_index;
-  ref.len = seg_len;
-  return ref;
-}
-
-void ProxyObjectStore::process_write(WriteReq req) {
-  const sim::Time t_start = req.enqueued;
-  WireTxn wire;
-
-  // Detach bulk payloads from the transaction metadata.
-  std::vector<BufferList> payloads(req.txn.ops().size());
-  for (std::size_t i = 0; i < req.txn.ops().size(); ++i) {
-    payloads[i] = std::move(req.txn.ops()[i].data);
-    req.txn.ops()[i].data = BufferList{};
-  }
-  wire.meta = std::move(req.txn);
-  wire.parts.resize(payloads.size());
-  wire.token = next_token_.fetch_add(1);
-
-  std::uint64_t total_bytes = 0;
-  for (const auto& p : payloads) total_bytes += p.length();
-  std::uint64_t dma_bytes_this_request = 0;
-
-  auto ctx = std::make_shared<SegCtx>(env_.keeper());
-  ctx->token = wire.token;
-  ctx->trace = wire.meta.trace();
+  op->wire.token = next_token_.fetch_add(1);
   // The request-level DPU span: covers segmentation, DMA, and the host
   // commit round trip (open during the crash window, so a hard kill leaves
   // it partial in the flight recorder).
-  auto write_span = env_.tracer().span("dpu.write", "dpu." + dpu_.name(),
-                                       ctx->trace, t_start);
+  op->write_span = env_.tracer().span("dpu.write", "dpu." + dpu_.name(),
+                                      op->wire.meta.trace(), op->enqueued);
+  op->deadline = center_.add_timer(cfg_.rpc_timeout, [this, op] {
+    if (op->done) return;
+    counters_->inc(l_dpu_rpc_timeout);
+    abort(op, Status(Errc::timed_out, "DPU write request deadline"));
+  });
+  advance(op);
+}
 
-  for (std::size_t i = 0; i < payloads.size(); ++i) {
-    BufferList& payload = payloads[i];
-    if (payload.empty()) continue;
-    if (total_bytes <= cfg_.inline_write_max) {
-      // Tiny request: not worth a DMA round; ride the control channel.
-      DataRef ref;
-      ref.kind = DataRef::Kind::inline_;
-      ref.len = static_cast<std::uint32_t>(payload.length());
-      ref.data = std::move(payload);
-      wire.parts[i].push_back(std::move(ref));
+void ProxyObjectStore::advance(const OpRef& op) {
+  while (!op->done && !op->reserving) {
+    if (op->part == op->wire.parts.size()) {
+      if (op->outstanding == 0) submit(op);
+      return;
+    }
+    if (op->ref == op->wire.parts[op->part].size()) {
+      ++op->part;
+      op->ref = 0;
       continue;
     }
-    std::size_t off = 0;
-    while (off < payload.length()) {
-      const std::size_t n =
-          std::min<std::size_t>(cfg_.segment_size, payload.length() - off);
-      DataRef ref = move_segment(payload.substr(off, n), ctx);
-      if (ref.kind == DataRef::Kind::staged) dma_bytes_this_request += n;
-      wire.parts[i].push_back(std::move(ref));
-      off += n;
+    // Ablation: strictly serial -- wait out each transfer (and its staging
+    // handoff) before touching the next segment.
+    if (!cfg_.pipelining && op->outstanding > 0) return;
+
+    DataRef& ref = op->wire.parts[op->part][op->ref++];
+    if (ref.kind == DataRef::Kind::inline_) continue;
+    const auto path = fallback_.choose(env_.now());
+    if (path == FallbackManager::Path::rpc) {
+      ref.kind = DataRef::Kind::inline_;
+      rpc_fallback_bytes_.fetch_add(ref.len, std::memory_order_relaxed);
+      counters_->inc(l_dpu_rpc_fallback_bytes, ref.len);
+      continue;
     }
+    // Reserve the segment's bytes in the paired staging/write region.
+    ref.index = op->next_seg++;
+    Segment seg{.data = ref.data,
+                .index = ref.index,
+                .probing = path == FallbackManager::Path::probe};
+    op->reserving = true;
+    arena_.reserve_async(
+        ref.len, [this, op, seg, asked = env_.now()](std::size_t off) mutable {
+          seg.off = off;
+          center_.dispatch([this, op, seg, asked] { on_reserved(op, seg, asked); });
+        });
   }
+}
 
-  // Drain in-flight segments (DMA + staging handoff), then snapshot the
-  // callback-shared state — nothing mutates it once outstanding hits zero.
-  bool any_failed = false;
-  bool slot_timed_out = false;
-  sim::Time first_submit = -1;
-  sim::Duration dma_wait = 0;
-  {
-    dbg::UniqueLock lk(ctx->m);
-    ctx->cv.wait(lk, [&] {
-      ctx->m.assert_held();
-      return ctx->outstanding == 0;
-    });
-    any_failed = ctx->any_failed;
-    slot_timed_out = ctx->slot_timed_out;
-    first_submit = ctx->first_submit;
-    dma_wait = ctx->dma_wait;
-  }
-
-  if (slot_timed_out) {
-    // Staging starved past slot_acquire_timeout: give up on the whole
-    // request with a typed throttle (the OSD/client retry machinery takes
-    // it from here) instead of wedging this worker. Oneway abort so the
-    // host drops any segments already staged under this token.
-    BufferList abort_req;
-    encode(ProxyOp::abort_txn, abort_req);
-    encode(wire.token, abort_req);
-    (void)rpc_.notify(std::move(abort_req), ctx->trace);
-    write_span.end(env_.now());
-    if (req.on_commit)
-      req.on_commit(Status(Errc::throttled,
-                           "DPU staging region exhausted past deadline"));
+void ProxyObjectStore::on_reserved(const OpRef& op, const Segment& seg, sim::Time asked) {
+  op->reserving = false;
+  // Waits once the first segment is in flight fall inside the DMA phase,
+  // whose serialization remainder already counts them.
+  if (op->first_submit < 0) op->dma_wait += env_.now() - asked;
+  if (op->done) {
+    drop_segment(seg);
     return;
   }
+  if (cfg_.mr_cache) {
+    stage(op, seg);
+    return;
+  }
+  // Without the MR cache each transfer renegotiates its memory region over
+  // the CommChannel (one round trip) before staging.
+  BufferList ping;
+  encode(ProxyOp::ping, ping);
+  segment_call(op, seg, std::move(ping), [this, op, seg](const Result<BufferList>&) {
+    if (op->done)
+      drop_segment(seg);
+    else
+      stage(op, seg);
+  });
+}
 
-  if (any_failed) {
+void ProxyObjectStore::segment_call(const OpRef& op, const Segment& seg,
+                                    BufferList request, SegmentReply then) {
+  const std::uint64_t id = rpc_.call_async(
+      std::move(request),
+      [this, op, index = seg.index, then = std::move(then)](Result<BufferList> r) {
+        center_.dispatch([op, index, then, r = std::move(r)] {
+          if (op->rpcs.erase(index) != 0) then(r);  // else abort() withdrew it
+        });
+      },
+      op->wire.meta.trace());
+  op->rpcs[seg.index] = {id, seg};
+}
+
+void ProxyObjectStore::stage(const OpRef& op, const Segment& seg) {
+  // Stage: copy the payload into the DMA-capable buffer.
+  const std::size_t len = seg.data.length();
+  const doca::Buf src = arena_.dpu_buf(seg.off, len);
+  seg.data.copy_out(0, len, src.data());
+  dpu_.cpu().charge(static_cast<sim::Duration>(cfg_.stage_copy_ns_per_byte *
+                                               static_cast<double>(len)));
+  ++op->outstanding;
+  if (op->first_submit < 0) op->first_submit = env_.now();
+  // The completion arrives on the engine's thread; it only hops to the loop.
+  const Status submitted = dpu_.dma().submit(
+      src, arena_.host_buf(seg.off, len), doca::DmaDir::dpu_to_host,
+      [this, loop = center_.handle(), op, seg](Status st) {
+        loop.dispatch([this, op, seg, st] { on_dma_done(op, seg, st); });
+      },
+      op->wire.meta.trace());
+  if (!submitted.ok()) {
+    fallback_.on_dma_failure(env_.now());
+    segment_done(op, seg, /*failed=*/true);
+    return;
+  }
+  dma_bytes_.fetch_add(len, std::memory_order_relaxed);
+  counters_->inc(l_dpu_dma_bytes, len);
+  op->dma_bytes += len;
+  advance(op);
+}
+
+void ProxyObjectStore::on_dma_done(const OpRef& op, Segment seg, const Status& st) {
+  op->last_complete = env_.now();
+  if (!st.ok()) {
+    fallback_.on_dma_failure(env_.now());
+    segment_done(op, seg, /*failed=*/true);
+    return;
+  }
+  if (seg.probing) fallback_.on_dma_success();
+  seg.probing = false;  // settled by this transfer
+  if (op->done) {
+    arena_.release(seg.off, seg.data.length());  // the request already failed
+    return;
+  }
+  // Hand the extent's content to the host's per-request write buffer; the
+  // bytes recycle as soon as the host acks the copy (Fig. 4).
+  BufferList request;
+  encode(ProxyOp::stage_segment, request);
+  StageSegment{.token = op->wire.token,
+               .seg_index = seg.index,
+               .off = static_cast<std::uint32_t>(seg.off),
+               .len = static_cast<std::uint32_t>(seg.data.length())}
+      .encode(request);
+  segment_call(op, seg, std::move(request), [this, op, seg](const Result<BufferList>& r) {
+    bool failed = !r.ok();
+    if (r.ok()) {
+      BufferList::Cursor cur(*r);
+      std::int32_t res = 0;
+      failed = !decode(res, cur) || res != 0;
+    }
+    segment_done(op, seg, failed);
+  });
+}
+
+void ProxyObjectStore::segment_done(const OpRef& op, const Segment& seg, bool failed) {
+  arena_.release(seg.off, seg.data.length());
+  if (op->done) return;
+  if (failed) op->any_failed = true;
+  --op->outstanding;
+  advance(op);
+}
+
+void ProxyObjectStore::drop_segment(const Segment& seg) {
+  arena_.release(seg.off, seg.data.length());
+  if (seg.probing) fallback_.on_probe_abandoned();
+}
+
+void ProxyObjectStore::submit(const OpRef& op) {
+  if (op->any_failed) {
     // Fallback (paper §4): staged segments whose transfer or handoff
     // failed are unusable; conservatively re-send every staged chunk inline
     // over RPC (the cooldown routes subsequent traffic there anyway).
-    for (std::size_t i = 0; i < payloads.size(); ++i) {
-      std::size_t off = 0;
-      for (auto& ref : wire.parts[i]) {
-        if (ref.kind == DataRef::Kind::staged) {
-          ref.kind = DataRef::Kind::inline_;
-          ref.data = payloads[i].substr(off, ref.len);
-          rpc_fallback_bytes_.fetch_add(ref.len, std::memory_order_relaxed);
-          counters_->inc(l_dpu_rpc_fallback_bytes, ref.len);
-        }
-        off += ref.len;
+    for (auto& part : op->wire.parts) {
+      for (auto& ref : part) {
+        if (ref.kind != DataRef::Kind::staged) continue;
+        ref.kind = DataRef::Kind::inline_;
+        rpc_fallback_bytes_.fetch_add(ref.len, std::memory_order_relaxed);
+        counters_->inc(l_dpu_rpc_fallback_bytes, ref.len);
       }
     }
   }
 
-  // Ship the transaction (metadata + refs) and wait for the host commit.
+  // Ship the transaction (metadata + refs); the reply is the host commit.
   // The RPC span's context travels in the fragment headers, so the host
   // backend parents its commit span under this one.
   BufferList request;
   encode(ProxyOp::submit_txn, request);
-  wire.encode(request);
-  auto rpc_span = env_.tracer().span("dpu.rpc.submit_txn", "dpu." + dpu_.name(),
-                                     write_span.context(), env_.now());
-  auto response = timed_call(std::move(request), rpc_span.context());
-  rpc_span.end(env_.now());
+  op->wire.encode(request);
+  op->rpc_span = env_.tracer().span("dpu.rpc.submit_txn", "dpu." + dpu_.name(),
+                                    op->write_span.context(), env_.now());
+  op->submit_id = rpc_.call_async(
+      std::move(request),
+      [this, op](Result<BufferList> r) {
+        center_.dispatch([this, op, r = std::move(r)] { on_txn_reply(op, r); });
+      },
+      op->rpc_span.context());
+}
 
+void ProxyObjectStore::on_txn_reply(const OpRef& op, const Result<BufferList>& response) {
+  if (op->done) return;
+  op->rpc_span.end(env_.now());
   Status st;
   TxnReply reply;
   if (!response.ok()) {
@@ -423,43 +354,81 @@ void ProxyObjectStore::process_write(WriteReq req) {
   // splits into transfer time (job setup + bytes/bandwidth, the paper's
   // "actual data transfer time") and DMA-wait (region reservation + the
   // serialization remainder of the phase's wall time).
-  if (total_bytes > 0) {
+  if (op->total_bytes > 0) {
     const auto& dma_cfg = dpu_.dma().config();
     std::uint64_t dma_transfer = 0;
-    if (first_submit >= 0) {
+    if (op->first_submit >= 0) {
       dma_transfer = static_cast<std::uint64_t>(dma_cfg.setup_latency) +
-                     static_cast<std::uint64_t>(sim::transfer_time(
-                         dma_bytes_this_request, dma_cfg.bw_bytes_per_sec));
+                     static_cast<std::uint64_t>(
+                         sim::transfer_time(op->dma_bytes, dma_cfg.bw_bytes_per_sec));
     }
     std::uint64_t phase_wall = 0;
-    if (first_submit >= 0 && ctx->last_complete.load() > first_submit)
-      phase_wall =
-          static_cast<std::uint64_t>(ctx->last_complete.load() - first_submit);
+    if (op->first_submit >= 0 && op->last_complete > op->first_submit)
+      phase_wall = static_cast<std::uint64_t>(op->last_complete - op->first_submit);
     const std::uint64_t serialization =
         phase_wall > dma_transfer ? phase_wall - dma_transfer : 0;
+    const auto total = static_cast<std::uint64_t>(env_.now() - op->enqueued);
+    const auto dma_wait = static_cast<std::uint64_t>(op->dma_wait) + serialization;
 
     counters_->inc(l_dpu_writes);
-    counters_->rec(l_dpu_write_lat, static_cast<std::uint64_t>(env_.now() - t_start));
-    counters_->rec(l_dpu_dma_wait,
-                   static_cast<std::uint64_t>(dma_wait) + serialization);
+    counters_->rec(l_dpu_write_lat, total);
+    counters_->rec(l_dpu_dma_wait, dma_wait);
 
     const dbg::LockGuard lk(bd_mutex_);
     bd_.count++;
-    bd_.total_ns += static_cast<std::uint64_t>(env_.now() - t_start);
+    bd_.total_ns += total;
     bd_.dma_ns += dma_transfer;
-    bd_.dma_wait_ns += static_cast<std::uint64_t>(dma_wait) + serialization;
+    bd_.dma_wait_ns += dma_wait;
     bd_.host_write_ns += static_cast<std::uint64_t>(std::max<std::int64_t>(
         reply.host_write_ns, 0));
   }
+  finish(op, st);
+}
 
-  write_span.end(env_.now());
-  if (req.on_commit) req.on_commit(st);
+void ProxyObjectStore::abort(const OpRef& op, const Status& st) {
+  op->done = true;
+  // Withdraw every RPC still pending. An extent whose cancel loses the race
+  // with its response comes back through that response's handler; one
+  // whose DMA job is still running comes back from on_dma_done.
+  for (auto it = op->rpcs.begin(); it != op->rpcs.end();) {
+    if (rpc_.cancel(it->second.first)) {
+      drop_segment(it->second.second);
+      it = op->rpcs.erase(it);
+    } else {
+      ++it;
+    }
+  }
+  if (op->submit_id != 0) (void)rpc_.cancel(op->submit_id);
+  // The host drops any segments already staged under this token.
+  BufferList abort_req;
+  encode(ProxyOp::abort_txn, abort_req);
+  encode(op->wire.token, abort_req);
+  (void)rpc_.notify(std::move(abort_req), op->wire.meta.trace());
+  finish(op, st);
+}
+
+void ProxyObjectStore::finish(const OpRef& op, const Status& st) {
+  op->done = true;
+  (void)center_.cancel_timer(op->deadline);
+  op->rpc_span.end(env_.now());
+  op->write_span.end(env_.now());
+  counters_->set(l_dpu_inflight, inflight_.fetch_sub(1, std::memory_order_relaxed) - 1);
+
+  auto q = pgs_.find(op->cid);
+  q->second.pop_front();  // op was its PG's head
+  OpRef next = q->second.empty() ? nullptr : q->second.front();
+  if (!next) pgs_.erase(q);
+  if (op->on_commit) op->on_commit(st);
+  if (next && !stopping_) start(next);
 }
 
 // ---- control plane / reads ---------------------------------------------------------
 
 Result<BufferList> ProxyObjectStore::timed_call(BufferList request,
                                                 const trace::TraceContext& ctx) {
+  // A blocking call on the loop thread waits for a response only that
+  // thread can deliver.
+  assert(!center_.in_loop_thread());
   auto r = rpc_.call(std::move(request), cfg_.rpc_timeout, ctx);
   if (!r.ok() && r.status().code() == Errc::timed_out)
     counters_->inc(l_dpu_rpc_timeout);

@@ -2,10 +2,12 @@
 
 #include <atomic>
 #include <deque>
+#include <functional>
+#include <map>
+#include <memory>
 
 #include "common/admin_socket.h"
 #include "common/perf_counters.h"
-#include "dbg/cond_var.h"
 #include "dbg/mutex.h"
 #include "dpu/dpu_device.h"
 #include "os/object_store.h"
@@ -23,13 +25,12 @@ enum {
   l_dpu_writes,              ///< write transactions shipped to the host
   l_dpu_dma_bytes,           ///< payload bytes moved by the DMA engine
   l_dpu_rpc_fallback_bytes,  ///< payload bytes that rode the RPC channel
-  l_dpu_rpc_timeout,         ///< blocking RPCs that timed out (slot reclaimed)
+  l_dpu_rpc_timeout,         ///< RPCs and write requests that timed out
   l_dpu_write_lat,           ///< enqueue -> host commit, ns histogram
   l_dpu_dma_wait,            ///< per-request DMA wait (staging + serialization)
-  l_dpu_throttle_queue,      ///< txns bounced: worker queue at max_worker_queue
-  l_dpu_throttle_slot,       ///< txns failed: slot_acquire_timeout expired
-  l_dpu_worker_queue_depth,    ///< gauge: total queued write txns (all workers)
-  l_dpu_worker_queue_depth_hw, ///< gauge: high-water of the above
+  l_dpu_throttle_queue,      ///< txns bounced: max_inflight writes admitted
+  l_dpu_inflight,            ///< gauge: admitted, uncommitted write txns
+  l_dpu_inflight_hw,         ///< gauge: high-water of the above
   l_dpu_last,
 };
 
@@ -40,29 +41,24 @@ struct ProxyConfig {
   /// side holds slots x segment_size bytes, carved per reservation at byte
   /// granularity (StagingArena). 16 x 2 MB by default.
   int slots = 16;
-  /// Pipeline workers driving concurrent write requests. Requests hash to a
-  /// worker by collection, preserving Ceph's per-PG ordering.
-  int write_workers = 8;
 
   /// Ablations (paper §3.3 design choices):
   bool pipelining = true;  ///< false: wait out each segment before staging the next
   bool mr_cache = true;    ///< false: CommChannel negotiation round-trip per segment
 
   sim::Duration cooldown = 500'000'000;   ///< 500 ms DMA disable after an error
+  /// Deadline of a blocking RPC, and of a write request from the moment it
+  /// reaches the head of its PG's queue to its host commit.
   sim::Duration rpc_timeout = 30'000'000'000;
   std::uint64_t inline_write_max = 4096;  ///< tiny payloads skip the DMA path
   std::uint64_t inline_read_max = 4096;
   double stage_copy_ns_per_byte = 0.25;   ///< DPU staging memcpy cost
 
   // ---- backpressure (OFF by default; paper sweeps unchanged) ------------
-  /// Bound on each write worker's queue: a txn arriving while the target
-  /// queue holds this many entries is completed immediately with
-  /// Errc::throttled instead of enqueued. 0 = unbounded (legacy behavior).
-  std::size_t max_worker_queue = 0;
-  /// Deadline for a write segment's staging reservation; on expiry the txn
-  /// fails with Errc::throttled so the throttle propagates to the OSD/client
-  /// instead of wedging a write worker. 0 = block forever (legacy behavior).
-  sim::Duration slot_acquire_timeout = 0;
+  /// Bound on admitted, uncommitted write txns: a txn arriving while this
+  /// many are in flight or queued is completed immediately with
+  /// Errc::throttled. 0 = unbounded.
+  std::size_t max_inflight = 0;
 };
 
 /// Latency breakdown accumulators reproducing the taxonomy of paper Table 3.
@@ -97,6 +93,13 @@ struct BreakdownSnapshot {
 /// pipelined against in-flight transfers. A DMA error trips the adaptive
 /// fallback: segments re-route through RPC during a cooldown, then a probe
 /// transfer re-enables the fast path.
+///
+/// Writes are per-request state machines driven entirely by the proxy's
+/// event loop: queue_transaction only admits and dispatches, and every
+/// later step (reservation grant, staging copy, DMA completion, stage ack,
+/// host commit) runs as a loop handler. Each PG keeps a FIFO whose head
+/// alone is in flight, so per-PG order holds without PGs waiting on each
+/// other.
 class ProxyObjectStore final : public os::ObjectStore {
  public:
   ProxyObjectStore(sim::Env& env, dpu::DpuDevice& dpu, ProxyConfig cfg = {});
@@ -150,39 +153,77 @@ class ProxyObjectStore final : public os::ObjectStore {
   }
 
  private:
-  struct WriteReq {
-    os::Transaction txn;
+  /// One DMA segment of a write: its bytes, and the extent of the paired
+  /// region they occupy once reserved.
+  struct Segment {
+    BufferList data;
+    std::uint32_t index = 0;  ///< StageSegment.seg_index
+    bool probing = false;     ///< this transfer is the fallback probe
+    std::size_t off = 0;      ///< arena offset
+  };
+
+  /// One admitted write. Touched only on the loop thread.
+  struct WriteOp {
+    os::coll_t cid;
+    /// Metadata with the payloads detached, plus one data ref per segment;
+    /// every ref keeps its bytes, which go on the wire only once inline.
+    WireTxn wire;
+    std::uint64_t total_bytes = 0;
     OnCommit on_commit;
     sim::Time enqueued = 0;
-  };
+    bool done = false;  ///< committed or failed; late completions only clean up
 
-  void write_worker(int idx);
-  void process_write(WriteReq req);
-
-  /// Per-request segment pipeline state shared with DMA/stage callbacks.
-  struct SegCtx {
-    explicit SegCtx(sim::TimeKeeper& tk) : cv(tk, "proxy.seg_cv") {}
-    dbg::Mutex m{"proxy.seg_ctx"};
-    dbg::CondVar cv;
-    int outstanding DOCEPH_GUARDED_BY(m) = 0;
-    bool any_failed DOCEPH_GUARDED_BY(m) = false;
-    /// slot_acquire_timeout expired: the request aborts with
-    /// Errc::throttled after draining whatever was already in flight.
-    bool slot_timed_out DOCEPH_GUARDED_BY(m) = false;
-    sim::Time first_submit DOCEPH_GUARDED_BY(m) = -1;
-    sim::Duration dma_wait DOCEPH_GUARDED_BY(m) = 0;  ///< staging wait
-    std::atomic<sim::Time> last_complete{-1};
-    // token/next_seg/trace are touched only by the owning write worker
-    // before any callback can observe them.
-    std::uint64_t token = 0;
+    // Routing cursor: the next ref to route is wire.parts[part][ref]. At
+    // most one reservation is pending at a time.
+    std::size_t part = 0;
+    std::size_t ref = 0;
     std::uint32_t next_seg = 0;
-    trace::TraceContext trace;  ///< the op's context, for per-segment DMA spans
-  };
+    bool reserving = false;
+    int outstanding = 0;  ///< staged segments not yet acked by the host
+    bool any_failed = false;
 
-  /// Move one payload chunk to the host, honoring fallback state. Returns
-  /// the DataRef to embed; its staging extent is released from the
-  /// stage-ack callback.
-  DataRef move_segment(BufferList seg, const std::shared_ptr<SegCtx>& ctx);
+    /// Segments whose extent waits on an RPC (the mr_cache=false ping, or
+    /// the stage ack), by segment index.
+    std::map<std::uint32_t, std::pair<std::uint64_t, Segment>> rpcs;
+    std::uint64_t submit_id = 0;               ///< submit_txn call (0: none)
+    event::EventCenter::TimerId deadline = 0;
+
+    // Table 3 accounting.
+    sim::Time first_submit = -1;
+    sim::Time last_complete = -1;
+    sim::Duration dma_wait = 0;  ///< reservation wait before the first transfer
+    std::uint64_t dma_bytes = 0;
+
+    trace::Span write_span;
+    trace::Span rpc_span;
+  };
+  using OpRef = std::shared_ptr<WriteOp>;
+
+  // Loop-thread steps of a write, in the order a request meets them.
+  void admit(const OpRef& op);
+  void start(const OpRef& op);
+  /// Route segments until a reservation is pending, the pipeline must wait
+  /// (pipelining = false), or everything is staged and acked (then submit).
+  void advance(const OpRef& op);
+  void on_reserved(const OpRef& op, const Segment& seg, sim::Time asked);
+  void stage(const OpRef& op, const Segment& seg);
+  void on_dma_done(const OpRef& op, Segment seg, const Status& st);
+  using SegmentReply = std::function<void(const Result<BufferList>&)>;
+  /// Send `request` for `seg`, holding its extent in `rpcs`; `then` runs on
+  /// the loop with the response unless abort() withdrew the call first.
+  void segment_call(const OpRef& op, const Segment& seg, BufferList request,
+                    SegmentReply then);
+  /// A segment's extent is back in the arena; the request moves on.
+  void segment_done(const OpRef& op, const Segment& seg, bool failed);
+  /// A dead request lets go of a segment: its extent goes back, and a probe
+  /// that never reached the engine is handed back to the fallback manager.
+  void drop_segment(const Segment& seg);
+  void submit(const OpRef& op);
+  void on_txn_reply(const OpRef& op, const Result<BufferList>& response);
+  /// Fail the request now (deadline or umount): withdraw its pending RPCs
+  /// and tell the host to drop what it staged.
+  void abort(const OpRef& op, const Status& st);
+  void finish(const OpRef& op, const Status& st);
 
   Result<BufferList> control_call(ProxyOp op, const BufferList& body);
 
@@ -192,6 +233,7 @@ class ProxyObjectStore final : public os::ObjectStore {
 
   /// Blocking RPC with the configured timeout; accounts timed-out calls in
   /// l_dpu_rpc_timeout (the channel slot itself is reclaimed by RpcChannel).
+  /// Never called on the loop thread, which delivers the responses.
   Result<BufferList> timed_call(BufferList request,
                                 const trace::TraceContext& ctx = {});
 
@@ -203,18 +245,13 @@ class ProxyObjectStore final : public os::ObjectStore {
   StagingArena arena_;
   FallbackManager fallback_;
 
-  struct WorkerQueue {
-    dbg::Mutex m{"proxy.worker_queue"};
-    std::unique_ptr<dbg::CondVar> cv;
-    std::deque<WriteReq> q DOCEPH_GUARDED_BY(m);
-  };
-  std::vector<std::unique_ptr<WorkerQueue>> queues_;
-  std::vector<sim::Thread> workers_;
   sim::Thread pump_thread_;
-  // Atomic, not guarded: written by mount/umount, read by every write
-  // worker under its own per-queue mutex (no single guarding capability).
-  std::atomic<bool> stopping_{true};
   bool mounted_ = false;  // lifecycle thread only
+
+  // Loop-thread state.
+  /// Per-PG write FIFOs; the front of each is the request in flight.
+  std::map<os::coll_t, std::deque<OpRef>> pgs_;
+  bool stopping_ = false;  ///< umount began: start and admit nothing new
 
   // Table 3 accumulators.
   mutable dbg::Mutex bd_mutex_{"proxy.breakdown"};
@@ -225,8 +262,8 @@ class ProxyObjectStore final : public os::ObjectStore {
   std::atomic<std::uint64_t> next_token_{1};
   /// Latest host fullness seen in a TxnReply (permille), for fullness().
   std::atomic<std::uint32_t> host_fullness_permille_{0};
-  /// Total write txns sitting in worker queues (for the bound + gauges).
-  std::atomic<std::int64_t> queued_writes_{0};
+  /// Admitted, uncommitted write txns (for max_inflight + gauges).
+  std::atomic<std::size_t> inflight_{0};
 
   perf::PerfCountersRef counters_;
   perf::Collection perf_;

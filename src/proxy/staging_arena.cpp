@@ -1,7 +1,8 @@
 #include "proxy/staging_arena.h"
 
-#include <algorithm>
 #include <cassert>
+#include <utility>
+#include <vector>
 
 namespace doceph::proxy {
 
@@ -9,19 +10,23 @@ StagingArena::StagingArena(sim::Env& env, int slots, std::size_t segment_size)
     : env_(env),
       capacity_(static_cast<std::size_t>(slots) * segment_size),
       dpu_mmap_(std::make_shared<doca::Mmap>(capacity_)),
-      host_mmap_(std::make_shared<doca::Mmap>(capacity_)),
-      cv_(env.keeper(), "proxy.staging_arena_cv") {
+      host_mmap_(std::make_shared<doca::Mmap>(capacity_)) {
   const dbg::LockGuard lk(mutex_);
   free_.insert(0, capacity_);
 }
 
-std::size_t StagingArena::reserve(std::size_t len) {
-  return *admit(len, std::nullopt);
-}
-
-std::optional<std::size_t> StagingArena::reserve_for(std::size_t len,
-                                                     sim::Duration timeout) {
-  return admit(len, env_.now() + timeout);
+void StagingArena::reserve_async(std::size_t len, ReserveCb cb) {
+  assert(len > 0 && len <= capacity_);
+  std::optional<std::size_t> off;
+  {
+    const dbg::LockGuard lk(mutex_);
+    if (waiters_.empty()) off = carve(len);
+    if (!off) {
+      waiters_.push_back(Waiter{len, std::move(cb), env_.now()});
+      return;
+    }
+  }
+  cb(*off);
 }
 
 std::optional<std::size_t> StagingArena::try_reserve(std::size_t len) {
@@ -29,34 +34,6 @@ std::optional<std::size_t> StagingArena::try_reserve(std::size_t len) {
   const dbg::LockGuard lk(mutex_);
   if (!waiters_.empty()) return std::nullopt;
   return carve(len);
-}
-
-std::optional<std::size_t> StagingArena::admit(std::size_t len,
-                                               std::optional<sim::Time> deadline) {
-  assert(len > 0 && len <= capacity_);
-  const sim::Time t0 = env_.now();
-  dbg::UniqueLock lk(mutex_);
-  std::optional<std::size_t> off;
-  if (waiters_.empty()) off = carve(len);
-  if (!off) {
-    const std::uint64_t ticket = next_ticket_++;
-    waiters_.push_back(ticket);
-    auto served = [&] {
-      mutex_.assert_held();  // predicate runs as a separate function
-      if (waiters_.front() == ticket) off = carve(len);
-      return off.has_value();
-    };
-    if (deadline)
-      (void)cv_.wait_until(lk, *deadline, served);
-    else
-      cv_.wait(lk, served);
-    // Served or timed out, this ticket leaves the queue; whoever is head
-    // now may already fit.
-    waiters_.erase(std::find(waiters_.begin(), waiters_.end(), ticket));
-    cv_.notify_all();
-  }
-  total_wait_ += env_.now() - t0;
-  return off;
 }
 
 std::optional<std::size_t> StagingArena::carve(std::size_t len) {
@@ -69,9 +46,20 @@ std::optional<std::size_t> StagingArena::carve(std::size_t len) {
 
 void StagingArena::release(std::size_t off, std::size_t len) {
   assert(off + len <= capacity_);
-  const dbg::LockGuard lk(mutex_);
-  free_.insert(off, len);
-  cv_.notify_all();
+  std::vector<std::pair<ReserveCb, std::size_t>> served;
+  {
+    const dbg::LockGuard lk(mutex_);
+    free_.insert(off, len);
+    while (!waiters_.empty()) {
+      Waiter& head = waiters_.front();
+      const auto got = carve(head.len);
+      if (!got) break;
+      total_wait_ += env_.now() - head.since;
+      served.emplace_back(std::move(head.cb), *got);
+      waiters_.pop_front();
+    }
+  }
+  for (auto& [cb, got] : served) cb(got);
 }
 
 std::size_t StagingArena::free_bytes() const {

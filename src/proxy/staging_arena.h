@@ -2,14 +2,13 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <optional>
 
 #include "common/interval_set.h"
-#include "dbg/cond_var.h"
 #include "dbg/mutex.h"
 #include "doca/mmap.h"
 #include "sim/env.h"
-#include "sim/time_keeper.h"
 
 namespace doceph::proxy {
 
@@ -21,21 +20,22 @@ namespace doceph::proxy {
 /// latency, while a full-size segment still fills a whole `segment_size`
 /// stretch. Free space is an IntervalSet searched first-fit; admission is
 /// FIFO, so a large reservation queued behind small ones is served before
-/// any later request. Time blocked in reserve() is the "DMA-wait"
+/// any later request. Time a reservation spends queued is the "DMA-wait"
 /// component of Table 3.
 class StagingArena {
  public:
+  /// Runs once with the carved extent's offset.
+  using ReserveCb = std::function<void(std::size_t off)>;
+
   /// Capacity is `slots * segment_size` bytes per side.
   StagingArena(sim::Env& env, int slots, std::size_t segment_size);
 
-  /// Block until `len` contiguous bytes are free and every earlier waiter
-  /// was served; returns the extent's offset. `len` must not exceed
-  /// capacity().
-  std::size_t reserve(std::size_t len);
-  /// Bounded variant: give up after `timeout` (nullopt on timeout). The
-  /// proxy's backpressure path uses this so a wedged DMA pipeline surfaces
-  /// as a throttled txn instead of a worker blocked forever.
-  std::optional<std::size_t> reserve_for(std::size_t len, sim::Duration timeout);
+  /// Reserve `len` contiguous bytes (`len` must not exceed capacity()).
+  /// `cb` runs on the calling thread if the bytes fit now and nobody is
+  /// queued; otherwise the reservation queues and `cb` runs from the
+  /// release() that lets it through, once every earlier one was served.
+  /// `cb` never runs under the arena's lock.
+  void reserve_async(std::size_t len, ReserveCb cb);
   /// Non-blocking variant; fails while anyone is queued (no queue jumping).
   std::optional<std::size_t> try_reserve(std::size_t len);
   void release(std::size_t off, std::size_t len);
@@ -53,14 +53,16 @@ class StagingArena {
   }
   [[nodiscard]] doca::MmapRef host_mmap() const noexcept { return host_mmap_; }
 
-  /// Cumulative simulated time spent blocked in reserve() (DMA-wait).
+  /// Cumulative simulated time reservations spent queued (DMA-wait).
   [[nodiscard]] sim::Duration total_wait_ns() const;
 
  private:
-  /// Queue `len`, wait (until `deadline`, if any) to reach the head with a
-  /// fit, then carve it. nullopt on timeout.
-  std::optional<std::size_t> admit(std::size_t len,
-                                   std::optional<sim::Time> deadline);
+  struct Waiter {
+    std::size_t len;
+    ReserveCb cb;
+    sim::Time since;
+  };
+
   /// First-fit carve; nullopt when no free extent is large enough.
   std::optional<std::size_t> carve(std::size_t len) DOCEPH_REQUIRES(mutex_);
 
@@ -70,11 +72,9 @@ class StagingArena {
   doca::MmapRef host_mmap_;
 
   mutable dbg::Mutex mutex_{"proxy.staging_arena"};
-  dbg::CondVar cv_;
   IntervalSet<std::size_t> free_ DOCEPH_GUARDED_BY(mutex_);
-  /// Tickets of blocked reservations, oldest first.
-  std::deque<std::uint64_t> waiters_ DOCEPH_GUARDED_BY(mutex_);
-  std::uint64_t next_ticket_ DOCEPH_GUARDED_BY(mutex_) = 0;
+  /// Queued reservations, oldest first; only the head may carve.
+  std::deque<Waiter> waiters_ DOCEPH_GUARDED_BY(mutex_);
   sim::Duration total_wait_ DOCEPH_GUARDED_BY(mutex_) = 0;
 };
 

@@ -24,7 +24,7 @@ thread_local void* t_rec = nullptr;
 /// arenas buy no parallelism here; they only strand freed memory in
 /// whichever arena a thread happened to pick. Measured on the e2e
 /// benchmark's DoCeph write_16k run (4-core x86): peak RSS +25% with
-/// per-thread arenas once the proxy's write workers allocate concurrently,
+/// per-thread arenas once several DPU proxy threads allocated concurrently,
 /// back to the live-data level with one arena, at no wall-time cost.
 void use_single_malloc_arena() {
 #if defined(__GLIBC__)

@@ -19,7 +19,7 @@ using namespace doceph::sim;
 using doceph::testing::run_sim;
 
 constexpr std::size_t kQueueDepth = 8;    // OSD op-queue admission bound
-constexpr std::size_t kWorkerQueue = 8;   // DPU proxy worker-queue bound
+constexpr std::size_t kInflight = 16;     // DPU proxy in-flight write cap
 constexpr int kWriters = 48;              // offered load >> every bound
 constexpr std::int64_t kBurst = 40;       // forced osd.overload bounces
 
@@ -31,9 +31,7 @@ ClusterConfig overload_cfg() {
   cfg.osd_template.max_conn_inflight = 24;
   cfg.osd_template.throttle_retry_delay = 2'000'000;  // 2 ms
   cfg.osd_template.nearfull_ratio = 0.85;
-  cfg.proxy.write_workers = 2;  // two bounded queues; global depth <= 16
-  cfg.proxy.max_worker_queue = kWorkerQueue;
-  cfg.proxy.slot_acquire_timeout = 5'000'000'000;  // 5 s
+  cfg.proxy.max_inflight = kInflight;
   cfg.client.flow_control = true;
   cfg.client.cwnd_init = kWriters;  // start wide open: the first wave overloads
 
@@ -85,10 +83,9 @@ void overload_scenario(Env& env) {
     const auto hw = cl.osd(i).perf_counters()->get(osd::l_osd_queue_depth_hw);
     EXPECT_LE(hw, 3 * kQueueDepth) << "osd." << i;
     if (auto* p = cl.proxy_store(i)) {
-      // Global depth across the two bounded worker queues, +2 for the
-      // pop-to-gauge-decrement lag of each worker.
-      const auto phw = p->perf_counters()->get(proxy::l_dpu_worker_queue_depth_hw);
-      EXPECT_LE(phw, 2 * kWorkerQueue + 2) << "proxy." << i;
+      // Admission counts and caps in one step, so the cap is exact.
+      const auto phw = p->perf_counters()->get(proxy::l_dpu_inflight_hw);
+      EXPECT_LE(phw, kInflight) << "proxy." << i;
     }
   }
 

@@ -1,9 +1,10 @@
 // Chaos: partitions. (1) The DPU proxy loses its CommChannel to the host —
-// blocking RPCs must time out (bumping l_dpu_rpc_timeout and reclaiming the
-// slot) instead of hanging, and traffic must flow again once the partition
-// heals. (2) A client is partitioned from one storage node — the hardened
-// client fails the op at its deadline instead of hanging, while ops whose
-// primary is unaffected still succeed.
+// inline and DMA-path writes must time out (bumping l_dpu_rpc_timeout and
+// returning their staging extents) instead of hanging, and traffic must
+// flow again once the partition heals; a fallback probe lost with its
+// request is handed out again. (2) A client is partitioned from one storage
+// node — the hardened client fails the op at its deadline instead of
+// hanging, while ops whose primary is unaffected still succeed.
 #include <gtest/gtest.h>
 
 #include "chaos_util.h"
@@ -34,19 +35,32 @@ TEST(ChaosPartition, DpuHostPartitionTimesOutThenHeals) {
     part.match = "dpu-0";
     env.faults().set("doca.comch_drop", part);
 
-    const Time t0 = env.now();
-    const Status st = node.write("lost", 2048, 2);
-    EXPECT_EQ(st.code(), Errc::timed_out) << st.to_string();
-    const Time elapsed = env.now() - t0;
-    EXPECT_GE(elapsed, pcfg.rpc_timeout);
-    EXPECT_LT(elapsed, pcfg.rpc_timeout + 100'000'000);
-    EXPECT_GE(node.proxy->perf_counters()->get(l_dpu_rpc_timeout), 1u);
+    // Inline-sized (the submit_txn reply is lost) and DMA-path (the
+    // stage_segment ack is lost) writes both fail at the request deadline.
+    std::uint64_t timeouts = 0;
+    for (const auto& [name, bytes] : {std::pair<std::string, std::size_t>{"lost", 2048},
+                                      {"lost64k", 64 << 10}}) {
+      const Time t0 = env.now();
+      const Status st = node.write(name, bytes, 2);
+      EXPECT_EQ(st.code(), Errc::timed_out) << bytes << ": " << st.to_string();
+      const Time elapsed = env.now() - t0;
+      EXPECT_GE(elapsed, pcfg.rpc_timeout) << bytes;
+      EXPECT_LT(elapsed, pcfg.rpc_timeout + 100'000'000) << bytes;
+      const auto now_timeouts = node.proxy->perf_counters()->get(l_dpu_rpc_timeout);
+      EXPECT_GT(now_timeouts, timeouts) << bytes;
+      timeouts = now_timeouts;
+    }
 
-    // Heal: the channel slot was reclaimed on timeout, so the very next
-    // call reuses the path cleanly.
+    // Heal: nothing of the failed requests is left pending, so the same PG
+    // takes the next writes, and every staging byte is back.
     env.faults().clear("doca.comch_drop");
     ASSERT_TRUE(node.write("lost", 2048, 2).ok());
     ASSERT_TRUE(node.write("post", 2048, 3).ok());
+    ASSERT_TRUE(node.write("lost64k", 64 << 10, 4).ok());
+    EXPECT_EQ(node.proxy->slots().free_bytes(), node.proxy->slots().capacity());
+    auto big = node.store->read(ChaosProxyNode::kColl, {1, "lost64k"}, 0, 0);
+    ASSERT_TRUE(big.ok());
+    EXPECT_EQ(big->to_string(), pattern(64 << 10, 4));
 
     for (const auto& [name, seed] :
          {std::pair<std::string, unsigned>{"pre", 1}, {"lost", 2}, {"post", 3}}) {
@@ -54,6 +68,38 @@ TEST(ChaosPartition, DpuHostPartitionTimesOutThenHeals) {
       ASSERT_TRUE(r.ok()) << name;
       EXPECT_EQ(r->to_string(), pattern(2048, seed)) << name;
     }
+    node.down();
+  });
+}
+
+TEST(ChaosPartition, ProbeLostToPartitionIsHandedOutAgain) {
+  Env env(TimeKeeper::Mode::virtual_time, /*seed=*/5);
+  run_sim(env, [&] {
+    ProxyConfig pcfg;
+    pcfg.mr_cache = false;          // a negotiation ping precedes each transfer
+    pcfg.cooldown = 1'000'000;      // 1 ms
+    pcfg.rpc_timeout = 200'000'000;
+    ChaosProxyNode node(env, pcfg);
+    ASSERT_TRUE(node.up().ok());
+    node.dpu.dma().fail_next(1);
+    ASSERT_TRUE(node.write("a", 64 << 10, 1).ok());  // falls back inline
+    ASSERT_FALSE(node.proxy->fallback().dma_enabled());
+    env.keeper().sleep_for(2'000'000);  // cooldown over: next segment probes
+
+    // The probe segment's ping is lost, so its request dies before the
+    // transfer that would have settled the probe.
+    fault::FaultSpec part;
+    part.fire_at_time = 0;
+    part.match = "dpu-0";
+    env.faults().set("doca.comch_drop", part);
+    EXPECT_EQ(node.write("b", 64 << 10, 2).code(), Errc::timed_out);
+    env.faults().clear("doca.comch_drop");
+
+    // The next write gets the probe again and DMA comes back.
+    ASSERT_TRUE(node.write("c", 64 << 10, 3).ok());
+    EXPECT_TRUE(node.proxy->fallback().dma_enabled());
+    EXPECT_EQ(node.proxy->fallback().recoveries(), 1u);
+    EXPECT_EQ(node.proxy->slots().free_bytes(), node.proxy->slots().capacity());
     node.down();
   });
 }

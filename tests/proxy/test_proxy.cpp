@@ -4,6 +4,7 @@
 
 #include "../test_util.h"
 #include "bluestore/bluestore.h"
+#include "common/shard.h"
 #include "proxy/host_backend.h"
 
 namespace doceph::proxy {
@@ -251,6 +252,46 @@ TEST(Proxy, ConcurrentWritersKeepPerObjectOrder) {
   f.down();
 }
 
+TEST(Proxy, SmallWriteOnAnotherPgIsNotQueuedBehindALargeOne) {
+  // Two PGs that share a shard under the PG hash the OSD lanes use: a 16 KiB
+  // write to the second must not wait for a 16 MiB write to the first.
+  ProxyFixture f;
+  f.up();
+  const os::coll_t pg_a = kColl;
+  os::coll_t pg_b{1, 1};
+  while (common::shard_of_pg(1, pg_b.pg_seed, 8) !=
+         common::shard_of_pg(1, pg_a.pg_seed, 8))
+    ++pg_b.pg_seed;
+  std::vector<std::string> committed;
+  run_sim(f.env, [&] {
+    os::Transaction mk;
+    mk.create_collection(pg_b);
+    ASSERT_TRUE(f.commit(std::move(mk)).ok());
+
+    std::mutex m;
+    CondVar cv(f.env.keeper());
+    auto done = [&](const char* name) {
+      return [&, name](Status st) {
+        EXPECT_TRUE(st.ok()) << name << ": " << st.to_string();
+        const std::lock_guard<std::mutex> lk(m);
+        committed.emplace_back(name);
+        cv.notify_all();
+      };
+    };
+    os::Transaction big;
+    big.write_full(pg_a, {1, "big"}, BufferList::copy_of(pattern(16 << 20, 1)));
+    f.proxy->queue_transaction(std::move(big), done("big"));
+    os::Transaction small;
+    small.write_full(pg_b, {1, "small"}, BufferList::copy_of(pattern(16 << 10, 2)));
+    f.proxy->queue_transaction(std::move(small), done("small"));
+
+    std::unique_lock<std::mutex> lk(m);
+    cv.wait(lk, [&] { return committed.size() == 2; });
+  });
+  EXPECT_EQ(committed, (std::vector<std::string>{"small", "big"}));
+  f.down();
+}
+
 TEST(Proxy, BreakdownAccumulatesAndResets) {
   ProxyFixture f;
   f.up();
@@ -304,8 +345,8 @@ TEST(Proxy, PipeliningOffStillCorrect) {
 
 TEST(Proxy, SubSegmentWritesOverlapInOneSegmentRegion) {
   // The paper's calibration: ONE segment's worth of staging region. Eight
-  // 16 KiB writes on eight PGs (hence eight write workers) share it at byte
-  // granularity, so their DMA setups overlap instead of taking turns.
+  // 16 KiB writes on eight PGs (hence eight requests in flight) share it at
+  // byte granularity, so their DMA setups overlap instead of taking turns.
   ProxyConfig cfg;
   cfg.slots = 1;
   ProxyFixture f(cfg);

@@ -47,29 +47,48 @@ TEST(StagingArena, FullCapacityWaiterIsServedBeforeLaterSmallOnes) {
   Time big_at = -1;
   Time small_at = -1;
   run_sim(env, [&] {
-    const std::size_t first = arena.reserve(k16K);
-    auto hold = TimeKeeper::AdvanceHold(env.keeper());
-    std::vector<Thread> threads;
-    threads.push_back(env.spawn("big", nullptr, [&] {
-      const std::size_t off = arena.reserve(arena.capacity());
+    const auto first = arena.try_reserve(k16K);
+    ASSERT_TRUE(first.has_value());
+    arena.reserve_async(arena.capacity(), [&](std::size_t off) {
       big_at = env.now();
-      env.keeper().sleep_for(1'000'000);
-      arena.release(off, arena.capacity());
-    }));
-    threads.push_back(env.spawn("small", nullptr, [&] {
-      env.keeper().sleep_for(1'000'000);
-      // 48 KiB are free, but the full-size request queued first.
-      EXPECT_FALSE(arena.try_reserve(k16K).has_value());
-      const std::size_t off = arena.reserve(k16K);
+      env.scheduler().schedule_after(1'000'000,
+                                     [&, off] { arena.release(off, arena.capacity()); });
+    });
+    EXPECT_EQ(big_at, -1);  // queued: 48 KiB free is not the whole region
+    env.keeper().sleep_for(1'000'000);
+    // 48 KiB are free, but the full-size request queued first.
+    EXPECT_FALSE(arena.try_reserve(k16K).has_value());
+    arena.reserve_async(k16K, [&](std::size_t off) {
       small_at = env.now();
       arena.release(off, k16K);
-    }));
-    env.scheduler().schedule_after(2'000'000, [&, first] { arena.release(first, k16K); });
-    hold.release();
-    threads.clear();
+    });
+    env.keeper().sleep_for(1'000'000);
+    arena.release(*first, k16K);
+    env.keeper().sleep_for(2'000'000);
   });
   EXPECT_EQ(big_at, 2'000'000);    // as soon as the first extent came back
   EXPECT_EQ(small_at, 3'000'000);  // only after the big one let go
+  EXPECT_EQ(arena.free_bytes(), arena.capacity());
+}
+
+TEST(StagingArena, TryReserveFailsWhileAReservationIsQueued) {
+  Env env;
+  StagingArena arena(env, 1, 4 * k16K);
+  std::size_t served = 0;
+  run_sim(env, [&] {
+    const auto a = arena.try_reserve(3 * k16K);
+    ASSERT_TRUE(a.has_value());
+    arena.reserve_async(2 * k16K, [&](std::size_t off) {
+      ++served;
+      arena.release(off, 2 * k16K);
+    });
+    EXPECT_EQ(served, 0u);
+    EXPECT_EQ(arena.free_bytes(), k16K);
+    EXPECT_FALSE(arena.try_reserve(k16K).has_value());  // it would fit
+    arena.release(*a, 3 * k16K);
+    EXPECT_EQ(served, 1u);  // served from inside release()
+    EXPECT_TRUE(arena.try_reserve(k16K).has_value());
+  });
 }
 
 TEST(StagingArena, ReleasesMergeBackToOneFullExtent) {
@@ -97,21 +116,27 @@ TEST(StagingArena, ReleasesMergeBackToOneFullExtent) {
   });
 }
 
-TEST(StagingArena, TotalWaitAccountsBlockedTime) {
+TEST(StagingArena, TotalWaitAccountsQueuedTime) {
   Env env;
   StagingArena arena(env, 1, 4096);
+  Time waited = -1;
   run_sim(env, [&] {
-    const std::size_t a = arena.reserve(4096);
-    // A bounded reservation gives up after its timeout and leaves the queue.
-    EXPECT_FALSE(arena.reserve_for(1, 2'000'000).has_value());
-    // Free the region 5 ms from now; a blocking reservation waits it out.
-    env.scheduler().schedule_after(5'000'000, [&, a] { arena.release(a, 4096); });
+    const auto a = arena.try_reserve(4096);
+    ASSERT_TRUE(a.has_value());
+    // Immediate grants cost nothing.
+    EXPECT_EQ(arena.total_wait_ns(), 0);
+    // Free the region 5 ms from now; a queued reservation waits it out.
+    env.scheduler().schedule_after(5'000'000,
+                                   [&, off = *a] { arena.release(off, 4096); });
     const Time t0 = env.now();
-    const std::size_t b = arena.reserve(4096);
-    EXPECT_EQ(env.now() - t0, 5'000'000);
-    arena.release(b, 4096);
+    arena.reserve_async(4096, [&](std::size_t off) {
+      waited = env.now() - t0;
+      arena.release(off, 4096);
+    });
+    env.keeper().sleep_for(10'000'000);
   });
-  EXPECT_EQ(arena.total_wait_ns(), 7'000'000);
+  EXPECT_EQ(waited, 5'000'000);
+  EXPECT_EQ(arena.total_wait_ns(), 5'000'000);
   EXPECT_EQ(arena.free_bytes(), arena.capacity());
 }
 
@@ -120,23 +145,21 @@ TEST(StagingArena, ManyContendersAllServed) {
   StagingArena arena(env, 2, 64);
   std::atomic<int> served{0};
   run_sim(env, [&] {
-    auto hold = TimeKeeper::AdvanceHold(env.keeper());
-    std::vector<Thread> workers;
     for (int i = 0; i < 10; ++i) {
-      workers.push_back(env.spawn("w" + std::to_string(i), nullptr, [&, i] {
-        const std::size_t len = i % 2 == 0 ? 64 : 128;  // half of them fill it
-        const std::size_t off = arena.reserve(len);
-        env.keeper().sleep_for(1'000'000);
-        arena.release(off, len);
-        served.fetch_add(1);
-      }));
+      const std::size_t len = i % 2 == 0 ? 64 : 128;  // half of them fill it
+      arena.reserve_async(len, [&, len](std::size_t off) {
+        env.scheduler().schedule_after(1'000'000, [&, off, len] {
+          arena.release(off, len);
+          served.fetch_add(1);
+        });
+      });
     }
-    hold.release();
-    workers.clear();
+    env.keeper().sleep_for(20'000'000);
   });
   EXPECT_EQ(served.load(), 10);
   EXPECT_GE(arena.total_wait_ns(), 3'000'000);
   EXPECT_EQ(arena.free_extents(), 1u);
+  EXPECT_EQ(arena.free_bytes(), arena.capacity());
 }
 
 TEST(FallbackManager, StartsEnabled) {
