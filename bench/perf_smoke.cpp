@@ -7,15 +7,17 @@
 // With --repeats N > 1 the DoCeph lap is re-run under N distinct universe
 // seeds and the per-repeat p99 latency and host-CPU cores are recorded in
 // a "doceph_variance" block. Measured characterization: the virtual-clock
-// sim is fully deterministic and this workload consumes no seed-dependent
-// randomness, so seed-to-seed rel_spread is exactly 0 — any gate trip is
-// a real code-induced regression, never noise. The default margins are
-// therefore pure headroom for intentional perf-relevant changes (a
-// baseline refresh is the answer when one lands, not a wider gate).
+// sim is not yet run-to-run deterministic (threads that wake at the same
+// simulated instant race in real time), so fresh runs spread: three runs
+// of the DoCeph 1 MB lap on a 4-core x86 box gave 396.0 / 396.0 / 385.9
+// ops/s (-2.6%), and the sharded small-write lap 6795 / 6702 / 6776. The
+// default margins cover that noise plus headroom for intentional
+// perf-relevant changes (a baseline refresh is the answer when one lands,
+// not a wider gate).
 //
 //   perf_smoke --out BENCH_pr.json [--baseline BENCH_baseline.json]
 //              [--threshold 0.20] [--p99-threshold 0.30]
-//              [--cores-threshold 0.25] [--shard-gate 1.15]
+//              [--cores-threshold 0.25] [--shard-gate 2.0]
 //              [--measure-ms 1500] [--repeats N]
 //              [--trace-out TRACE.json] [--trace-sample N]
 //
@@ -120,7 +122,7 @@ int main(int argc, char** argv) {
   double threshold = 0.20;
   double p99_threshold = 0.30;
   double cores_threshold = 0.25;
-  double shard_gate = 1.15;
+  double shard_gate = 2.0;
   long measure_ms = 1500;
   long repeats = 1;
   std::string trace_out;
@@ -280,8 +282,8 @@ int main(int argc, char** argv) {
 
   // Intra-run sharding gate: needs no committed baseline, so it guards the
   // sharded write path even on a fresh checkout. op_shards=kv_shards=4 must
-  // keep a real speedup over the unsharded small-write lap (measured ~3.05x;
-  // gated at 1.15x, DESIGN.md §15.6) and must finish with zero failed ops —
+  // keep a real speedup over the unsharded small-write lap (measured ~3.0x;
+  // gated at 2.0x, DESIGN.md §15.6) and must finish with zero failed ops —
   // backpressure may defer writes, never drop them.
   if (shard_gate > 0 && doceph_small.iops > 0) {
     const double speedup = doceph_small_sharded.iops / doceph_small.iops;

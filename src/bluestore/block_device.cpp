@@ -131,35 +131,15 @@ void BlockDevice::aio_read(std::uint64_t off, std::uint64_t len, ReadCb cb) {
 }
 
 Result<BufferList> BlockDevice::read(std::uint64_t off, std::uint64_t len) {
-  dbg::Mutex m{"bluestore.bdev_wait"};
-  dbg::CondVar cv(env_.keeper(), "bluestore.bdev_wait");
-  bool done = false;
-  Result<BufferList> result = BufferList{};
-  aio_read(off, len, [&](Result<BufferList> r) {
-    const dbg::LockGuard lk(m);
-    result = std::move(r);
-    done = true;
-    cv.notify_all();
-  });
-  dbg::UniqueLock lk(m);
-  cv.wait(lk, [&] { return done; });
-  return result;
+  return dbg::await<Result<BufferList>>(
+      env_.keeper(), "bluestore.bdev_wait",
+      [&](ReadCb done) { aio_read(off, len, std::move(done)); });
 }
 
 Status BlockDevice::write(std::uint64_t off, BufferList data) {
-  dbg::Mutex m{"bluestore.bdev_wait"};
-  dbg::CondVar cv(env_.keeper(), "bluestore.bdev_wait");
-  bool done = false;
-  Status st;
-  aio_write(off, std::move(data), [&](Status s) {
-    const dbg::LockGuard lk(m);
-    st = s;
-    done = true;
-    cv.notify_all();
+  return dbg::await<Status>(env_.keeper(), "bluestore.bdev_wait", [&](IoCb done) {
+    aio_write(off, std::move(data), std::move(done));
   });
-  dbg::UniqueLock lk(m);
-  cv.wait(lk, [&] { return done; });
-  return st;
 }
 
 void BlockDevice::flush(IoCb cb) {

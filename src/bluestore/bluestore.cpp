@@ -188,23 +188,6 @@ void BlueStore::erase_onode_locked(const std::string& key) {
 
 // ---- content IO ----------------------------------------------------------------
 
-BufferList BlueStore::read_content(const Onode& onode) {
-  if (onode.extents.empty()) {
-    return onode.inline_data.substr(0, onode.size);
-  }
-  BufferList out;
-  std::uint64_t remaining = onode.size;
-  for (const auto& e : onode.extents) {
-    const std::uint64_t n = std::min(e.len, remaining);
-    if (n == 0) break;
-    auto r = dev_->read(e.off, n);
-    if (!r.ok()) return out;  // device errors surface as short reads
-    out.claim_append(*r);
-    remaining -= n;
-  }
-  return out;
-}
-
 std::vector<Extent> BlueStore::place_content(
     const BufferList& content, Onode& onode,
     std::vector<std::pair<std::uint64_t, BufferList>>& writes) {
@@ -284,12 +267,8 @@ void BlueStore::queue_transaction(os::Transaction txn, OnCommit on_commit) {
         continue;
       const std::string okey = onode_key(op.cid, op.oid);
       if (prefetched.contains(okey)) continue;
-      std::optional<Onode> onode;
-      {
-        const dbg::LockGuard lk(mutex_);
-        onode = get_onode_locked(op.cid, op.oid);
-      }
-      prefetched[okey] = onode ? read_content(*onode) : BufferList{};
+      auto content = read(op.cid, op.oid, 0, 0);
+      prefetched[okey] = content.ok() ? std::move(*content) : BufferList{};
     }
   }
 
@@ -545,38 +524,59 @@ void BlueStore::flush_collection(const os::coll_t& cid) {
 
 // ---- reads ----------------------------------------------------------------------
 
-Result<BufferList> BlueStore::read(const os::coll_t& c, const os::ghobject_t& o,
-                                   std::uint64_t off, std::uint64_t len) {
+void BlueStore::read_async(const os::coll_t& c, const os::ghobject_t& o,
+                           std::uint64_t off, std::uint64_t len, OnRead on_read,
+                           const trace::TraceContext&) {
+  bool coll = false;
   std::optional<Onode> onode;
   {
     const dbg::LockGuard lk(mutex_);
-    if (!kv_->contains(coll_key(c))) return Status(Errc::not_found, "collection");
-    onode = get_onode_locked(c, o);
+    coll = kv_->contains(coll_key(c));
+    if (coll) onode = get_onode_locked(c, o);
   }
-  if (!onode) return Status(Errc::not_found, o.to_string());
-  if (off >= onode->size) return BufferList{};
+  if (!coll) return on_read(Status(Errc::not_found, "collection"));
+  if (!onode) return on_read(Status(Errc::not_found, o.to_string()));
+  if (off >= onode->size) return on_read(BufferList{});
   const std::uint64_t want =
       len == 0 ? onode->size - off : std::min<std::uint64_t>(len, onode->size - off);
-
-  if (onode->extents.empty()) return onode->inline_data.substr(off, want);
+  if (onode->extents.empty()) return on_read(onode->inline_data.substr(off, want));
 
   // Read only the extents overlapping [off, off+want).
-  BufferList out;
+  auto rd = std::make_shared<ExtentRead>();
+  rd->on_read = std::move(on_read);
   std::uint64_t logical = 0;
+  std::uint64_t got = 0;
   for (const auto& e : onode->extents) {
-    if (out.length() >= want) break;
+    if (got >= want) break;
     const std::uint64_t e_end = logical + e.len;
-    const std::uint64_t read_from = std::max(off + out.length(), logical);
+    const std::uint64_t read_from = std::max(off + got, logical);
     if (read_from < e_end) {
-      const std::uint64_t n =
-          std::min<std::uint64_t>(e_end - read_from, want - out.length());
-      auto r = dev_->read(e.off + (read_from - logical), n);
-      if (!r.ok()) return r.status();
-      out.claim_append(*r);
+      const std::uint64_t n = std::min<std::uint64_t>(e_end - read_from, want - got);
+      rd->pieces.emplace_back(e.off + (read_from - logical), n);
+      got += n;
     }
     logical = e_end;
   }
-  return out;
+  read_next(rd);
+}
+
+void BlueStore::read_next(const std::shared_ptr<ExtentRead>& rd) {
+  if (rd->next == rd->pieces.size()) return rd->on_read(std::move(rd->out));
+  const auto [dev_off, n] = rd->pieces[rd->next++];
+  // Runs on the device completion context: no blocking, no CPU charge.
+  dev_->aio_read(dev_off, n, [this, rd](Result<BufferList> r) {
+    if (!r.ok()) return rd->on_read(r.status());
+    rd->out.claim_append(*r);
+    read_next(rd);
+  });
+}
+
+Result<BufferList> BlueStore::read(const os::coll_t& c, const os::ghobject_t& o,
+                                   std::uint64_t off, std::uint64_t len,
+                                   const trace::TraceContext& ctx) {
+  return dbg::await<Result<BufferList>>(
+      env_.keeper(), "bluestore.read_wait",
+      [&](OnRead done) { read_async(c, o, off, len, std::move(done), ctx); });
 }
 
 Result<os::ObjectInfo> BlueStore::stat(const os::coll_t& c, const os::ghobject_t& o) {

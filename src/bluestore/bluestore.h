@@ -91,8 +91,14 @@ class BlueStore final : public os::ObjectStore {
 
   void queue_transaction(os::Transaction txn, OnCommit on_commit) override;
 
+  /// Reads the overlapping extents one after another, each issued from the
+  /// previous one's device completion, which also completes the read.
+  void read_async(const os::coll_t& c, const os::ghobject_t& o, std::uint64_t off,
+                  std::uint64_t len, OnRead on_read,
+                  const trace::TraceContext& ctx = {}) override;
   Result<BufferList> read(const os::coll_t& c, const os::ghobject_t& o,
-                          std::uint64_t off, std::uint64_t len) override;
+                          std::uint64_t off, std::uint64_t len,
+                          const trace::TraceContext& ctx = {}) override;
   Result<os::ObjectInfo> stat(const os::coll_t& c, const os::ghobject_t& o) override;
   bool exists(const os::coll_t& c, const os::ghobject_t& o) override;
   Result<std::map<std::string, BufferList>> omap_get(const os::coll_t& c,
@@ -149,6 +155,16 @@ class BlueStore final : public os::ObjectStore {
   };
   using TxRef = std::shared_ptr<TxContext>;
 
+  /// One read_async in flight: its device ranges in logical order, and the bytes so far.
+  struct ExtentRead {
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> pieces;  ///< (dev off, len)
+    std::size_t next = 0;
+    BufferList out;
+    OnRead on_read;
+  };
+  /// Issue `rd`'s next device read, or complete it when none is left.
+  void read_next(const std::shared_ptr<ExtentRead>& rd);
+
   static std::string onode_key(const os::coll_t& c, const os::ghobject_t& o);
   static std::string coll_key(const os::coll_t& c);
   static std::string coll_prefix(const os::coll_t& c);
@@ -159,10 +175,6 @@ class BlueStore final : public os::ObjectStore {
   void put_onode_locked(const std::string& key, const Onode& onode)
       DOCEPH_REQUIRES(mutex_);
   void erase_onode_locked(const std::string& key) DOCEPH_REQUIRES(mutex_);
-
-  /// Read the full logical content of an onode (inline or from the device).
-  /// Called WITHOUT mutex_ held (device reads block).
-  BufferList read_content(const Onode& onode);
 
   /// Build phase: translate `txn` into kv mutations + device writes.
   /// `prefetched` carries whole-object content for RMW ops, read before the

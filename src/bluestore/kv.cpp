@@ -415,19 +415,9 @@ void KvStore::queue(KvTxn txn, OnCommit cb) {
 }
 
 Status KvStore::submit(KvTxn txn) {
-  dbg::Mutex m{"bluestore.kv_submit"};
-  dbg::CondVar cv(env_.keeper(), "bluestore.kv_submit");
-  bool done = false;
-  Status result;
-  queue(std::move(txn), [&](Status st) {
-    const dbg::LockGuard lk(m);
-    result = st;
-    done = true;
-    cv.notify_all();
+  return dbg::await<Status>(env_.keeper(), "bluestore.kv_submit", [&](OnCommit done) {
+    queue(std::move(txn), std::move(done));
   });
-  dbg::UniqueLock lk(m);
-  cv.wait(lk, [&] { return done; });
-  return result;
 }
 
 void KvStore::sync_thread(Shard& s) {

@@ -122,7 +122,6 @@ inline proxy::ProxyConfig default_proxy() {
 
 inline proxy::HostBackendConfig default_backend() {
   proxy::HostBackendConfig cfg;
-  cfg.workers = 2;
   cfg.copy_ns_per_byte = 0.02;
   return cfg;
 }

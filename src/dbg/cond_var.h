@@ -1,5 +1,8 @@
 #pragma once
 
+#include <optional>
+#include <utility>
+
 #include "dbg/mutex.h"
 #include "sim/time_keeper.h"
 
@@ -73,5 +76,23 @@ class CondVar {
   sim::CondVar cv_;
   const char* name_;
 };
+
+/// Blocking adapter over a completion-driven call: runs `start(done)`, parks
+/// the calling sim thread until `done` (exactly once, inline or from any
+/// thread) has run, and returns its value. `name` labels the wait for lockdep.
+template <typename T, typename Start>
+T await(sim::TimeKeeper& tk, const char* name, Start&& start) {
+  Mutex m{name};
+  CondVar cv(tk, name);
+  std::optional<T> out;
+  std::forward<Start>(start)([&](T v) {
+    const LockGuard lk(m);
+    out.emplace(std::move(v));
+    cv.notify_all();
+  });
+  UniqueLock lk(m);
+  cv.wait(lk, [&] { return out.has_value(); });
+  return std::move(*out);
+}
 
 }  // namespace doceph::dbg

@@ -1,6 +1,7 @@
 #include "os/mem_store.h"
 
 #include <algorithm>
+#include <optional>
 
 namespace doceph::os {
 
@@ -72,18 +73,29 @@ Status MemStore::apply_locked(const Transaction& txn) {
   return Status::OK();
 }
 
+void MemStore::read_async(const coll_t& c, const ghobject_t& o, std::uint64_t off,
+                          std::uint64_t len, OnRead on_read, const trace::TraceContext&) {
+  on_read([&]() -> Result<BufferList> {
+    const dbg::LockGuard lk(mutex_);
+    auto cit = colls_.find(c);
+    if (cit == colls_.end()) return Status(Errc::not_found, "collection");
+    auto oit = cit->second.find(o);
+    if (oit == cit->second.end()) return Status(Errc::not_found, o.to_string());
+    const std::string& content = oit->second.content;
+    if (off >= content.size()) return BufferList{};
+    const std::uint64_t n = len == 0 ? content.size() - off
+                                     : std::min<std::uint64_t>(len, content.size() - off);
+    return BufferList::copy_of(content.data() + off, n);
+  }());
+}
+
 Result<BufferList> MemStore::read(const coll_t& c, const ghobject_t& o,
-                                  std::uint64_t off, std::uint64_t len) {
-  const dbg::LockGuard lk(mutex_);
-  auto cit = colls_.find(c);
-  if (cit == colls_.end()) return Status(Errc::not_found, "collection");
-  auto oit = cit->second.find(o);
-  if (oit == cit->second.end()) return Status(Errc::not_found, o.to_string());
-  const std::string& content = oit->second.content;
-  if (off >= content.size()) return BufferList{};
-  const std::uint64_t n =
-      len == 0 ? content.size() - off : std::min<std::uint64_t>(len, content.size() - off);
-  return BufferList::copy_of(content.data() + off, n);
+                                  std::uint64_t off, std::uint64_t len,
+                                  const trace::TraceContext& ctx) {
+  std::optional<Result<BufferList>> out;
+  read_async(c, o, off, len, [&](Result<BufferList> r) { out.emplace(std::move(r)); },
+             ctx);
+  return std::move(*out);
 }
 
 Result<ObjectInfo> MemStore::stat(const coll_t& c, const ghobject_t& o) {

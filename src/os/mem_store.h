@@ -19,8 +19,13 @@ class MemStore final : public ObjectStore {
 
   void queue_transaction(Transaction txn, OnCommit on_commit) override;
 
+  /// Completes inline, on the calling thread.
+  void read_async(const coll_t& c, const ghobject_t& o, std::uint64_t off,
+                  std::uint64_t len, OnRead on_read,
+                  const trace::TraceContext& ctx = {}) override;
   Result<BufferList> read(const coll_t& c, const ghobject_t& o, std::uint64_t off,
-                          std::uint64_t len) override;
+                          std::uint64_t len,
+                          const trace::TraceContext& ctx = {}) override;
   Result<ObjectInfo> stat(const coll_t& c, const ghobject_t& o) override;
   bool exists(const coll_t& c, const ghobject_t& o) override;
   Result<std::map<std::string, BufferList>> omap_get(const coll_t& c,

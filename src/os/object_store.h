@@ -14,12 +14,14 @@ namespace doceph::os {
 /// written against this; DoCeph exploits exactly this seam: on the DPU the
 /// OSD holds a ProxyObjectStore that forwards calls to a host-side BlueStore.
 ///
-/// Writes are asynchronous: queue_transaction returns immediately and
-/// `on_commit` fires (possibly on an internal thread) once the batch is
-/// durable. Reads are synchronous and may block the calling sim thread.
+/// Writes and reads are asynchronous: queue_transaction and read_async return
+/// at once, and their callbacks fire (possibly inline or on an internal thread)
+/// once the batch is durable or the bytes are in hand. read() is the blocking
+/// adapter over read_async for callers that may park (OSD op threads, scrub).
 class ObjectStore {
  public:
   using OnCommit = std::function<void(Status)>;
+  using OnRead = std::function<void(Result<BufferList>)>;
 
   virtual ~ObjectStore() = default;
 
@@ -30,9 +32,17 @@ class ObjectStore {
   /// for transactions queued from the same thread fire in queue order.
   virtual void queue_transaction(Transaction txn, OnCommit on_commit) = 0;
 
-  /// Read [off, off+len) of an object (len 0 = whole object).
+  /// Read [off, off+len) of an object (len 0 = whole object). `on_read`
+  /// runs exactly once, errors included, and must not block: it may run on
+  /// a device completion context. `ctx` parents the store's spans, as
+  /// Transaction::trace() does for writes.
+  virtual void read_async(const coll_t& c, const ghobject_t& o, std::uint64_t off,
+                          std::uint64_t len, OnRead on_read,
+                          const trace::TraceContext& ctx = {}) = 0;
+  /// Blocking adapter over read_async: parks the calling sim thread.
   virtual Result<BufferList> read(const coll_t& c, const ghobject_t& o,
-                                  std::uint64_t off, std::uint64_t len) = 0;
+                                  std::uint64_t off, std::uint64_t len,
+                                  const trace::TraceContext& ctx = {}) = 0;
 
   virtual Result<ObjectInfo> stat(const coll_t& c, const ghobject_t& o) = 0;
   virtual bool exists(const coll_t& c, const ghobject_t& o) = 0;

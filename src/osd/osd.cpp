@@ -527,7 +527,7 @@ void OSD::handle_client_op(const MessageRef& m, const TrackedOpRef& tracked) {
       return;
     case msgr::OsdOpType::read: {
       counters_->inc(l_osd_op_r);
-      auto r = store_.read(pg.to_coll(), oid, op->offset, op->length);
+      auto r = store_.read(pg.to_coll(), oid, op->offset, op->length, tracked->trace());
       tracked->mark_event("commit", env_.now());  // read served by the store
       if (!r.ok()) {
         reply_client(m, -static_cast<std::int32_t>(r.status().code()), 0, 0, {},

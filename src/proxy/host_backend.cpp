@@ -14,8 +14,7 @@ HostBackendService::HostBackendService(sim::Env& env, sim::CpuDomain& domain,
       rpc_(env, std::move(channel)),
       center_(env),
       host_mmap_(std::move(host_mmap)),
-      cfg_(cfg),
-      queue_cv_(env.keeper(), "proxy.host_backend.cv") {}
+      cfg_(cfg) {}
 
 HostBackendService::~HostBackendService() { shutdown(); }  // NOLINT(bugprone-exception-escape): teardown must complete; a throw terminates, by design
 
@@ -26,17 +25,8 @@ Status HostBackendService::start() {
         handle_request(std::move(req), oneway, std::move(respond), ctx);
       });
   rpc_.start(center_);
-  {
-    const dbg::LockGuard lk(queue_mutex_);
-    stopping_ = false;
-  }
   pump_thread_ = sim::Thread(env_.keeper(), env_.stats(), "host-proxy-ch", &domain_,
                              [this] { center_.run(); }, /*daemon=*/true);
-  for (int i = 0; i < cfg_.workers; ++i) {
-    workers_.emplace_back(env_.keeper(), env_.stats(),
-                          "host-worker-" + std::to_string(i), &domain_,
-                          [this] { worker_loop(); }, /*daemon=*/true);
-  }
   started_ = true;
   return Status::OK();
 }
@@ -44,39 +34,15 @@ Status HostBackendService::start() {
 void HostBackendService::shutdown() {
   if (!started_) return;
   started_ = false;
-  {
-    const dbg::LockGuard lk(queue_mutex_);
-    stopping_ = true;
-    queue_cv_.notify_all();
-  }
-  workers_.clear();
   rpc_.detach();  // stop channel -> center dispatches before the center dies
   center_.stop();
   pump_thread_.join();
 }
 
-void HostBackendService::worker_loop() {
-  while (true) {
-    std::function<void()> task;
-    {
-      dbg::UniqueLock lk(queue_mutex_);
-      queue_cv_.wait(lk, [&] {
-        queue_mutex_.assert_held();  // predicate runs as a separate function
-        return stopping_ || !queue_.empty();
-      });
-      if (stopping_) return;
-      task = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    task();
-  }
-}
-
 void HostBackendService::handle_request(BufferList req, bool oneway,
                                         RpcChannel::Responder respond,
                                         const trace::TraceContext& ctx) {
-  // Runs on the channel pump thread: decode the op byte, then hand the work
-  // to a host worker (store calls block in simulated time).
+  // Runs on the channel's loop thread, as every step of every request does.
   BufferList::Cursor cur(req);
   ProxyOp op{};
   if (!decode(op, cur)) {
@@ -87,37 +53,28 @@ void HostBackendService::handle_request(BufferList req, bool oneway,
   (void)cur.get_buffer_list(cur.remaining(), body);
   (void)oneway;
 
-  const dbg::LockGuard lk(queue_mutex_);
-  if (stopping_) return;
-  queue_.push_back([this, op, ctx, body = std::move(body),
-                    respond = std::move(respond)] {
-    switch (op) {
-      case ProxyOp::submit_txn:
-        do_submit_txn(body, respond, ctx);
-        break;
-      case ProxyOp::stage_segment:
-        do_stage_segment(body, respond);
-        break;
-      case ProxyOp::read_obj:
-        do_read(body, respond);
-        break;
-      case ProxyOp::abort_txn: {
-        // The DPU gave up on this request (throttled abort): drop whatever
-        // it had already staged so the token's write buffer doesn't leak.
-        BufferList::Cursor c(body);
-        std::uint64_t token = 0;
-        if (decode(token, c)) {
-          const dbg::LockGuard slk(staged_mutex_);
-          staged_.erase(token);
-        }
-        break;
-      }
-      default:
-        do_control(op, body, respond);
-        break;
+  switch (op) {
+    case ProxyOp::submit_txn:
+      do_submit_txn(std::move(body), respond, ctx);
+      break;
+    case ProxyOp::stage_segment:
+      do_stage_segment(std::move(body), respond);
+      break;
+    case ProxyOp::read_obj:
+      do_read(std::move(body), respond, ctx);
+      break;
+    case ProxyOp::abort_txn: {
+      // The DPU gave up on this request (deadline or umount): drop whatever
+      // it had already staged so the token's write buffer doesn't leak.
+      BufferList::Cursor c(body);
+      std::uint64_t token = 0;
+      if (decode(token, c)) staged_.erase(token);
+      break;
     }
-  });
-  queue_cv_.notify_one();
+    default:
+      do_control(op, std::move(body), respond);
+      break;
+  }
 }
 
 void HostBackendService::do_stage_segment(BufferList body,
@@ -135,11 +92,7 @@ void HostBackendService::do_stage_segment(BufferList body,
   copy.append(host_mmap_->data() + seg.off, seg.len);
   domain_.charge(static_cast<sim::Duration>(cfg_.copy_ns_per_byte *
                                             static_cast<double>(seg.len)));
-  dma_bytes_.fetch_add(seg.len, std::memory_order_relaxed);
-  {
-    const dbg::LockGuard lk(staged_mutex_);
-    staged_[seg.token][seg.seg_index] = std::move(copy);
-  }
+  staged_[seg.token][seg.seg_index] = std::move(copy);
   if (respond) respond(encode_to_bl(std::int32_t{0}));
 }
 
@@ -148,41 +101,25 @@ bool HostBackendService::in_region(std::uint64_t off, std::uint64_t len) const {
 }
 
 Result<BufferList> HostBackendService::assemble_payload(
-    std::uint64_t token, const std::vector<DataRef>& refs)
-    DOCEPH_NO_THREAD_SAFETY_ANALYSIS {
-  // waiver: staged_mutex_ is acquired lazily (first staged ref) and held to
-  // scope end — conditional acquisition is outside the analysis model.
+    std::uint64_t token, const std::vector<DataRef>& refs) {
   BufferList out;
-  std::map<std::uint32_t, BufferList>* segs = nullptr;
-  dbg::UniqueLock lk(staged_mutex_, std::defer_lock);
+  auto& segs = staged_[token];
   for (const auto& ref : refs) {
     switch (ref.kind) {
       case DataRef::Kind::inline_:
         out.append(ref.data);
         break;
       case DataRef::Kind::staged: {
-        if (segs == nullptr) {
-          lk.lock();
-          segs = &staged_[token];
-        }
-        auto it = segs->find(ref.index);
-        if (it != segs->end()) {
+        auto it = segs.find(ref.index);
+        if (it != segs.end()) {
           out.claim_append(it->second);
         } else {
           out.append_zero(ref.len);  // lost segment: keep sizes consistent
         }
         break;
       }
-      case DataRef::Kind::region: {
-        // Read-path style direct region reference (not used for writes in
-        // the staged protocol, but accepted for robustness).
-        if (!in_region(ref.index, ref.len))
-          return Status(Errc::corrupt, "payload ref outside the DMA region");
-        out.append(host_mmap_->data() + ref.index, ref.len);
-        domain_.charge(static_cast<sim::Duration>(cfg_.copy_ns_per_byte *
-                                                  static_cast<double>(ref.len)));
-        break;
-      }
+      case DataRef::Kind::region:
+        return Status(Errc::corrupt, "region ref in a write payload");
     }
   }
   return out;
@@ -208,10 +145,7 @@ void HostBackendService::do_submit_txn(BufferList body,
     else
       assembled = payload.status();
   }
-  {
-    const dbg::LockGuard lk(staged_mutex_);
-    staged_.erase(wire.token);
-  }
+  staged_.erase(wire.token);
   if (!assembled.ok()) {
     TxnReply reply{.result = -static_cast<std::int32_t>(assembled.code()),
                    .host_write_ns = 0};
@@ -239,18 +173,28 @@ void HostBackendService::do_submit_txn(BufferList body,
       });
 }
 
-void HostBackendService::do_read(BufferList body,
-                                 const RpcChannel::Responder& respond) {
+void HostBackendService::do_read(BufferList body, const RpcChannel::Responder& respond,
+                                 const trace::TraceContext& ctx) {
   ReadRequest req;
   BufferList::Cursor cur(body);
-  ReadReply reply;
-  if (!req.decode(cur) || !in_region(req.buf_off, req.buf_len)) {
-    reply.result = -static_cast<std::int32_t>(Errc::corrupt);
-    if (respond) respond(encode_to_bl(reply));
-    return;
-  }
+  if (!req.decode(cur) || !in_region(req.buf_off, req.buf_len))
+    return reply_read(req, Status(Errc::corrupt, "bad read request"), respond);
   control_.fetch_add(1, std::memory_order_relaxed);
-  auto data = store_.read(req.cid, req.oid, req.off, req.len);
+  // The completion may run on a device completion context: it only hops
+  // back onto the loop, where the staging copy and the reply run.
+  store_.read_async(
+      req.cid, req.oid, req.off, req.len,
+      [this, loop = center_.handle(), req, respond](Result<BufferList> data) {
+        loop.dispatch([this, req, respond, data = std::move(data)]() mutable {
+          reply_read(req, std::move(data), respond);
+        });
+      },
+      ctx);
+}
+
+void HostBackendService::reply_read(const ReadRequest& req, Result<BufferList> data,
+                                    const RpcChannel::Responder& respond) {
+  ReadReply reply;
   if (!data.ok()) {
     reply.result = -static_cast<std::int32_t>(data.status().code());
     if (respond) respond(encode_to_bl(reply));

@@ -1,9 +1,8 @@
 #pragma once
 
 #include <atomic>
+#include <map>
 
-#include "dbg/cond_var.h"
-#include "dbg/mutex.h"
 #include "doca/mmap.h"
 #include "event/event_center.h"
 #include "os/object_store.h"
@@ -15,7 +14,6 @@
 namespace doceph::proxy {
 
 struct HostBackendConfig {
-  int workers = 2;                 ///< host-side RPC execution threads
   /// Names this service's trace domain ("host.<name>").
   std::string name = "backend";
   /// Copy cost (ns/byte) for moving DMA'd payloads from the pre-exported
@@ -29,6 +27,8 @@ struct HostBackendConfig {
 /// arrived in the DMA write buffers, executes them on the local BlueStore,
 /// and answers control-plane RPCs. This (plus BlueStore itself) is ALL that
 /// runs on the host in a DoCeph deployment.
+/// Every request runs on the channel's event loop ("host-proxy-ch"); reads
+/// use read_async, whose completion only hops back onto the loop.
 class HostBackendService {
  public:
   /// `host_mmap` is the pre-exported write region shared with the DPU's
@@ -44,9 +44,6 @@ class HostBackendService {
 
   [[nodiscard]] std::uint64_t txns_applied() const noexcept { return txns_.load(); }
   [[nodiscard]] std::uint64_t control_rpcs() const noexcept { return control_.load(); }
-  [[nodiscard]] std::uint64_t dma_payload_bytes() const noexcept {
-    return dma_bytes_.load();
-  }
 
  private:
   void handle_request(BufferList req, bool oneway, RpcChannel::Responder respond,
@@ -55,17 +52,19 @@ class HostBackendService {
                      const trace::TraceContext& ctx);
   void do_stage_segment(BufferList body, const RpcChannel::Responder& respond);
   void do_control(ProxyOp op, BufferList body, const RpcChannel::Responder& respond);
-  void do_read(BufferList body, const RpcChannel::Responder& respond);
+  void do_read(BufferList body, const RpcChannel::Responder& respond,
+               const trace::TraceContext& ctx);
+  /// Loop-thread tail of do_read: stage the data and reply.
+  void reply_read(const ReadRequest& req, Result<BufferList> data,
+                  const RpcChannel::Responder& respond);
 
   /// Materialize one op's payload from its DataRefs (staged segments were
   /// already copied out of the DMA region by do_stage_segment). Errc::corrupt
-  /// for a ref outside the region.
+  /// for a region ref, which no write carries.
   Result<BufferList> assemble_payload(std::uint64_t token,
                                       const std::vector<DataRef>& refs);
   /// True iff [off, off+len) lies inside the shared host region.
   [[nodiscard]] bool in_region(std::uint64_t off, std::uint64_t len) const;
-
-  void worker_loop();
 
   sim::Env& env_;
   sim::CpuDomain& domain_;
@@ -75,26 +74,16 @@ class HostBackendService {
   doca::MmapRef host_mmap_;
   HostBackendConfig cfg_;
 
-  // Work queue: handlers run on worker threads so blocking store calls never
-  // stall the channel pump.
-  dbg::Mutex queue_mutex_{"proxy.host_backend.queue"};
-  dbg::CondVar queue_cv_;
-  std::deque<std::function<void()>> queue_ DOCEPH_GUARDED_BY(queue_mutex_);
-  bool stopping_ DOCEPH_GUARDED_BY(queue_mutex_) = false;
-
   // Per-request write buffers (Fig. 4): segments copied out of the DMA
   // region, keyed by (request token, segment index) until submit_txn.
-  dbg::Mutex staged_mutex_{"proxy.host_backend.staged"};
-  std::map<std::uint64_t, std::map<std::uint32_t, BufferList>> staged_
-      DOCEPH_GUARDED_BY(staged_mutex_);
+  // Loop thread only.
+  std::map<std::uint64_t, std::map<std::uint32_t, BufferList>> staged_;
 
   sim::Thread pump_thread_;
-  std::vector<sim::Thread> workers_;
   bool started_ = false;
 
   std::atomic<std::uint64_t> txns_{0};
   std::atomic<std::uint64_t> control_{0};
-  std::atomic<std::uint64_t> dma_bytes_{0};
 };
 
 }  // namespace doceph::proxy

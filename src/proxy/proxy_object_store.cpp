@@ -2,13 +2,36 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
 #include <limits>
 #include <vector>
 
 #include "dbg/cond_var.h"
 
 namespace doceph::proxy {
+namespace {
+
+/// A control reply is [i32 result][payload]: the payload, or the host's error.
+Result<BufferList> control_payload(const Result<BufferList>& r) {
+  if (!r.ok()) return r.status();
+  BufferList::Cursor cur(*r);
+  std::int32_t result = 0;
+  if (!decode(result, cur)) return Status(Errc::corrupt, "bad control reply");
+  if (result != 0) return Status(static_cast<Errc>(-result), "host error");
+  BufferList rest;
+  (void)cur.get_buffer_list(cur.remaining(), rest);
+  return rest;
+}
+
+/// The T a control reply's payload carries, or why there is none.
+template <typename T>
+Result<T> decode_payload(const Result<BufferList>& payload) {
+  if (!payload.ok()) return payload.status();
+  T v{};
+  if (!decode_from_bl(v, *payload)) return Status(Errc::corrupt, "bad control reply");
+  return v;
+}
+
+}  // namespace
 
 ProxyObjectStore::ProxyObjectStore(sim::Env& env, dpu::DpuDevice& dpu, ProxyConfig cfg)
     : env_(env),
@@ -64,13 +87,16 @@ Status ProxyObjectStore::mount() {
 Status ProxyObjectStore::umount() {
   if (!mounted_) return Status::OK();
   mounted_ = false;
-  // Every write not yet committed fails with shutting_down. stop() below
-  // lets the loop run this before it exits.
+  // Every write not yet committed and every read not yet complete fails
+  // with shutting_down. stop() below lets the loop run this before it exits.
   center_.dispatch([this] {
     stopping_ = true;
+    const Status st(Errc::shutting_down, "proxy umount");
     std::vector<OpRef> ops;
     for (const auto& [cid, q] : pgs_) ops.insert(ops.end(), q.begin(), q.end());
-    for (const auto& op : ops) abort(op, Status(Errc::shutting_down, "proxy umount"));
+    for (const auto& op : ops) abort(op, st);
+    for (const auto& rd : std::vector<ReadRef>(reads_.begin(), reads_.end()))
+      finish_read(rd, st);
   });
   rpc_.detach();  // stop channel -> center dispatches before the center dies
   center_.stop();
@@ -122,7 +148,7 @@ void ProxyObjectStore::start(const OpRef& op) {
   // channel. The rest is routed segment by segment in advance().
   auto& ops = op->wire.meta.ops();
   for (const auto& o : ops) op->total_bytes += o.data.length();
-  const bool tiny = op->total_bytes <= cfg_.inline_write_max;
+  const bool tiny = op->total_bytes <= kInlineMax;
   op->wire.parts.resize(ops.size());
   for (std::size_t i = 0; i < ops.size(); ++i) {
     const BufferList& data = ops[i].data;
@@ -422,206 +448,229 @@ void ProxyObjectStore::finish(const OpRef& op, const Status& st) {
   if (next && !stopping_) start(next);
 }
 
-// ---- control plane / reads ---------------------------------------------------------
+// ---- control plane ----------------------------------------------------------------
 
-Result<BufferList> ProxyObjectStore::timed_call(BufferList request,
-                                                const trace::TraceContext& ctx) {
+Result<BufferList> ProxyObjectStore::control_call(ProxyOp op, const BufferList& body) {
   // A blocking call on the loop thread waits for a response only that
   // thread can deliver.
   assert(!center_.in_loop_thread());
-  auto r = rpc_.call(std::move(request), cfg_.rpc_timeout, ctx);
-  if (!r.ok() && r.status().code() == Errc::timed_out)
-    counters_->inc(l_dpu_rpc_timeout);
-  return r;
-}
-
-Result<BufferList> ProxyObjectStore::control_call(ProxyOp op, const BufferList& body) {
   BufferList request;
   encode(op, request);
   request.append(body);
-  auto r = timed_call(std::move(request));
-  if (!r.ok()) return r.status();
-  BufferList::Cursor cur(*r);
-  std::int32_t result = 0;
-  if (!decode(result, cur)) return Status(Errc::corrupt, "bad control reply");
-  if (result != 0) return Status(static_cast<Errc>(-result), "host error");
-  BufferList rest;
-  (void)cur.get_buffer_list(cur.remaining(), rest);
-  return rest;
+  auto r = rpc_.call(std::move(request), cfg_.rpc_timeout);
+  if (!r.ok() && r.status().code() == Errc::timed_out)
+    counters_->inc(l_dpu_rpc_timeout);
+  return control_payload(r);
 }
+
+// ---- read path ------------------------------------------------------------------
 
 Result<BufferList> ProxyObjectStore::read(const os::coll_t& c, const os::ghobject_t& o,
-                                          std::uint64_t off, std::uint64_t len) {
-  constexpr auto kUnlimited = std::numeric_limits<std::uint64_t>::max();
-  ReadRequest rr;
-  rr.cid = c;
-  rr.oid = o;
-  rr.off = off;
-  rr.len = len;
-  rr.inline_max = fallback_.dma_enabled() ? cfg_.inline_read_max : kUnlimited;
-  // Opportunistically offer one region extent for the bulk path
-  // (host-side staging); whatever does not fit rides inline. len 0 reads
-  // to the object's end, so it offers the whole region.
-  if (fallback_.dma_enabled()) {
-    const std::size_t want = len == 0 ? arena_.capacity()
-                                      : std::min<std::uint64_t>(len, arena_.capacity());
-    if (const auto buf = arena_.try_reserve(want)) {
-      rr.buf_off = static_cast<std::uint32_t>(*buf);
-      rr.buf_len = static_cast<std::uint32_t>(want);
-    }
-  }
-  bool dma_failed = false;
-  auto r = read_obj(rr, dma_failed);
-  if (rr.buf_len > 0) arena_.release(rr.buf_off, rr.buf_len);
-  if (!dma_failed) return r;
-
-  // A DMA error mid-read falls back like the write path (§4.5): withdraw
-  // the extent and ask once more with the whole result inline. Called
-  // directly, not through read(): with cooldown 0 that would pick DMA again.
-  fallback_.on_dma_failure(env_.now());
-  rr.inline_max = kUnlimited;
-  rr.buf_off = 0;
-  rr.buf_len = 0;
-  r = read_obj(rr, dma_failed);
-  if (r.ok()) {
-    rpc_fallback_bytes_.fetch_add(r->length(), std::memory_order_relaxed);
-    counters_->inc(l_dpu_rpc_fallback_bytes, r->length());
-  }
-  return r;
+                                          std::uint64_t off, std::uint64_t len,
+                                          const trace::TraceContext& ctx) {
+  assert(!center_.in_loop_thread());
+  return dbg::await<Result<BufferList>>(
+      env_.keeper(), "proxy.read_wait",
+      [&](OnRead done) { read_async(c, o, off, len, std::move(done), ctx); });
 }
 
-Result<BufferList> ProxyObjectStore::read_obj(const ReadRequest& rr,
-                                              bool& dma_failed) {
-  BufferList body;
-  rr.encode(body);
+void ProxyObjectStore::read_async(const os::coll_t& c, const os::ghobject_t& o,
+                                  std::uint64_t off, std::uint64_t len, OnRead on_read,
+                                  const trace::TraceContext& ctx) {
+  if (!mounted_) return on_read(Status(Errc::shutting_down, "proxy not mounted"));
+  auto rd = std::make_shared<ReadOp>();
+  rd->rr = ReadRequest{.cid = c, .oid = o, .off = off, .len = len};
+  rd->on_read = std::move(on_read);
+  rd->span = env_.tracer().span("dpu.read", "dpu." + dpu_.name(), ctx, env_.now());
+  center_.dispatch([this, rd] { start_read(rd); });
+}
+
+void ProxyObjectStore::start_read(const ReadRef& rd) {
+  if (stopping_) return finish_read(rd, Status(Errc::shutting_down, "proxy umount"));
+  reads_.insert(rd);
+  rd->deadline = center_.add_timer(cfg_.rpc_timeout, [this, rd] {
+    if (rd->done) return;
+    counters_->inc(l_dpu_rpc_timeout);
+    finish_read(rd, Status(Errc::timed_out, "DPU read request deadline"));
+  });
+  if (!fallback_.dma_enabled()) {
+    rd->rr.inline_max = std::numeric_limits<std::uint64_t>::max();
+    return send_read(rd);
+  }
+  if (rd->rr.len > 0) return reserve_read(rd, rd->rr.len);
+  // A read to the object's end learns the object's size first, so that it
+  // claims only the bytes it will fill rather than the whole arena.
+  BufferList request;
+  encode(ProxyOp::stat, request);
+  rd->rr.cid.encode(request);
+  rd->rr.oid.encode(request);
+  rd->call_id = rpc_.call_async(
+      std::move(request),
+      [this, rd](Result<BufferList> r) {
+        center_.dispatch([this, rd, r = std::move(r)] {
+          rd->call_id = 0;
+          if (rd->done) return;
+          const auto info = decode_payload<os::ObjectInfo>(control_payload(r));
+          if (!info.ok()) return finish_read(rd, info.status());
+          reserve_read(rd, info->size > rd->rr.off ? info->size - rd->rr.off : 0);
+        });
+      },
+      rd->span.context());
+}
+
+void ProxyObjectStore::reserve_read(const ReadRef& rd, std::uint64_t len) {
+  // A reply this small rides inline anyway. Otherwise offer one region
+  // extent for the bulk path (host-side staging); whatever does not fit
+  // rides inline. The reservation queues FIFO with the writes'.
+  if (len <= kInlineMax) return send_read(rd);
+  const std::size_t want = std::min<std::uint64_t>(len, arena_.capacity());
+  arena_.reserve_async(want, [this, rd, want](std::size_t off) {
+    center_.dispatch([this, rd, off, want] {
+      if (rd->done) return arena_.release(off, want);
+      rd->rr.buf_off = static_cast<std::uint32_t>(off);
+      rd->rr.buf_len = static_cast<std::uint32_t>(want);
+      send_read(rd);
+    });
+  });
+}
+
+void ProxyObjectStore::send_read(const ReadRef& rd) {
   BufferList request;
   encode(ProxyOp::read_obj, request);
-  request.claim_append(body);
-  auto response = timed_call(std::move(request));
-  if (!response.ok()) return response.status();
+  rd->rr.encode(request);
+  rd->call_id = rpc_.call_async(
+      std::move(request),
+      [this, rd](Result<BufferList> r) {
+        center_.dispatch([this, rd, r = std::move(r)] { on_read_reply(rd, r); });
+      },
+      rd->span.context());
+}
+
+void ProxyObjectStore::on_read_reply(const ReadRef& rd,
+                                     const Result<BufferList>& response) {
+  rd->call_id = 0;
+  if (rd->done) return;
+  if (!response.ok()) return finish_read(rd, response.status());
   ReadReply reply;
   BufferList::Cursor cur(*response);
-  if (!reply.decode(cur)) return Status(Errc::corrupt, "bad read reply");
+  if (!reply.decode(cur)) return finish_read(rd, Status(Errc::corrupt, "bad read reply"));
   if (reply.result != 0)
-    return Status(static_cast<Errc>(-reply.result), "host read error");
-  if (reply.inline_data) return reply.data;
+    return finish_read(rd, Status(static_cast<Errc>(-reply.result), "host read error"));
+  if (reply.inline_data) return finish_read(rd, std::move(reply.data));
 
-  // DMA the filled extent back (host -> DPU) in engine-sized jobs, in order.
-  BufferList out;
+  const ReadRequest& rr = rd->rr;
   for (const auto& ref : reply.refs) {
+    if (ref.kind != DataRef::Kind::inline_ &&
+        (rr.buf_len == 0 || ref.index < rr.buf_off ||
+         std::uint64_t{ref.index} + ref.len > std::uint64_t{rr.buf_off} + rr.buf_len))
+      return finish_read(rd, Status(Errc::corrupt, "read ref outside the extent"));
+  }
+  // DMA the filled extent back (host -> DPU) in engine-sized jobs. The
+  // completions arrive on the engine's thread and only hop to the loop. The
+  // count held across the loop completes the read below if no job started.
+  rd->refs = std::move(reply.refs);
+  ++rd->dma_pending;
+  for (const auto& ref : rd->refs) {
+    if (ref.kind == DataRef::Kind::inline_) continue;
+    for (std::size_t done = 0; done < ref.len && rd->dma_status.ok();
+         done += cfg_.segment_size) {
+      const std::size_t n = std::min<std::size_t>(cfg_.segment_size, ref.len - done);
+      rd->dma_status = dpu_.dma().submit(
+          arena_.host_buf(ref.index + done, n), arena_.dpu_buf(ref.index + done, n),
+          doca::DmaDir::host_to_dpu,
+          [this, loop = center_.handle(), rd](Status st) {
+            loop.dispatch([this, rd, st] { on_read_dma(rd, st); });
+          },
+          rd->span.context());
+      if (rd->dma_status.ok()) ++rd->dma_pending;
+    }
+  }
+  on_read_dma(rd, Status::OK());
+}
+
+void ProxyObjectStore::on_read_dma(const ReadRef& rd, const Status& st) {
+  if (!st.ok() && rd->dma_status.ok()) rd->dma_status = st;
+  if (--rd->dma_pending > 0) return;
+  if (rd->done) return release_extent(rd);  // failed meanwhile; held for the jobs
+  if (!rd->dma_status.ok()) {
+    // A DMA error mid-read falls back like the write path (§4.5): every job
+    // submitted has finished, so withdraw the extent and ask once more with
+    // the whole result inline. Not through start_read(): with cooldown 0
+    // that would pick DMA again.
+    release_extent(rd);
+    fallback_.on_dma_failure(env_.now());
+    rd->rr.inline_max = std::numeric_limits<std::uint64_t>::max();
+    rd->retried = true;
+    rd->dma_status = Status::OK();
+    return send_read(rd);
+  }
+  BufferList out;
+  for (const auto& ref : rd->refs) {
     if (ref.kind == DataRef::Kind::inline_) {
       out.append(ref.data);
       continue;
-    }
-    if (rr.buf_len == 0 || ref.index < rr.buf_off ||
-        std::uint64_t{ref.index} + ref.len > std::uint64_t{rr.buf_off} + rr.buf_len)
-      return Status(Errc::corrupt, "read ref outside the offered extent");
-    // The wait state lives on this stack: every job that was submitted is
-    // waited out before returning, even when a later submit fails.
-    dbg::Mutex m{"proxy.read_wait"};
-    dbg::CondVar cv(env_.keeper(), "proxy.read_cv");
-    std::size_t pending = 0;
-    Status st;
-    Status submitted;
-    for (std::size_t done = 0; done < ref.len && submitted.ok();
-         done += cfg_.segment_size) {
-      const std::size_t n = std::min<std::size_t>(cfg_.segment_size, ref.len - done);
-      {
-        const dbg::LockGuard lk(m);
-        ++pending;
-      }
-      submitted = dpu_.dma().submit(
-          arena_.host_buf(ref.index + done, n), arena_.dpu_buf(ref.index + done, n),
-          doca::DmaDir::host_to_dpu, [&](Status s) {
-            const dbg::LockGuard lk(m);
-            if (!s.ok()) st = s;
-            if (--pending == 0) cv.notify_all();
-          });
-      if (!submitted.ok()) {
-        const dbg::LockGuard lk(m);
-        --pending;
-      }
-    }
-    {
-      dbg::UniqueLock lk(m);
-      cv.wait(lk, [&] { return pending == 0; });
-    }
-    if (!submitted.ok() || !st.ok()) {
-      dma_failed = true;
-      return submitted.ok() ? st : submitted;
     }
     out.append(arena_.dpu_buf(ref.index, ref.len).data(), ref.len);
     dpu_.cpu().charge(static_cast<sim::Duration>(cfg_.stage_copy_ns_per_byte *
                                                  static_cast<double>(ref.len)));
   }
-  return out;
+  finish_read(rd, std::move(out));
+}
+
+void ProxyObjectStore::release_extent(const ReadRef& rd) {
+  if (rd->rr.buf_len == 0) return;
+  arena_.release(rd->rr.buf_off, rd->rr.buf_len);
+  rd->rr.buf_len = 0;
+}
+
+void ProxyObjectStore::finish_read(const ReadRef& rd, Result<BufferList> r) {
+  rd->done = true;
+  (void)center_.cancel_timer(rd->deadline);
+  if (rd->call_id != 0) (void)rpc_.cancel(rd->call_id);
+  // An extent under a running DMA job comes back when the job finishes.
+  if (rd->dma_pending == 0) release_extent(rd);
+  reads_.erase(rd);
+  if (rd->retried && r.ok()) {
+    rpc_fallback_bytes_.fetch_add(r->length(), std::memory_order_relaxed);
+    counters_->inc(l_dpu_rpc_fallback_bytes, r->length());
+  }
+  rd->span.end(env_.now());
+  rd->on_read(std::move(r));
 }
 
 Result<os::ObjectInfo> ProxyObjectStore::stat(const os::coll_t& c,
                                               const os::ghobject_t& o) {
-  BufferList body;
-  c.encode(body);
-  o.encode(body);
-  auto r = control_call(ProxyOp::stat, body);
-  if (!r.ok()) return r.status();
-  os::ObjectInfo info;
-  BufferList::Cursor cur(*r);
-  if (!info.decode(cur)) return Status(Errc::corrupt, "bad stat reply");
-  return info;
+  return decode_payload<os::ObjectInfo>(
+      control_call(ProxyOp::stat, encode_to_bl(std::pair(c, o))));
 }
 
 bool ProxyObjectStore::exists(const os::coll_t& c, const os::ghobject_t& o) {
-  BufferList body;
-  c.encode(body);
-  o.encode(body);
-  auto r = control_call(ProxyOp::exists, body);
-  if (!r.ok()) return false;
-  bool e = false;
-  BufferList::Cursor cur(*r);
-  return decode(e, cur) && e;
+  const auto r =
+      decode_payload<bool>(control_call(ProxyOp::exists, encode_to_bl(std::pair(c, o))));
+  return r.ok() && *r;
 }
 
 Result<std::map<std::string, BufferList>> ProxyObjectStore::omap_get(
     const os::coll_t& c, const os::ghobject_t& o) {
-  BufferList body;
-  c.encode(body);
-  o.encode(body);
-  auto r = control_call(ProxyOp::omap_get, body);
-  if (!r.ok()) return r.status();
-  std::map<std::string, BufferList> m;
-  BufferList::Cursor cur(*r);
-  if (!decode(m, cur)) return Status(Errc::corrupt, "bad omap reply");
-  return m;
+  return decode_payload<std::map<std::string, BufferList>>(
+      control_call(ProxyOp::omap_get, encode_to_bl(std::pair(c, o))));
 }
 
 Result<std::vector<os::ghobject_t>> ProxyObjectStore::list_objects(const os::coll_t& c) {
-  BufferList body;
-  c.encode(body);
-  auto r = control_call(ProxyOp::list_objects, body);
-  if (!r.ok()) return r.status();
-  std::vector<os::ghobject_t> v;
-  BufferList::Cursor cur(*r);
-  if (!decode(v, cur)) return Status(Errc::corrupt, "bad list reply");
-  return v;
+  return decode_payload<std::vector<os::ghobject_t>>(
+      control_call(ProxyOp::list_objects, encode_to_bl(c)));
 }
 
 std::vector<os::coll_t> ProxyObjectStore::list_collections() {
-  auto r = control_call(ProxyOp::list_collections, {});
-  if (!r.ok()) return {};
-  std::vector<os::coll_t> v;
-  BufferList::Cursor cur(*r);
-  if (!decode(v, cur)) return {};
-  return v;
+  auto r = decode_payload<std::vector<os::coll_t>>(
+      control_call(ProxyOp::list_collections, {}));
+  return r.ok() ? std::move(*r) : std::vector<os::coll_t>{};
 }
 
 bool ProxyObjectStore::collection_exists(const os::coll_t& c) {
-  BufferList body;
-  c.encode(body);
-  auto r = control_call(ProxyOp::coll_exists, body);
-  if (!r.ok()) return false;
-  bool e = false;
-  BufferList::Cursor cur(*r);
-  return decode(e, cur) && e;
+  const auto r =
+      decode_payload<bool>(control_call(ProxyOp::coll_exists, encode_to_bl(c)));
+  return r.ok() && *r;
 }
 
 BreakdownSnapshot ProxyObjectStore::breakdown() const {

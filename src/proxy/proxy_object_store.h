@@ -5,6 +5,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <set>
 
 #include "common/admin_socket.h"
 #include "common/perf_counters.h"
@@ -25,7 +26,7 @@ enum {
   l_dpu_writes,              ///< write transactions shipped to the host
   l_dpu_dma_bytes,           ///< payload bytes moved by the DMA engine
   l_dpu_rpc_fallback_bytes,  ///< payload bytes that rode the RPC channel
-  l_dpu_rpc_timeout,         ///< RPCs and write requests that timed out
+  l_dpu_rpc_timeout,         ///< RPCs, write and read requests that timed out
   l_dpu_write_lat,           ///< enqueue -> host commit, ns histogram
   l_dpu_dma_wait,            ///< per-request DMA wait (staging + serialization)
   l_dpu_throttle_queue,      ///< txns bounced: max_inflight writes admitted
@@ -47,11 +48,10 @@ struct ProxyConfig {
   bool mr_cache = true;    ///< false: CommChannel negotiation round-trip per segment
 
   sim::Duration cooldown = 500'000'000;   ///< 500 ms DMA disable after an error
-  /// Deadline of a blocking RPC, and of a write request from the moment it
-  /// reaches the head of its PG's queue to its host commit.
+  /// Deadline of a blocking RPC, of a write request from the moment it
+  /// reaches the head of its PG's queue to its host commit, and of a read
+  /// from its dispatch to its completion.
   sim::Duration rpc_timeout = 30'000'000'000;
-  std::uint64_t inline_write_max = 4096;  ///< tiny payloads skip the DMA path
-  std::uint64_t inline_read_max = 4096;
   double stage_copy_ns_per_byte = 0.25;   ///< DPU staging memcpy cost
 
   // ---- backpressure (OFF by default; paper sweeps unchanged) ------------
@@ -94,12 +94,13 @@ struct BreakdownSnapshot {
 /// fallback: segments re-route through RPC during a cooldown, then a probe
 /// transfer re-enables the fast path.
 ///
-/// Writes are per-request state machines driven entirely by the proxy's
-/// event loop: queue_transaction only admits and dispatches, and every
-/// later step (reservation grant, staging copy, DMA completion, stage ack,
-/// host commit) runs as a loop handler. Each PG keeps a FIFO whose head
-/// alone is in flight, so per-PG order holds without PGs waiting on each
-/// other.
+/// Writes and reads are per-request state machines driven entirely by the
+/// proxy's event loop: queue_transaction and read_async only dispatch, and
+/// every later step (reservation grant, staging copy, DMA completion, stage
+/// ack, host reply) runs as a loop handler. Each PG keeps a write FIFO whose
+/// head alone is in flight, so per-PG order holds without PGs waiting on
+/// each other; reads are not ordered against writes here (the OSD's per-PG
+/// gate does that).
 class ProxyObjectStore final : public os::ObjectStore {
  public:
   ProxyObjectStore(sim::Env& env, dpu::DpuDevice& dpu, ProxyConfig cfg = {});
@@ -109,8 +110,13 @@ class ProxyObjectStore final : public os::ObjectStore {
   Status mount() override;
   Status umount() override;
   void queue_transaction(os::Transaction txn, OnCommit on_commit) override;
+  void read_async(const os::coll_t& c, const os::ghobject_t& o, std::uint64_t off,
+                  std::uint64_t len, OnRead on_read,
+                  const trace::TraceContext& ctx = {}) override;
+  /// Never called on the loop thread, which completes the read.
   Result<BufferList> read(const os::coll_t& c, const os::ghobject_t& o,
-                          std::uint64_t off, std::uint64_t len) override;
+                          std::uint64_t off, std::uint64_t len,
+                          const trace::TraceContext& ctx = {}) override;
   Result<os::ObjectInfo> stat(const os::coll_t& c, const os::ghobject_t& o) override;
   bool exists(const os::coll_t& c, const os::ghobject_t& o) override;
   Result<std::map<std::string, BufferList>> omap_get(const os::coll_t& c,
@@ -199,6 +205,21 @@ class ProxyObjectStore final : public os::ObjectStore {
   };
   using OpRef = std::shared_ptr<WriteOp>;
 
+  /// One read. Touched only on the loop thread.
+  struct ReadOp {
+    ReadRequest rr;  ///< buf_len > 0 while the read holds an arena extent
+    OnRead on_read;
+    bool done = false;     ///< completed; late completions only clean up
+    bool retried = false;  ///< re-asked inline after a DMA failure
+    std::uint64_t call_id = 0;  ///< pending stat or read_obj call (0: none)
+    std::vector<DataRef> refs;  ///< the reply's layout, while its DMA runs
+    int dma_pending = 0;
+    Status dma_status;
+    event::EventCenter::TimerId deadline = 0;
+    trace::Span span;
+  };
+  using ReadRef = std::shared_ptr<ReadOp>;
+
   // Loop-thread steps of a write, in the order a request meets them.
   void admit(const OpRef& op);
   void start(const OpRef& op);
@@ -225,17 +246,24 @@ class ProxyObjectStore final : public os::ObjectStore {
   void abort(const OpRef& op, const Status& st);
   void finish(const OpRef& op, const Status& st);
 
+  // Loop-thread steps of a read: reserve an extent (while DMA is enabled;
+  // a read to the object's end stats it first), ask the host, DMA the
+  // filled extent back, copy out.
+  void start_read(const ReadRef& rd);
+  /// Reserve an extent for the first `len` bytes of the result, then ask.
+  void reserve_read(const ReadRef& rd, std::uint64_t len);
+  void send_read(const ReadRef& rd);
+  void on_read_reply(const ReadRef& rd, const Result<BufferList>& response);
+  /// One DMA job finished; the last one completes (or retries) the read.
+  void on_read_dma(const ReadRef& rd, const Status& st);
+  /// Give the read's extent back, if it holds one.
+  void release_extent(const ReadRef& rd);
+  void finish_read(const ReadRef& rd, Result<BufferList> r);
+
+  /// Blocking control RPC with the configured timeout; accounts timed-out
+  /// calls in l_dpu_rpc_timeout (the channel slot itself is reclaimed by
+  /// RpcChannel). Never called on the loop thread, which delivers responses.
   Result<BufferList> control_call(ProxyOp op, const BufferList& body);
-
-  /// One read_obj round trip, DMAing any filled region extent back. Sets
-  /// `dma_failed` when a DMA job failed (the caller then falls back inline).
-  Result<BufferList> read_obj(const ReadRequest& rr, bool& dma_failed);
-
-  /// Blocking RPC with the configured timeout; accounts timed-out calls in
-  /// l_dpu_rpc_timeout (the channel slot itself is reclaimed by RpcChannel).
-  /// Never called on the loop thread, which delivers the responses.
-  Result<BufferList> timed_call(BufferList request,
-                                const trace::TraceContext& ctx = {});
 
   sim::Env& env_;
   dpu::DpuDevice& dpu_;
@@ -251,6 +279,7 @@ class ProxyObjectStore final : public os::ObjectStore {
   // Loop-thread state.
   /// Per-PG write FIFOs; the front of each is the request in flight.
   std::map<os::coll_t, std::deque<OpRef>> pgs_;
+  std::set<ReadRef> reads_;  ///< reads not yet completed
   bool stopping_ = false;  ///< umount began: start and admit nothing new
 
   // Table 3 accumulators.

@@ -28,14 +28,18 @@ enum class ProxyOp : std::uint8_t {
   abort_txn = 13,      ///< oneway: drop staged segments of an aborted token
 };
 
+/// Payloads up to this many bytes ride the control channel inline: a write
+/// this small skips the DMA path, and so does a read reply.
+inline constexpr std::uint64_t kInlineMax = 4096;
+
 /// Where one chunk of an op's bulk payload lives. `staged`: it was DMA'd
 /// into the shared region and already copied by the host into that
 /// request's write buffer (stage_segment), indexed by a per-request sequence
 /// number — Fig. 4's staging-buffer -> write-buffer handoff, which lets the
 /// scarce region bytes recycle immediately. `inline` data rides in the RPC
-/// itself (control fallback after a DMA error, or tiny payloads). For the
-/// read path, refs point into the region directly (`region`), since the DPU
-/// drains them.
+/// itself (control fallback after a DMA error, or tiny payloads). Read
+/// replies alone point into the region directly (`region`), since the DPU
+/// drains them; the host rejects a write that carries one.
 struct DataRef {
   enum class Kind : std::uint8_t { inline_ = 0, staged = 1, region = 2 };
   Kind kind = Kind::inline_;
@@ -128,7 +132,7 @@ struct ReadRequest {
   os::ghobject_t oid;
   std::uint64_t off = 0;
   std::uint64_t len = 0;
-  std::uint64_t inline_max = 4096;
+  std::uint64_t inline_max = kInlineMax;
   std::uint32_t buf_off = 0;
   std::uint32_t buf_len = 0;
 

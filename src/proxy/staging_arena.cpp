@@ -29,13 +29,6 @@ void StagingArena::reserve_async(std::size_t len, ReserveCb cb) {
   cb(*off);
 }
 
-std::optional<std::size_t> StagingArena::try_reserve(std::size_t len) {
-  assert(len > 0 && len <= capacity_);
-  const dbg::LockGuard lk(mutex_);
-  if (!waiters_.empty()) return std::nullopt;
-  return carve(len);
-}
-
 std::optional<std::size_t> StagingArena::carve(std::size_t len) {
   const auto it = free_.find_first_fit(len);
   if (it == free_.end()) return std::nullopt;

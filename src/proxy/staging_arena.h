@@ -36,8 +36,6 @@ class StagingArena {
   /// release() that lets it through, once every earlier one was served.
   /// `cb` never runs under the arena's lock.
   void reserve_async(std::size_t len, ReserveCb cb);
-  /// Non-blocking variant; fails while anyone is queued (no queue jumping).
-  std::optional<std::size_t> try_reserve(std::size_t len);
   void release(std::size_t off, std::size_t len);
 
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
@@ -53,7 +51,7 @@ class StagingArena {
   }
   [[nodiscard]] doca::MmapRef host_mmap() const noexcept { return host_mmap_; }
 
-  /// Cumulative simulated time reservations spent queued (DMA-wait).
+  /// Cumulative simulated time reservations, writes' and reads', spent queued.
   [[nodiscard]] sim::Duration total_wait_ns() const;
 
  private:

@@ -35,12 +35,9 @@ void use_single_malloc_arena() {
 
 }  // namespace
 
-TimeKeeper::TimeKeeper(Mode mode)
-    : mode_(mode), real_start_(std::chrono::steady_clock::now()) {
+TimeKeeper::TimeKeeper(Mode /*mode*/) {
   use_single_malloc_arena();
-  if (mode_ == Mode::virtual_time) {
-    watchdog_ = std::thread([this] { watchdog_loop(); });
-  }
+  watchdog_ = std::thread([this] { watchdog_loop(); });
 }
 
 TimeKeeper::~TimeKeeper() {  // NOLINT(bugprone-exception-escape): teardown stops the watchdog; a throw terminates, by design
@@ -54,11 +51,6 @@ TimeKeeper::~TimeKeeper() {  // NOLINT(bugprone-exception-escape): teardown stop
 }
 
 Time TimeKeeper::now() const {
-  if (mode_ == Mode::real_time) {
-    return std::chrono::duration_cast<std::chrono::nanoseconds>(
-               std::chrono::steady_clock::now() - real_start_)
-        .count();
-  }
   const dbg::LockGuard lock(mutex_);
   return now_;
 }
@@ -130,27 +122,6 @@ void TimeKeeper::sleep_until(Time t) {
 
 bool TimeKeeper::wait_locked(dbg::UniqueLock& lk, ThreadRec& rec,
                              Time deadline) {
-  if (mode_ == Mode::real_time) {
-    rec.blocked = true;
-    rec.notified = false;
-    ++blocked_;
-    if (rec.stats) rec.stats->ctx_switches.fetch_add(1, std::memory_order_relaxed);
-    if (deadline == kTimeInfinity) {
-      while (rec.blocked) rec.cv.wait(lk.inner());
-    } else {
-      const auto abs = real_start_ + std::chrono::nanoseconds(deadline);
-      while (rec.blocked) {
-        if (rec.cv.wait_until(lk.inner(), abs) == std::cv_status::timeout && rec.blocked) {
-          rec.blocked = false;
-          --blocked_;
-          break;
-        }
-      }
-    }
-    return rec.notified;
-  }
-
-  // Virtual time.
   if (deadline <= now_) return false;  // already due; no block, no switch
   rec.blocked = true;
   rec.deadline = deadline;
@@ -187,7 +158,6 @@ void TimeKeeper::release_advance() {
 }
 
 void TimeKeeper::maybe_advance_locked() {
-  if (mode_ == Mode::real_time) return;
   if (threads_.empty() || blocked_ != static_cast<int>(threads_.size())) return;
 
   Time min_deadline = kTimeInfinity;

@@ -20,22 +20,20 @@ class CondVar;
 
 /// The simulation clock and thread coordinator.
 ///
-/// In `virtual_time` mode (the default for tests and benches), every
-/// participating thread registers with the keeper and performs ALL blocking
-/// through keeper primitives (sleep_* or sim::CondVar). When every registered
-/// thread is blocked, the keeper advances the clock to the earliest wake
-/// deadline — so a simulated minute of cluster traffic finishes in wall
-/// milliseconds, deterministically, regardless of host core count.
-///
-/// In `real_time` mode the same API maps onto the steady clock and real
-/// waits; used by the interactive examples.
+/// Time is virtual: every participating thread registers with the keeper and
+/// performs ALL blocking through keeper primitives (sleep_* or
+/// sim::CondVar). When every registered thread is blocked, the keeper
+/// advances the clock to the earliest wake deadline — so a simulated minute
+/// of cluster traffic finishes in wall milliseconds, deterministically,
+/// regardless of host core count.
 ///
 /// Discipline: a registered thread must never block on a bare std::
 /// primitive for unbounded time — that would stall virtual time. std::mutex
 /// critical sections are fine (they take zero simulated time).
 class TimeKeeper {
  public:
-  enum class Mode { virtual_time, real_time };
+  /// The one clock mode; kept so callers can name it explicitly.
+  enum class Mode { virtual_time };
 
   explicit TimeKeeper(Mode mode = Mode::virtual_time);
   ~TimeKeeper();
@@ -43,7 +41,6 @@ class TimeKeeper {
   TimeKeeper(const TimeKeeper&) = delete;
   TimeKeeper& operator=(const TimeKeeper&) = delete;
 
-  [[nodiscard]] Mode mode() const noexcept { return mode_; }
   [[nodiscard]] Time now() const;
 
   /// Block the calling (registered) thread for `d` of simulated time.
@@ -159,14 +156,12 @@ class TimeKeeper {
   // hierarchy — every notify/now() reaches it, so nothing may be acquired
   // while holding it.
   mutable dbg::Mutex mutex_{"sim.timekeeper"};
-  Mode mode_;
-  Time now_ = 0;  // virtual mode only
-  std::chrono::steady_clock::time_point real_start_;
+  Time now_ = 0;
   std::vector<ThreadRec*> threads_;
   int blocked_ = 0;
   std::function<void(const std::string&)> deadlock_handler_;
 
-  // Deadlock watchdog (virtual mode): `epoch_` bumps on every state change
+  // Deadlock watchdog: `epoch_` bumps on every state change
   // (register/unregister/notify/advance). When the system parks with a
   // non-daemon blocked forever, the watchdog samples the epoch; if it is
   // unchanged after the grace period, the deadlock path fires.

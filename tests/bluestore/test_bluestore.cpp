@@ -112,6 +112,81 @@ TEST(BlueStore, LargeObjectExtentRoundTrip) {
   });
 }
 
+TEST(BlueStore, ReadAsyncChainsExtentsAndDeliversErrorsOnce) {
+  constexpr std::uint64_t k256K = 256 << 10;
+  BsFixture f;
+  // A 1 MiB data area past the WAL: four 256 KiB objects fill it, and
+  // freeing the first and third leaves two holes that a 512 KiB object
+  // can only take as two extents.
+  const BlueStoreConfig& c = f.cfg;
+  const std::uint64_t data_base =
+      (c.wal_off + c.wal_len + c.alloc_unit - 1) / c.alloc_unit * c.alloc_unit;
+  f.cfg.device.size_bytes = data_base + 4 * k256K;
+  f.store = std::make_unique<BlueStore>(f.env, nullptr, f.cfg);
+  f.backing = f.store->backing();
+  f.fresh_mount();
+  const std::string big = pattern(2 * k256K, 9);
+  run_sim(f.env, [&] {
+    for (unsigned i = 0; i < 4; ++i) {
+      Transaction t;
+      t.write_full(kColl, {1, "fill" + std::to_string(i)},
+                   BufferList::copy_of(pattern(k256K, i)));
+      ASSERT_TRUE(f.commit(std::move(t)).ok()) << i;
+    }
+    Transaction rm;
+    rm.remove(kColl, {1, "fill0"});
+    rm.remove(kColl, {1, "fill2"});
+    ASSERT_TRUE(f.commit(std::move(rm)).ok());
+    Transaction t;
+    t.write_full(kColl, kObj, BufferList::copy_of(big));
+    ASSERT_TRUE(f.commit(std::move(t)).ok());
+
+    int calls = 0;
+    Result<BufferList> got = BufferList{};
+    const auto read = [&] {
+      calls = 0;
+      f.store->read_async(kColl, kObj, 0, 0, [&](Result<BufferList> r) {
+        got = std::move(r);
+        ++calls;
+      });
+      f.env.keeper().sleep_for(50'000'000);  // ample time for a stray second call
+    };
+    // The extents are read one after another, each from the previous one's
+    // completion: two full device round trips, as the blocking loop took.
+    const Time t0 = f.env.now();
+    Time done_at = -1;
+    f.store->read_async(kColl, kObj, 0, 0, [&](Result<BufferList> r) {
+      got = std::move(r);
+      done_at = f.env.now();
+    });
+    f.env.keeper().sleep_for(50'000'000);
+    ASSERT_TRUE(got.ok()) << got.status().to_string();
+    EXPECT_EQ(got->to_string(), big);
+    EXPECT_EQ(done_at - t0, 2 * (c.device.read_latency +
+                                 transfer_time(k256K, c.device.read_bw)));
+    // The blocking adapter, across the extent boundary.
+    auto mid = f.store->read(kColl, kObj, k256K - 100, 200);
+    ASSERT_TRUE(mid.ok());
+    EXPECT_EQ(mid->to_string(), big.substr(k256K - 100, 200));
+
+    // The second extent's device read fails: one callback, with the error.
+    fault::FaultSpec second;
+    second.fire_at_hit = 2;
+    second.count = 1;
+    f.env.faults().set("bdev.io_error", second);
+    read();
+    EXPECT_EQ(calls, 1);
+    EXPECT_EQ(got.status().code(), Errc::io_error);
+    EXPECT_EQ(f.env.faults().fires("bdev.io_error"), 1u);
+    f.env.faults().clear("bdev.io_error");
+    read();
+    EXPECT_EQ(calls, 1);
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(got->to_string(), big);
+    ASSERT_TRUE(f.store->umount().ok());
+  });
+}
+
 TEST(BlueStore, OverwriteReleasesOldExtents) {
   BsFixture f;
   f.fresh_mount();

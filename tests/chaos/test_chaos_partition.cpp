@@ -1,6 +1,7 @@
 // Chaos: partitions. (1) The DPU proxy loses its CommChannel to the host —
-// inline and DMA-path writes must time out (bumping l_dpu_rpc_timeout and
-// returning their staging extents) instead of hanging, and traffic must
+// inline and DMA-path writes and a DMA-path read must time out (bumping
+// l_dpu_rpc_timeout and returning their staging extents) instead of
+// hanging, and traffic must
 // flow again once the partition heals; a fallback probe lost with its
 // request is handed out again. (2) A client is partitioned from one storage
 // node — the hardened client fails the op at its deadline instead of
@@ -26,6 +27,7 @@ TEST(ChaosPartition, DpuHostPartitionTimesOutThenHeals) {
     ChaosProxyNode node(env, pcfg);
     ASSERT_TRUE(node.up().ok());
     ASSERT_TRUE(node.write("pre", 2048, 1).ok());  // inline-sized, healthy
+    ASSERT_TRUE(node.write("pre64k", 64 << 10, 5).ok());
 
     // Drop every CommChannel message in both directions ("dpu-0" matches
     // "dpu-0/h2d" and "dpu-0/d2h"): the host is unreachable. A state-like
@@ -51,6 +53,17 @@ TEST(ChaosPartition, DpuHostPartitionTimesOutThenHeals) {
       timeouts = now_timeouts;
     }
 
+    // A 64 KiB read holds an arena extent while its read_obj is lost.
+    {
+      const Time t0 = env.now();
+      auto r = node.proxy->read(ChaosProxyNode::kColl, {1, "pre64k"}, 0, 64 << 10);
+      EXPECT_EQ(r.status().code(), Errc::timed_out) << r.status().to_string();
+      const Time elapsed = env.now() - t0;
+      EXPECT_GE(elapsed, pcfg.rpc_timeout);
+      EXPECT_LT(elapsed, pcfg.rpc_timeout + 100'000'000);
+      EXPECT_GT(node.proxy->perf_counters()->get(l_dpu_rpc_timeout), timeouts);
+    }
+
     // Heal: nothing of the failed requests is left pending, so the same PG
     // takes the next writes, and every staging byte is back.
     env.faults().clear("doca.comch_drop");
@@ -61,6 +74,10 @@ TEST(ChaosPartition, DpuHostPartitionTimesOutThenHeals) {
     auto big = node.store->read(ChaosProxyNode::kColl, {1, "lost64k"}, 0, 0);
     ASSERT_TRUE(big.ok());
     EXPECT_EQ(big->to_string(), pattern(64 << 10, 4));
+    auto again = node.proxy->read(ChaosProxyNode::kColl, {1, "pre64k"}, 0, 64 << 10);
+    ASSERT_TRUE(again.ok()) << again.status().to_string();
+    EXPECT_EQ(again->to_string(), pattern(64 << 10, 5));
+    EXPECT_EQ(node.proxy->slots().free_bytes(), node.proxy->slots().capacity());
 
     for (const auto& [name, seed] :
          {std::pair<std::string, unsigned>{"pre", 1}, {"lost", 2}, {"post", 3}}) {

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <set>
 #include <string>
 #include <vector>
@@ -106,6 +107,44 @@ TEST(TracingE2E, SampledWriteCoversEveryFig2Stage) {
     const std::string historic = cl.admin_dump("dump_historic_ops");
     EXPECT_NE(historic.find("\"trace_id\""), std::string::npos);
 
+    cl.stop();
+  });
+}
+
+TEST(TracingE2E, SampledDocephReadChainsDpuReadAndDmaJobs) {
+  Env env;
+  Cluster cl(env, trace_cfg(DeployMode::doceph));
+  run_sim(env, [&] {
+    ASSERT_TRUE(cl.start().ok());
+    auto io = cl.client().io_ctx(1);
+    const std::string content = pattern(1 << 20, 3);
+    ASSERT_TRUE(io.write_full("traced", BufferList::copy_of(content)).ok());
+    env.keeper().sleep_for(10'000'000);
+    env.tracer().set_sample_every(1);  // only the read is sampled
+    auto r = io.read("traced", 0, 0);
+    ASSERT_TRUE(r.ok()) << r.status().to_string();
+    EXPECT_EQ(r->to_string(), content);
+    env.keeper().sleep_for(10'000'000);
+
+    // osd.op -> dpu.read -> doca.dma_job: the store read carries the op's
+    // context, and the read's DMA jobs carry the dpu.read span's.
+    const auto spans = env.tracer().completed();
+    const auto named = [&](const char* name) {
+      std::vector<trace::SpanRecord> out;
+      std::copy_if(spans.begin(), spans.end(), std::back_inserter(out),
+                   [&](const auto& s) { return s.name == name; });
+      return out;
+    };
+    const auto osd_ops = named("osd.op");
+    const auto reads = named("dpu.read");
+    ASSERT_EQ(osd_ops.size(), 1u);
+    ASSERT_EQ(reads.size(), 1u);
+    EXPECT_EQ(reads[0].parent_id, osd_ops[0].span_id);
+    EXPECT_GE(reads[0].start, osd_ops[0].start);
+    EXPECT_LE(reads[0].end, osd_ops[0].end);
+    const auto jobs = named("doca.dma_job");
+    ASSERT_FALSE(jobs.empty());
+    for (const auto& j : jobs) EXPECT_EQ(j.parent_id, reads[0].span_id);
     cl.stop();
   });
 }

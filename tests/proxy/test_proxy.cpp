@@ -473,16 +473,20 @@ TEST(ProxyBounds, OutOfRangeRegionRefFailsTheTxn) {
   f.up();
   const auto cap = static_cast<std::uint32_t>(f.proxy->slots().capacity());
   run_sim(f.env, [&] {
-    WireTxn wire;
-    wire.token = 11;
-    wire.meta.write_full(kColl, kObj, BufferList{});
-    wire.parts.resize(1);
-    wire.parts[0].push_back(DataRef{
-        .kind = DataRef::Kind::region, .index = cap - 16, .len = 4096, .data = {}});
-    BufferList body;
-    wire.encode(body);
-    EXPECT_EQ(host_result(f, ProxyOp::submit_txn, body), kCorrupt);
-    EXPECT_FALSE(f.store->exists(kColl, kObj));  // nothing was applied
+    // Region refs belong to read replies: a write carrying one is refused
+    // whether or not it lies inside the region.
+    for (const std::uint32_t index : {cap - 16, 0u}) {
+      WireTxn wire;
+      wire.token = 11 + index;
+      wire.meta.write_full(kColl, kObj, BufferList{});
+      wire.parts.resize(1);
+      wire.parts[0].push_back(DataRef{
+          .kind = DataRef::Kind::region, .index = index, .len = 4096, .data = {}});
+      BufferList body;
+      wire.encode(body);
+      EXPECT_EQ(host_result(f, ProxyOp::submit_txn, body), kCorrupt) << index;
+      EXPECT_FALSE(f.store->exists(kColl, kObj)) << index;  // nothing was applied
+    }
   });
   f.down();
 }

@@ -216,6 +216,80 @@ TEST(ProxyReads, StagingIsReleasedAfterReads) {
   f.down();
 }
 
+TEST(ProxyReads, ReadQueuesFifoWithWriteSegments) {
+  // A 1-slot arena holds exactly one 2 MiB segment. A 1 MiB read issued
+  // while a 2 MiB write segment holds the arena waits for it (no inline
+  // fallback), and a write issued after the read is served after it.
+  ProxyConfig cfg;
+  cfg.slots = 1;
+  ReadFixture f(cfg);
+  const std::string content = pattern(1 << 20, 8);
+  f.up_with(content);
+  Time first_at = -1;
+  Time read_at = -1;
+  Time second_at = -1;
+  Result<BufferList> got = BufferList{};
+  run_sim(f.env, [&] {
+    const auto wait0 = f.proxy->slots().total_wait_ns();
+    const auto jobs0 = f.dpu.dma().jobs_completed();
+    const auto write = [&](const os::coll_t& c, const char* name, Time& at) {
+      os::Transaction t;
+      t.create_collection(c);
+      t.write_full(c, {1, name}, BufferList::copy_of(pattern(2 << 20, 2)));
+      f.proxy->queue_transaction(std::move(t), [&](Status st) {
+        EXPECT_TRUE(st.ok()) << st.to_string();
+        at = f.env.now();
+      });
+    };
+    write(os::coll_t{1, 2}, "first", first_at);
+    f.env.keeper().sleep_for(10'000);  // the first segment holds the arena
+    f.proxy->read_async(kColl, kObj, 0, 1 << 20, [&](Result<BufferList> r) {
+      got = std::move(r);
+      read_at = f.env.now();
+    });
+    f.env.keeper().sleep_for(10'000);
+    write(os::coll_t{1, 1}, "second", second_at);
+    f.env.keeper().sleep_for(200'000'000);
+    EXPECT_GT(f.proxy->slots().total_wait_ns(), wait0);
+    // Two write segments and the read's one job: no byte rode inline.
+    EXPECT_EQ(f.dpu.dma().jobs_completed(), jobs0 + 3);
+  });
+  ASSERT_TRUE(got.ok()) << got.status().to_string();
+  EXPECT_EQ(got->to_string(), content);
+  EXPECT_GT(read_at, 0);
+  EXPECT_GT(second_at, read_at);  // FIFO: queued after the read, served after it
+  EXPECT_GT(first_at, 0);
+  EXPECT_EQ(f.proxy->slots().free_bytes(), f.proxy->slots().capacity());
+  f.down();
+}
+
+TEST(ProxyReads, WholeObjectReadReservesOnlyTheObjectsBytes) {
+  // A len-0 read learns the object's size first: next to a 1 MiB read it
+  // takes the other half of a 2 MiB arena instead of queueing for all of it.
+  ProxyConfig cfg;
+  cfg.slots = 1;
+  ReadFixture f(cfg);
+  const std::string content = pattern(1 << 20, 4);
+  f.up_with(content);
+  std::vector<Result<BufferList>> got;
+  run_sim(f.env, [&] {
+    const auto wait0 = f.proxy->slots().total_wait_ns();
+    for (const std::uint64_t len : {std::uint64_t{1} << 20, std::uint64_t{0}}) {
+      f.proxy->read_async(kColl, kObj, 0, len,
+                          [&](Result<BufferList> r) { got.push_back(std::move(r)); });
+    }
+    f.env.keeper().sleep_for(100'000'000);
+    EXPECT_EQ(f.proxy->slots().total_wait_ns(), wait0);
+  });
+  ASSERT_EQ(got.size(), 2u);
+  for (const auto& r : got) {
+    ASSERT_TRUE(r.ok()) << r.status().to_string();
+    EXPECT_EQ(r->to_string(), content);
+  }
+  EXPECT_EQ(f.proxy->slots().free_bytes(), f.proxy->slots().capacity());
+  f.down();
+}
+
 TEST(ProxyReads, MissingObjectPropagatesNotFound) {
   ReadFixture f;
   f.up_with("x");

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 
 #include "../test_util.h"
 #include "proxy/fallback.h"
@@ -14,18 +15,25 @@ using doceph::testing::run_sim;
 
 constexpr std::size_t k16K = 16 << 10;
 
+/// Reserve `len` bytes that are free now with nobody queued, so the grant
+/// runs inline; returns its offset.
+std::size_t reserve_now(StagingArena& arena, std::size_t len) {
+  std::optional<std::size_t> got;
+  arena.reserve_async(len, [&](std::size_t off) { got = off; });
+  EXPECT_TRUE(got.has_value()) << len;
+  return got.value_or(0);
+}
+
 TEST(StagingArena, SubCapacityReservationsCoResideAndAreDisjoint) {
   Env env;
   StagingArena arena(env, 1, 4 * k16K);
   EXPECT_EQ(arena.capacity(), 4 * k16K);
   std::vector<std::size_t> offs;
   run_sim(env, [&] {
-    for (int i = 0; i < 4; ++i) {
-      auto off = arena.try_reserve(k16K);
-      ASSERT_TRUE(off.has_value()) << i;
-      offs.push_back(*off);
-    }
-    EXPECT_FALSE(arena.try_reserve(1).has_value());  // full
+    for (int i = 0; i < 4; ++i) offs.push_back(reserve_now(arena, k16K));
+    bool granted = false;
+    arena.reserve_async(1, [&](std::size_t) { granted = true; });
+    EXPECT_FALSE(granted);  // full: the byte queues
   });
   std::sort(offs.begin(), offs.end());
   for (std::size_t i = 0; i < offs.size(); ++i) {
@@ -47,8 +55,7 @@ TEST(StagingArena, FullCapacityWaiterIsServedBeforeLaterSmallOnes) {
   Time big_at = -1;
   Time small_at = -1;
   run_sim(env, [&] {
-    const auto first = arena.try_reserve(k16K);
-    ASSERT_TRUE(first.has_value());
+    const std::size_t first = reserve_now(arena, k16K);
     arena.reserve_async(arena.capacity(), [&](std::size_t off) {
       big_at = env.now();
       env.scheduler().schedule_after(1'000'000,
@@ -56,14 +63,13 @@ TEST(StagingArena, FullCapacityWaiterIsServedBeforeLaterSmallOnes) {
     });
     EXPECT_EQ(big_at, -1);  // queued: 48 KiB free is not the whole region
     env.keeper().sleep_for(1'000'000);
-    // 48 KiB are free, but the full-size request queued first.
-    EXPECT_FALSE(arena.try_reserve(k16K).has_value());
     arena.reserve_async(k16K, [&](std::size_t off) {
       small_at = env.now();
       arena.release(off, k16K);
     });
+    EXPECT_EQ(small_at, -1);  // 48 KiB are free, but the full-size request queued first
     env.keeper().sleep_for(1'000'000);
-    arena.release(*first, k16K);
+    arena.release(first, k16K);
     env.keeper().sleep_for(2'000'000);
   });
   EXPECT_EQ(big_at, 2'000'000);    // as soon as the first extent came back
@@ -71,36 +77,13 @@ TEST(StagingArena, FullCapacityWaiterIsServedBeforeLaterSmallOnes) {
   EXPECT_EQ(arena.free_bytes(), arena.capacity());
 }
 
-TEST(StagingArena, TryReserveFailsWhileAReservationIsQueued) {
-  Env env;
-  StagingArena arena(env, 1, 4 * k16K);
-  std::size_t served = 0;
-  run_sim(env, [&] {
-    const auto a = arena.try_reserve(3 * k16K);
-    ASSERT_TRUE(a.has_value());
-    arena.reserve_async(2 * k16K, [&](std::size_t off) {
-      ++served;
-      arena.release(off, 2 * k16K);
-    });
-    EXPECT_EQ(served, 0u);
-    EXPECT_EQ(arena.free_bytes(), k16K);
-    EXPECT_FALSE(arena.try_reserve(k16K).has_value());  // it would fit
-    arena.release(*a, 3 * k16K);
-    EXPECT_EQ(served, 1u);  // served from inside release()
-    EXPECT_TRUE(arena.try_reserve(k16K).has_value());
-  });
-}
-
 TEST(StagingArena, ReleasesMergeBackToOneFullExtent) {
   Env env;
   StagingArena arena(env, 2, 64 << 10);
   run_sim(env, [&] {
     std::vector<std::pair<std::size_t, std::size_t>> held;
-    for (const std::size_t len : {4096u, 100u, 65536u, 7u, 30000u}) {
-      auto off = arena.try_reserve(len);
-      ASSERT_TRUE(off.has_value()) << len;
-      held.emplace_back(*off, len);
-    }
+    for (const std::size_t len : {4096u, 100u, 65536u, 7u, 30000u})
+      held.emplace_back(reserve_now(arena, len), len);
     // Release out of order so merges happen on both sides.
     for (const std::size_t i : {1u, 3u, 0u, 4u, 2u}) {
       arena.release(held[i].first, held[i].second);
@@ -109,10 +92,8 @@ TEST(StagingArena, ReleasesMergeBackToOneFullExtent) {
   EXPECT_EQ(arena.free_extents(), 1u);
   EXPECT_EQ(arena.free_bytes(), arena.capacity());
   run_sim(env, [&] {
-    auto whole = arena.try_reserve(arena.capacity());
-    ASSERT_TRUE(whole.has_value());
-    EXPECT_EQ(*whole, 0u);
-    arena.release(*whole, arena.capacity());
+    EXPECT_EQ(reserve_now(arena, arena.capacity()), 0u);
+    arena.release(0, arena.capacity());
   });
 }
 
@@ -121,13 +102,11 @@ TEST(StagingArena, TotalWaitAccountsQueuedTime) {
   StagingArena arena(env, 1, 4096);
   Time waited = -1;
   run_sim(env, [&] {
-    const auto a = arena.try_reserve(4096);
-    ASSERT_TRUE(a.has_value());
+    const std::size_t a = reserve_now(arena, 4096);
     // Immediate grants cost nothing.
     EXPECT_EQ(arena.total_wait_ns(), 0);
     // Free the region 5 ms from now; a queued reservation waits it out.
-    env.scheduler().schedule_after(5'000'000,
-                                   [&, off = *a] { arena.release(off, 4096); });
+    env.scheduler().schedule_after(5'000'000, [&, a] { arena.release(a, 4096); });
     const Time t0 = env.now();
     arena.reserve_async(4096, [&](std::size_t off) {
       waited = env.now() - t0;

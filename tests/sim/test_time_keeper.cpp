@@ -209,39 +209,6 @@ TEST(TimeKeeper, DeadlockDetected) {
   EXPECT_TRUE(deadlocked.load());
 }
 
-TEST(TimeKeeper, RealTimeModeRoughlyTracksWallClock) {
-  TimeKeeper tk(TimeKeeper::Mode::real_time);
-  const TimeKeeper::ThreadGuard guard(tk);
-  const Time t0 = tk.now();
-  tk.sleep_for(20_ms);
-  const Time t1 = tk.now();
-  EXPECT_GE(t1 - t0, 18_ms);
-  EXPECT_LT(t1 - t0, 2_s);
-}
-
-TEST(TimeKeeper, RealTimeCondVarNotify) {
-  TimeKeeper tk(TimeKeeper::Mode::real_time);
-  std::mutex m;
-  CondVar cv(tk);
-  bool ready = false;
-  StatsRegistry stats;
-  Thread waiter(tk, stats, "rt-waiter", nullptr, [&] {
-    std::unique_lock<std::mutex> lk(m);
-    cv.wait(lk, [&] { return ready; });
-  });
-  Thread signaler(tk, stats, "rt-signaler", nullptr, [&] {
-    tk.sleep_for(5_ms);
-    {
-      const std::lock_guard<std::mutex> lk(m);
-      ready = true;
-    }
-    cv.notify_one();
-  });
-  waiter.join();
-  signaler.join();
-  SUCCEED();
-}
-
 TEST(TimeKeeper, ManyThreadsConvergeOnSameTimeline) {
   Env env;
   constexpr int kThreads = 16;
