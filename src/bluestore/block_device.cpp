@@ -49,12 +49,10 @@ BlockDevice::BlockDevice(sim::Env& env, BlockDeviceConfig cfg,
       backing_(backing ? std::move(backing) : std::make_shared<DeviceBacking>()) {}
 
 BlockDevice::~BlockDevice() {  // NOLINT(bugprone-exception-escape): teardown drains in-flight IO; a throw terminates, by design
-  std::unique_lock<std::mutex> lk(gate_->m);
-  gate_->alive = false;
-  // A wrapper the scheduler thread is already executing holds no reference
-  // into *this once work() returns; wait it out (real time, bounded — the
-  // completion bodies never block).
-  gate_->cv.wait(lk, [&] { return gate_->executing == 0; });
+  // A completion the scheduler thread is already executing holds no
+  // reference into *this once it returns; wait it out (real time, bounded —
+  // the completion bodies never block).
+  gate_->close();
 }
 
 void BlockDevice::fault_adjust(sim::Time& done, bool& fail) {
@@ -69,20 +67,8 @@ void BlockDevice::fault_adjust(sim::Time& done, bool& fail) {
 }
 
 void BlockDevice::schedule_io(sim::Time done, std::function<void()> work) {
-  env_.scheduler().schedule_at(
-      done, [gate = gate_, work = std::move(work)] {
-        {
-          const std::lock_guard<std::mutex> lk(gate->m);
-          if (!gate->alive) return;  // device died with this IO in flight
-          ++gate->executing;
-        }
-        work();
-        {
-          const std::lock_guard<std::mutex> lk(gate->m);
-          --gate->executing;
-        }
-        gate->cv.notify_all();
-      });
+  // Dropped if the device died with this IO in flight.
+  env_.scheduler().schedule_at(done, dbg::gated(gate_, std::move(work)));
 }
 
 void BlockDevice::aio_write(std::uint64_t off, BufferList data, IoCb cb) {

@@ -1,16 +1,15 @@
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "common/buffer.h"
 #include "common/result.h"
+#include "dbg/io_gate.h"
 #include "dbg/mutex.h"
 #include "sim/env.h"
 #include "sim/resource.h"
@@ -104,16 +103,6 @@ class BlockDevice {
     return cfg_.retain_data || off < cfg_.retain_below;
   }
 
-  /// Completion gate, shared with every scheduled completion wrapper. Plain
-  /// std primitives (not dbg::): the critical sections are tiny, real-time,
-  /// and must work from unregistered threads (test teardown).
-  struct IoGate {
-    std::mutex m;                 // doceph-lint: allow(bare-mutex) teardown gate runs on unregistered threads
-    std::condition_variable cv;   // doceph-lint: allow(bare-mutex) paired with the gate mutex above
-    bool alive = true;
-    int executing = 0;
-  };
-
   /// Schedule `work` at simulated time `done`; `work` is dropped if the
   /// device is destroyed first, and the destructor waits for it otherwise.
   void schedule_io(sim::Time done, std::function<void()> work);
@@ -125,7 +114,7 @@ class BlockDevice {
   BlockDeviceConfig cfg_;
   std::shared_ptr<DeviceBacking> backing_;
   sim::SerialResource channel_;
-  std::shared_ptr<IoGate> gate_ = std::make_shared<IoGate>();
+  std::shared_ptr<dbg::IoGate> gate_ = std::make_shared<dbg::IoGate>();
   std::atomic<std::uint64_t> bytes_written_{0};
   std::atomic<std::uint64_t> bytes_read_{0};
 };

@@ -58,25 +58,12 @@ RadosClient::~RadosClient() {  // NOLINT(bugprone-exception-escape): teardown di
   shutdown();
   // Disarm pending timers (they outlive us on the scheduler) and wait out
   // any timer body already executing.
-  std::unique_lock<std::mutex> lk(timer_gate_->m);
-  timer_gate_->alive = false;
-  timer_gate_->cv.wait(lk, [&] { return timer_gate_->executing == 0; });
+  timer_gate_->close();
 }
 
 void RadosClient::schedule_guarded(sim::Duration delay, std::function<void()> fn) {
-  env_.scheduler().schedule_after(delay, [gate = timer_gate_, fn = std::move(fn)] {
-    {
-      const std::lock_guard<std::mutex> lk(gate->m);
-      if (!gate->alive) return;  // client destroyed with the timer pending
-      ++gate->executing;
-    }
-    fn();
-    {
-      const std::lock_guard<std::mutex> lk(gate->m);
-      --gate->executing;
-    }
-    gate->cv.notify_all();
-  });
+  // Dropped if the client is destroyed with the timer pending.
+  env_.scheduler().schedule_after(delay, dbg::gated(timer_gate_, std::move(fn)));
 }
 
 sim::Duration RadosClient::retry_delay(int attempt) {

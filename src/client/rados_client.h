@@ -1,16 +1,15 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <deque>
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 
 #include "common/admin_socket.h"
 #include "common/perf_counters.h"
 #include "dbg/cond_var.h"
+#include "dbg/io_gate.h"
 #include "dbg/mutex.h"
 #include "mon/mon_client.h"
 #include "msgr/messages.h"
@@ -160,15 +159,6 @@ class RadosClient final : public msgr::Dispatcher {
   /// Send ops waiting in admit_queue_ while the window has room.
   void admit_waiters();
 
-  /// Timer lifecycle gate (BlockDevice::IoGate pattern): scheduled retry /
-  /// timeout lambdas capture `this`, and the scheduler outlives the client.
-  /// Plain std primitives — must work from unregistered teardown threads.
-  struct TimerGate {
-    std::mutex m;                 // doceph-lint: allow(bare-mutex) teardown gate runs on unregistered threads
-    std::condition_variable cv;   // doceph-lint: allow(bare-mutex) paired with the gate mutex above
-    bool alive = true;
-    int executing = 0;
-  };
   /// Run `fn` after `delay` unless the client has been destroyed.
   void schedule_guarded(sim::Duration delay, std::function<void()> fn);
 
@@ -189,7 +179,9 @@ class RadosClient final : public msgr::Dispatcher {
   int admitted_ DOCEPH_GUARDED_BY(mutex_) = 0;
   std::deque<std::uint64_t> admit_queue_ DOCEPH_GUARDED_BY(mutex_);
 
-  std::shared_ptr<TimerGate> timer_gate_ = std::make_shared<TimerGate>();
+  /// Scheduled retry / timeout lambdas capture `this`, and the scheduler
+  /// outlives the client: they run through this gate.
+  std::shared_ptr<dbg::IoGate> timer_gate_ = std::make_shared<dbg::IoGate>();
 
   osd::OpTracker tracker_;
   perf::PerfCountersRef counters_;

@@ -40,13 +40,19 @@ net::Address Connection::peer_addr() const {
   return peer_advertised_.valid() ? peer_advertised_ : sock_->remote_addr();
 }
 
-void Connection::send_message(MessageRef m) {
+void Connection::send_message(MessageRef m, std::function<void()> on_sent) {
   auto self = shared_from_this();
-  center_.dispatch([self, m = std::move(m)] {
-    if (self->state_.load() == State::closed) return;  // dropped, like a reset
+  center_.dispatch([self, m = std::move(m), on_sent = std::move(on_sent)] {
+    if (self->state_.load() == State::closed) {  // dropped, like a reset
+      if (on_sent) on_sent();
+      return;
+    }
     BufferList frame = self->encode_message(*m);
     self->tx_buf_.claim_append(frame);
     self->sent_.fetch_add(1, std::memory_order_relaxed);
+    // Before the flush, so the hook has run by the time the peer can see
+    // the message.
+    if (on_sent) on_sent();
     self->try_flush();
   });
 }

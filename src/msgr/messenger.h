@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -62,8 +63,11 @@ struct MessengerConfig {
 class Connection : public std::enable_shared_from_this<Connection> {
  public:
   /// Queue `m` for transmission (thread-safe, async). Messages to the same
-  /// connection are delivered in send order.
-  void send_message(MessageRef m);
+  /// connection are delivered in send order. `on_sent`, if set, runs once on
+  /// the connection's worker: after the frame is encoded (its CPU charged),
+  /// or when the message is dropped on a closed connection. It does not run
+  /// if the messenger shuts down with the message still queued.
+  void send_message(MessageRef m, std::function<void()> on_sent = {});
 
   /// Peer's advertised (listening) address, once known; the raw socket peer
   /// address before the banner completes.

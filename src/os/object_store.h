@@ -17,7 +17,8 @@ namespace doceph::os {
 /// Writes and reads are asynchronous: queue_transaction and read_async return
 /// at once, and their callbacks fire (possibly inline or on an internal thread)
 /// once the batch is durable or the bytes are in hand. read() is the blocking
-/// adapter over read_async for callers that may park (OSD op threads, scrub).
+/// adapter over read_async for callers that may park (OSD recovery scans and
+/// pushes, scrub); the OSD serves client reads from read_async's callback.
 class ObjectStore {
  public:
   using OnCommit = std::function<void(Status)>;

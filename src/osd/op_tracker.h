@@ -31,7 +31,7 @@ class OpTracker;
 ///                 start of the host<->DPU hop)                (⑥,⑦)
 ///   commit      local WAL commit (or read completion)         (⑧)
 ///   repl_ack    one replica acknowledged (repeated)           (⑨ per peer)
-///   reply_sent  reply handed to the messenger
+///   reply_sent  the messenger worker encoded the reply
 ///
 /// The op's creation stamp is the messenger receive stamp, so
 /// total = reply_sent - initiated covers the whole OSD-side span.

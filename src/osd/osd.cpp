@@ -248,6 +248,7 @@ void OSD::stop_threads() {
   }
   op_workers_.clear();  // joins
   ticker_.join();
+  read_gate_->close();
 }
 
 // ---- dispatch -------------------------------------------------------------------
@@ -326,8 +327,12 @@ void OSD::ms_dispatch(const MessageRef& m) {
               m->trace, env_.now(), env_.now());
         }
       }
-      enqueue_op_on(lane, [this, m, tracked] { handle_client_op(m, tracked); },
-                    pg_ord(pg.pool, pg.seed));
+      const std::uint64_t ord = pg_ord(pg.pool, pg.seed);
+      enqueue_op_on(lane,
+                    [this, m, tracked, lane, ord] {
+                      handle_client_op(m, tracked, lane, ord);
+                    },
+                    ord, op->op == msgr::OsdOpType::read);
       break;
     }
     case msgr::MsgType::osd_repop: {
@@ -371,11 +376,11 @@ void OSD::enqueue_op(std::function<void()> fn) {
 }
 
 void OSD::enqueue_op_on(std::size_t lane, std::function<void()> fn,
-                        std::uint64_t ord) {
+                        std::uint64_t ord, bool read) {
   OpLane& l = *lanes_[lane];
   const dbg::LockGuard lk(l.mutex);
   if (l.stopping) return;
-  l.queue.push_back(OpLane::Entry{ord, std::move(fn)});
+  l.queue.push_back(OpLane::Entry{ord, read, std::move(fn)});
   const auto depth = queue_depth_.fetch_add(1, std::memory_order_relaxed) + 1;
   counters_->set(l_osd_queue_depth, depth);
   if (depth > counters_->get(l_osd_queue_depth_hw))
@@ -398,11 +403,14 @@ void OSD::op_worker(std::size_t lane) {
         l.mutex.assert_held();  // predicate runs as a separate function
         // Head-of-line gate: the head stays queued while a same-token op is
         // executing on the other worker, so per-PG store submissions happen
-        // in arrival order (DESIGN.md §15.1). Ops behind a gated head wait
-        // too — skipping past it would reorder the lane FIFO.
-        return l.stopping ||
-               (!l.queue.empty() && (l.queue.front().ord == 0 ||
-                                     l.executing.count(l.queue.front().ord) == 0));
+        // in arrival order, and a non-read head also while a same-token read
+        // is in flight (DESIGN.md §15.1). Ops behind a gated head wait too —
+        // skipping past it would reorder the lane FIFO.
+        if (l.stopping) return true;
+        if (l.queue.empty()) return false;
+        const OpLane::Entry& head = l.queue.front();
+        return head.ord == 0 || (!l.executing.contains(head.ord) &&
+                                 (head.read || !l.reading.contains(head.ord)));
       });
       if (l.stopping) return;
       e = std::move(l.queue.front());
@@ -441,11 +449,16 @@ void OSD::reply_client(const MessageRef& req, std::int32_t result,
   reply->map_epoch = monc_.epoch();
   reply->data = std::move(data);
   reply->trace = req->trace;  // the client messenger traces the reply dispatch
-  req->connection->send_message(reply);
-  if (op != nullptr) {
+  if (op == nullptr) {
+    req->connection->send_message(reply);
+    return;
+  }
+  // Stamped once the reply is encoded, so the reply stage covers the
+  // messenger's encode and crc of the payload.
+  req->connection->send_message(reply, [this, op] {
     op->mark_event("reply_sent", env_.now());
     account_op(op);
-  }
+  });
 }
 
 void OSD::throttle_client(const MessageRef& req, int counter, sim::Time recv) {
@@ -505,7 +518,8 @@ void OSD::ensure_pg_collection(const pg_t& pg, os::Transaction& txn) {
   created_colls_.insert(pg.to_coll());
 }
 
-void OSD::handle_client_op(const MessageRef& m, const TrackedOpRef& tracked) {
+void OSD::handle_client_op(const MessageRef& m, const TrackedOpRef& tracked,
+                           std::size_t lane, std::uint64_t ord) {
   tracked->mark_event("dequeued", env_.now());
   auto* op = static_cast<msgr::MOSDOp*>(m.get());
   const crush::OSDMap map = monc_.map();
@@ -527,16 +541,34 @@ void OSD::handle_client_op(const MessageRef& m, const TrackedOpRef& tracked) {
       return;
     case msgr::OsdOpType::read: {
       counters_->inc(l_osd_op_r);
-      auto r = store_.read(pg.to_coll(), oid, op->offset, op->length, tracked->trace());
-      tracked->mark_event("commit", env_.now());  // read served by the store
-      if (!r.ok()) {
-        reply_client(m, -static_cast<std::int32_t>(r.status().code()), 0, 0, {},
-                     tracked);
-        return;
+      // The PG stays "reading" until the callback: this worker returns to
+      // the lane now, but no later write of the PG is dispatched before the
+      // read has its bytes (DESIGN.md §15.1).
+      OpLane& l = *lanes_[lane];
+      {
+        const dbg::LockGuard lk(l.mutex);
+        ++l.reading[ord];
       }
-      ops_served_.fetch_add(1, std::memory_order_relaxed);
-      counters_->inc(l_osd_op_out_bytes, r->length());
-      reply_client(m, 0, 0, r->length(), std::move(*r), tracked);
+      // Runs on a device completion context, the proxy loop or inline:
+      // short locks only, no CPU charge; the reply just goes to the messenger.
+      auto on_read = [this, m, tracked, &l, ord](Result<BufferList> r) {
+        tracked->mark_event("commit", env_.now());  // read served by the store
+        if (r.ok()) {
+          ops_served_.fetch_add(1, std::memory_order_relaxed);
+          counters_->inc(l_osd_op_out_bytes, r->length());
+          reply_client(m, 0, 0, r->length(), std::move(*r), tracked);
+        } else {
+          reply_client(m, -static_cast<std::int32_t>(r.status().code()), 0, 0, {},
+                       tracked);
+        }
+        const dbg::LockGuard lk(l.mutex);
+        if (--l.reading[ord] == 0) {
+          l.reading.erase(ord);
+          l.cv.notify_all();  // release a write gated on this PG's reads
+        }
+      };
+      store_.read_async(pg.to_coll(), oid, op->offset, op->length,
+                        dbg::gated(read_gate_, std::move(on_read)), tracked->trace());
       return;
     }
     case msgr::OsdOpType::stat: {

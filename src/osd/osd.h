@@ -5,11 +5,13 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "common/admin_socket.h"
 #include "common/perf_counters.h"
 #include "dbg/cond_var.h"
+#include "dbg/io_gate.h"
 #include "dbg/mutex.h"
 #include "mon/mon_client.h"
 #include "msgr/messages.h"
@@ -147,7 +149,9 @@ class OSD final : public msgr::Dispatcher {
   void ms_handle_reset(const msgr::ConnectionRef& con) override;
 
  private:
-  /// Shared teardown tail: stop and join op workers and the ticker.
+  /// Shared teardown tail: stop and join op workers and the ticker, then
+  /// close the read gate (a read callback arriving later is dropped, like a
+  /// dead node's reply).
   void stop_threads();
 
   // ---- op pipeline -----------------------------------------------------------
@@ -157,13 +161,19 @@ class OSD final : public msgr::Dispatcher {
   /// `ord` token serializes this op against every other op carrying the
   /// same token: the lane head is not handed to a worker while a same-token
   /// op is still executing, so per-PG store submissions happen in queue
-  /// order even with op_threads > 1 (DESIGN.md §15.1).
+  /// order even with op_threads > 1. A client read (`read`) also holds its
+  /// PG from dispatch until its store callback: later reads may pass it,
+  /// but a tokened write or repop at the head waits until the PG has no
+  /// read in flight (DESIGN.md §15.1).
   void enqueue_op_on(std::size_t lane, std::function<void()> fn,
-                     std::uint64_t ord = 0);
+                     std::uint64_t ord = 0, bool read = false);
   [[nodiscard]] std::size_t lane_of(std::int64_t pool, std::uint32_t pg_seed) const;
   void op_worker(std::size_t lane);
 
-  void handle_client_op(const msgr::MessageRef& m, const TrackedOpRef& op);
+  /// `lane`/`ord` are where the op was queued; a read releases that PG's
+  /// read hold from its store callback.
+  void handle_client_op(const msgr::MessageRef& m, const TrackedOpRef& op,
+                        std::size_t lane, std::uint64_t ord);
   void handle_repop(const msgr::MessageRef& m);
   void handle_repop_reply(const msgr::MessageRef& m);
   void handle_ping(const msgr::MessageRef& m);
@@ -180,6 +190,7 @@ class OSD final : public msgr::Dispatcher {
   void throttle_client(const msgr::MessageRef& req, int counter, sim::Time recv);
 
   /// Stamp "reply_sent", feed the stage histograms, retire the tracked op.
+  /// Runs on the messenger worker once the reply is encoded.
   void account_op(const TrackedOpRef& op);
   void register_admin_commands();
 
@@ -227,14 +238,20 @@ class OSD final : public msgr::Dispatcher {
     dbg::CondVar cv;
     struct Entry {
       std::uint64_t ord = 0;  ///< 0 = unordered; else per-PG serial token
+      bool read = false;      ///< a client read: may pass reads in flight
       std::function<void()> fn;
     };
     std::deque<Entry> queue DOCEPH_GUARDED_BY(mutex);
-    /// Ordering tokens with an op currently executing on a worker. The lane
-    /// head stays queued while its token is in here: with two tp_osd_tp
-    /// workers per lane, dispatching consecutive same-PG ops concurrently
-    /// would let their store submissions race and acked writes reorder.
+    /// Ordering tokens with an op currently executing on a worker, i.e.
+    /// not yet submitted to the store. The lane head stays queued while its
+    /// token is in here: with two tp_osd_tp workers per lane, dispatching
+    /// consecutive same-PG ops concurrently would let their store
+    /// submissions race and acked writes reorder.
     std::unordered_set<std::uint64_t> executing DOCEPH_GUARDED_BY(mutex);
+    /// Per-token count of client reads submitted whose callback has not
+    /// run yet. A tokened non-read head stays queued while its token is in
+    /// here, so a write never overtakes an earlier read of its PG.
+    std::unordered_map<std::uint64_t, int> reading DOCEPH_GUARDED_BY(mutex);
     bool stopping DOCEPH_GUARDED_BY(mutex) = false;
     explicit OpLane(sim::TimeKeeper& tk) : cv(tk, "osd.queue_cv") {}
   };
@@ -281,6 +298,9 @@ class OSD final : public msgr::Dispatcher {
 
   std::atomic<std::uint64_t> ops_served_{0};
   bool started_ = false;
+  /// Every read_async callback runs through this gate: a read can complete
+  /// after a restart destroyed this OSD or a power cut crashed its store.
+  std::shared_ptr<dbg::IoGate> read_gate_ = std::make_shared<dbg::IoGate>();
 
   // ---- observability ----------------------------------------------------------
   OpTracker tracker_;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "../test_util.h"
 #include "client/rados_bench.h"
 
@@ -17,6 +19,26 @@ ClusterConfig small_cfg(DeployMode mode) {
                                           /*retain_data=*/true);
   cfg.pg_num = 16;
   return cfg;
+}
+
+/// `n` object names led by osd.`primary`. With `distinct_pgs`, each is in a
+/// different PG and none shares a PG with an object of `avoid`.
+std::vector<std::string> objects_led_by(Cluster& cluster, int primary, std::size_t n,
+                                        const std::string& prefix,
+                                        bool distinct_pgs = true,
+                                        const std::vector<std::string>& avoid = {}) {
+  const auto map = cluster.monitor().current_map();
+  std::set<std::uint32_t> used;
+  for (const auto& o : avoid) used.insert(map.object_to_pg(1, o).seed);
+  std::vector<std::string> out;
+  for (int i = 0; out.size() < n; ++i) {
+    const std::string name = prefix + std::to_string(i);
+    const auto pg = map.object_to_pg(1, name);
+    if (map.pg_to_acting(pg).front() != primary) continue;
+    if (distinct_pgs && !used.insert(pg.seed).second) continue;
+    out.push_back(name);
+  }
+  return out;
 }
 
 class IntegrationTest : public ::testing::TestWithParam<DeployMode> {};
@@ -165,6 +187,150 @@ TEST_P(IntegrationTest, HostCpuAccountingMatchesMode) {
       EXPECT_GT(dpu, 0.1);    // the OSD moved to the DPU
       EXPECT_GT(dpu, host);
     }
+    cluster.stop();
+  });
+}
+
+TEST_P(IntegrationTest, StalledReadsDoNotParkOpThreads) {
+  // Two reads stall 50 ms on the primary's SSD. An OSD op thread only
+  // submits a read and returns to its lane, so a third read (another PG,
+  // same primary) is served at once although the primary has only two
+  // tp_osd_tp threads.
+  Env env;
+  Cluster cluster(env, small_cfg(GetParam()));
+  run_sim(env, [&] {
+    ASSERT_TRUE(cluster.start().ok());
+    cluster.wait_all_clean();
+    auto io = cluster.client().io_ctx(1);
+    // Small, so two stalled DoCeph reads cannot fill the staging arena, but
+    // above BlueStore's 64 KiB inline threshold, so every read hits the SSD.
+    constexpr std::size_t kSize = 128 << 10;
+    const int primary = 0;
+    const auto objs = objects_led_by(cluster, primary, 3, "stall");
+    for (std::size_t i = 0; i < objs.size(); ++i) {
+      ASSERT_TRUE(io.write_full(objs[i], BufferList::copy_of(pattern(
+                                             kSize, static_cast<unsigned>(i))))
+                      .ok());
+    }
+    fault::FaultSpec spike;
+    spike.force_next = 2;
+    spike.count = 2;
+    spike.delay_ns = 50'000'000;
+    spike.match = "bdev-" + std::to_string(primary);
+    env.faults().set("bdev.latency_spike", spike);
+
+    const Time t0 = env.now();
+    auto r0 = io.aio_read(objs[0], 0, 0);
+    auto r1 = io.aio_read(objs[1], 0, 0);
+    auto r2 = io.read(objs[2], 0, 0);
+    const Time third = env.now() - t0;
+    ASSERT_TRUE(r2.ok()) << r2.status().to_string();
+    EXPECT_EQ(r2->to_string(), pattern(kSize, 2));
+    EXPECT_LT(third, 10'000'000) << "third read waited behind the stalled ones";
+
+    ASSERT_TRUE(r0->wait().ok());
+    ASSERT_TRUE(r1->wait().ok());
+    EXPECT_GE(env.now() - t0, 50'000'000);
+    EXPECT_EQ(r0->data().to_string(), pattern(kSize, 0));
+    EXPECT_EQ(r1->data().to_string(), pattern(kSize, 1));
+    EXPECT_EQ(env.faults().fires("bdev.latency_spike"), 2u);
+    env.faults().clear_all();
+    cluster.stop();
+  });
+}
+
+TEST_P(IntegrationTest, PipelinedReadsSeeOnlyEarlierWrites) {
+  // R_i and W_i are pipelined on one object: R_i must return the bytes of
+  // some W_j with j < i (it was queued before W_i), and j must not go
+  // backwards. 2 MiB writes to other PGs of the same primary keep the DoCeph
+  // staging arena busy, so each R_i's extent reservation queues while the
+  // small inline W_i could reach the host store straight away.
+  Env env;
+  Cluster cluster(env, small_cfg(GetParam()));
+  run_sim(env, [&] {
+    ASSERT_TRUE(cluster.start().ok());
+    auto io = cluster.client().io_ctx(1);
+    constexpr int kRounds = 16;
+    constexpr std::size_t kSmall = 4 << 10;
+    const std::string obj = objects_led_by(cluster, 0, 1, "rw")[0];
+    const auto bulk = objects_led_by(cluster, 0, 4, "bulk", true, {obj});
+    auto version = [](int j) {
+      return pattern(kSmall, static_cast<unsigned>(100 + j));
+    };
+    ASSERT_TRUE(io.write_full(obj, BufferList::copy_of(version(0))).ok());
+
+    std::vector<client::AioCompletionRef> bulk_writes;
+    const std::string big = pattern(2 << 20, 9);
+    auto write_bulk = [&] {
+      for (const auto& b : bulk)
+        bulk_writes.push_back(io.aio_write_full(b, BufferList::copy_of(big)));
+    };
+    write_bulk();
+    std::vector<client::AioCompletionRef> reads, writes;
+    for (int i = 1; i <= kRounds; ++i) {
+      reads.push_back(io.aio_read(obj, 0, 64 << 10));
+      writes.push_back(io.aio_write_full(obj, BufferList::copy_of(version(i))));
+      if (i % 4 == 0) write_bulk();
+    }
+    int last = 0;
+    for (int i = 1; i <= kRounds; ++i) {
+      const auto& r = reads[static_cast<std::size_t>(i - 1)];
+      ASSERT_TRUE(r->wait().ok()) << "R" << i;
+      const std::string got = r->data().to_string();
+      int j = -1;
+      for (int k = 0; k <= kRounds && j < 0; ++k) {
+        if (got == version(k)) j = k;
+      }
+      ASSERT_GE(j, 0) << "R" << i << " returned bytes no write stored";
+      EXPECT_LT(j, i) << "R" << i << " saw W" << j << ", queued after it";
+      EXPECT_GE(j, last) << "R" << i << " went back from W" << last << " to W" << j;
+      last = j;
+    }
+    for (auto& w : writes) EXPECT_TRUE(w->wait().ok());
+    for (auto& w : bulk_writes) EXPECT_TRUE(w->wait().ok());
+    auto final_read = io.read(obj, 0, 0);
+    ASSERT_TRUE(final_read.ok());
+    EXPECT_EQ(final_read->to_string(), version(kRounds));
+    cluster.stop();
+  });
+}
+
+TEST_P(IntegrationTest, ReadsInFlightSurviveOsdTeardown) {
+  // A read can complete after its OSD is gone: restart_osd destroys the OSD
+  // while the store stays mounted, and a power cut crashes the store with
+  // device reads still in flight. Those callbacks must be dropped, not run
+  // into freed memory; the client then resends on silence.
+  Env env;
+  auto cfg = small_cfg(GetParam());
+  cfg.client.resend_timeout = 500'000'000;
+  Cluster cluster(env, cfg);
+  run_sim(env, [&] {
+    ASSERT_TRUE(cluster.start().ok());
+    auto io = cluster.client().io_ctx(1);
+    constexpr std::size_t kSize = 1 << 20;
+    const auto objs = objects_led_by(cluster, 0, 8, "td", /*distinct_pgs=*/false);
+    for (std::size_t i = 0; i < objs.size(); ++i) {
+      ASSERT_TRUE(io.write_full(objs[i], BufferList::copy_of(pattern(
+                                             kSize, static_cast<unsigned>(i))))
+                      .ok());
+    }
+    auto read_all_across = [&](const std::function<void()>& teardown) {
+      std::vector<client::AioCompletionRef> reads;
+      for (const auto& o : objs) reads.push_back(io.aio_read(o, 0, 0));
+      env.keeper().sleep_for(1'000'000);  // requests reached osd.0's store
+      teardown();
+      for (std::size_t i = 0; i < reads.size(); ++i) {
+        if (reads[i]->wait().ok()) {
+          EXPECT_EQ(reads[i]->data().to_string(),
+                    pattern(kSize, static_cast<unsigned>(i)));
+        }
+      }
+    };
+    read_all_across([&] { ASSERT_TRUE(cluster.restart_osd(0).ok()); });
+    read_all_across([&] {
+      ASSERT_TRUE(cluster.hard_kill_osd(0).ok());
+      ASSERT_TRUE(cluster.restart_osd(0).ok());
+    });
     cluster.stop();
   });
 }

@@ -79,6 +79,36 @@ TEST_P(ObservabilityTest, StageSumsMatchEndToEndLatency) {
   });
 }
 
+TEST_P(ObservabilityTest, ReplyStageCoversTheReplyEncode) {
+  // reply_sent is stamped once the messenger has encoded the reply, so a
+  // 1 MiB read's reply stage holds the crc/encode of its payload, and the
+  // stages still tile the op's span exactly.
+  Env env;
+  Cluster cluster(env, small_cfg(GetParam()));
+  run_sim(env, [&] {
+    ASSERT_TRUE(cluster.start().ok());
+    auto io = cluster.client().io_ctx(1);
+    const std::string payload = pattern(1 << 20);
+    ASSERT_TRUE(io.write_full("big", BufferList::copy_of(payload)).ok());
+    auto r = io.read("big", 0, 0);
+    ASSERT_TRUE(r.ok());
+    ASSERT_EQ(r->to_string(), payload);
+
+    std::size_t reads = 0;
+    for (int i = 0; i < cluster.num_nodes(); ++i) {
+      cluster.osd(i).op_tracker().for_each_historic([&](const osd::TrackedOp& op) {
+        if (op.description() != "osd_op(read big)") return;
+        const auto bd = op.stage_breakdown();
+        EXPECT_GT(bd.reply_ns, 0u);
+        EXPECT_EQ(bd.sum(), bd.total_ns);
+        ++reads;
+      });
+    }
+    EXPECT_EQ(reads, 1u);
+    cluster.stop();
+  });
+}
+
 TEST_P(ObservabilityTest, DumpOpsInFlightSeesLiveOp) {
   Env env;
   Cluster cluster(env, small_cfg(GetParam()));
