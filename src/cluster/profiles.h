@@ -109,6 +109,10 @@ inline dpu::DpuProfile default_dpu(NetworkKind net) {
 /// produces the paper's large DMA-wait (44.8% of latency at 1 MB with 2 MB
 /// jobs, Table 3/Fig. 9) and its 4-16 MB DoCeph IOPS column (Fig. 10);
 /// ablations sweep the region size to show the headroom more would buy.
+/// Reads hold the paired region only for their DMA leg: the host stages
+/// their SSD results in a host-only read landing of twice the paired size
+/// (4 MB), enough for the three 1 MB reads per node that keep the SSD busy
+/// (DESIGN.md §4.4).
 inline proxy::ProxyConfig default_proxy() {
   proxy::ProxyConfig cfg;
   cfg.segment_size = 2 << 20;

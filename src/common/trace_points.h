@@ -35,8 +35,9 @@ inline constexpr std::string_view kDpuRead = "dpu.read";
 inline constexpr std::string_view kDpuRpcSubmitTxn = "dpu.rpc.submit_txn";
 inline constexpr std::string_view kDpuWrite = "dpu.write";
 
-// proxy/ (host side) — comch request arrival -> store commit (domain
-// "host.<name>").
+// proxy/ (host side) — comch request arrival -> store commit, or -> read
+// reply sent with the data staged in the landing (domain "host.<name>").
+inline constexpr std::string_view kHostRead = "host.read";
 inline constexpr std::string_view kHostSubmitTxn = "host.submit_txn";
 
 // msgr/ — header arrival -> dispatcher return (domain "msgr.<entity>").
@@ -61,13 +62,13 @@ inline constexpr std::string_view kOsdThrottle = "osd.throttle";
 }  // namespace points
 
 /// Every registered point, for enumeration (admin tooling, tests).
-inline constexpr std::array<std::string_view, 16> kAllTracePoints = {
-    points::kBluestoreTxn,     points::kClientOp,       points::kDocaDmaJob,
-    points::kDpuRead,          points::kDpuRpcSubmitTxn, points::kDpuWrite,
-    points::kHostSubmitTxn,    points::kMsgrDispatch,   points::kOsdOp,
-    points::kOsdStageMessenger, points::kOsdStageQueue,  points::kOsdStageStore,
-    points::kOsdStageRepl,     points::kOsdStageReply,
-    points::kOsdShardEnqueue,  points::kOsdThrottle,
+inline constexpr std::array<std::string_view, 17> kAllTracePoints = {
+    points::kBluestoreTxn,      points::kClientOp,         points::kDocaDmaJob,
+    points::kDpuRead,           points::kDpuRpcSubmitTxn,  points::kDpuWrite,
+    points::kHostRead,          points::kHostSubmitTxn,    points::kMsgrDispatch,
+    points::kOsdOp,             points::kOsdStageMessenger, points::kOsdStageQueue,
+    points::kOsdStageStore,     points::kOsdStageRepl,     points::kOsdStageReply,
+    points::kOsdShardEnqueue,   points::kOsdThrottle,
 };
 
 }  // namespace doceph::trace

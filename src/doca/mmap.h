@@ -1,7 +1,10 @@
 #pragma once
 
+#include <sys/mman.h>
+
 #include <cstdint>
 #include <memory>
+#include <new>
 
 #include "common/buffer.h"
 
@@ -11,11 +14,13 @@ namespace doceph::doca {
 /// In this simulation both sides live in one process, so "export/import" is
 /// sharing the MmapRef; the negotiation *cost* is modeled by the CommChannel
 /// round trips the proxy performs (see ProxyConfig::mr_cache).
+///
+/// The bytes come from an anonymous mapping: they read as zero and are paged
+/// in on first touch, so a region a run never uses (the read landing during
+/// a write-only run) costs no resident memory.
 class Mmap {
  public:
-  explicit Mmap(std::size_t size) : storage_(Slice::allocate(size)) {
-    std::memset(storage_.mutable_data(), 0, size);
-  }
+  explicit Mmap(std::size_t size) : storage_(map_zeroed(size), 0, size) {}
 
   [[nodiscard]] std::size_t size() const noexcept { return storage_.size(); }
   [[nodiscard]] char* data() noexcept { return storage_.mutable_data(); }
@@ -29,6 +34,14 @@ class Mmap {
   }
 
  private:
+  static std::shared_ptr<char[]> map_zeroed(std::size_t size) {
+    if (size == 0) return nullptr;
+    void* p = ::mmap(nullptr, size, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS,
+                     -1, 0);
+    if (p == MAP_FAILED) throw std::bad_alloc();
+    return {static_cast<char*>(p), [size](char* q) { ::munmap(q, size); }};
+  }
+
   Slice storage_;
 };
 

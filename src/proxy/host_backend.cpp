@@ -175,58 +175,61 @@ void HostBackendService::do_submit_txn(BufferList body,
 
 void HostBackendService::do_read(BufferList body, const RpcChannel::Responder& respond,
                                  const trace::TraceContext& ctx) {
+  // Shared, not captured by value: Span is move-only and the store's
+  // callback is a copyable std::function.
+  auto sp = std::make_shared<trace::Span>(
+      env_.tracer().span("host.read", "host." + cfg_.name, ctx, env_.now()));
   ReadRequest req;
   BufferList::Cursor cur(body);
   if (!req.decode(cur) || !in_region(req.buf_off, req.buf_len))
-    return reply_read(req, Status(Errc::corrupt, "bad read request"), respond);
+    return reply_read(req, Status(Errc::corrupt, "bad read request"), respond, *sp);
   control_.fetch_add(1, std::memory_order_relaxed);
   // The completion may run on a device completion context: it only hops
   // back onto the loop, where the staging copy and the reply run.
   store_.read_async(
       req.cid, req.oid, req.off, req.len,
-      [this, loop = center_.handle(), req, respond](Result<BufferList> data) {
-        loop.dispatch([this, req, respond, data = std::move(data)]() mutable {
-          reply_read(req, std::move(data), respond);
+      [this, loop = center_.handle(), req, respond, sp](Result<BufferList> data) {
+        loop.dispatch([this, req, respond, sp, data = std::move(data)]() mutable {
+          reply_read(req, std::move(data), respond, *sp);
         });
       },
-      ctx);
+      sp->context());
 }
 
 void HostBackendService::reply_read(const ReadRequest& req, Result<BufferList> data,
-                                    const RpcChannel::Responder& respond) {
+                                    const RpcChannel::Responder& respond,
+                                    trace::Span& span) {
   ReadReply reply;
   if (!data.ok()) {
     reply.result = -static_cast<std::int32_t>(data.status().code());
-    if (respond) respond(encode_to_bl(reply));
-    return;
-  }
-  reply.total_len = data->length();
-  if (data->length() <= req.inline_max) {
+  } else if (data->length() <= req.inline_max) {
+    reply.total_len = data->length();
     reply.inline_data = true;
     reply.data = std::move(*data);
-    if (respond) respond(encode_to_bl(reply));
-    return;
+  } else {
+    reply.total_len = data->length();
+    // Stage into the offered landing extent (host-side staging for reads,
+    // paper §5.5); the DPU DMAs it out and releases it.
+    const std::size_t staged = std::min<std::size_t>(req.buf_len, data->length());
+    if (staged > 0) {
+      data->copy_out(0, staged, host_mmap_->data() + req.buf_off);
+      domain_.charge(static_cast<sim::Duration>(cfg_.copy_ns_per_byte *
+                                                static_cast<double>(staged)));
+      reply.refs.push_back(DataRef{.kind = DataRef::Kind::region,
+                                   .index = req.buf_off,
+                                   .len = static_cast<std::uint32_t>(staged)});
+    }
+    if (staged < data->length()) {
+      // The offered extent was short (or absent): the remainder rides
+      // inline (correct, if slower).
+      DataRef rest;
+      rest.kind = DataRef::Kind::inline_;
+      rest.len = static_cast<std::uint32_t>(data->length() - staged);
+      rest.data = data->substr(staged, data->length() - staged);
+      reply.refs.push_back(std::move(rest));
+    }
   }
-  // Stage into the offered region extent (host-side staging for reads,
-  // paper §5.5); the DPU DMAs it back and releases it.
-  const std::size_t staged = std::min<std::size_t>(req.buf_len, data->length());
-  if (staged > 0) {
-    data->copy_out(0, staged, host_mmap_->data() + req.buf_off);
-    domain_.charge(
-        static_cast<sim::Duration>(cfg_.copy_ns_per_byte * static_cast<double>(staged)));
-    reply.refs.push_back(DataRef{.kind = DataRef::Kind::region,
-                                 .index = req.buf_off,
-                                 .len = static_cast<std::uint32_t>(staged)});
-  }
-  if (staged < data->length()) {
-    // The offered extent was short (or absent): the remainder rides inline
-    // (correct, if slower).
-    DataRef rest;
-    rest.kind = DataRef::Kind::inline_;
-    rest.len = static_cast<std::uint32_t>(data->length() - staged);
-    rest.data = data->substr(staged, data->length() - staged);
-    reply.refs.push_back(std::move(rest));
-  }
+  span.end(env_.now());
   if (respond) respond(encode_to_bl(reply));
 }
 

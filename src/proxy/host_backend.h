@@ -31,9 +31,10 @@ struct HostBackendConfig {
 /// use read_async, whose completion only hops back onto the loop.
 class HostBackendService {
  public:
-  /// `host_mmap` is the pre-exported write region shared with the DPU's
-  /// StagingArena (the MR cache). The DPU names extents of it by byte
-  /// offset; every offset/length it sends is bounds-checked here.
+  /// `host_mmap` is the host region the DPU's StagingArena exports: the
+  /// pre-exported write region (the MR cache) followed by the read landing.
+  /// The DPU names extents of it by byte offset; every offset/length it
+  /// sends is bounds-checked here.
   HostBackendService(sim::Env& env, sim::CpuDomain& domain, os::ObjectStore& store,
                      doca::CommChannelRef channel, doca::MmapRef host_mmap,
                      HostBackendConfig cfg = {});
@@ -54,9 +55,9 @@ class HostBackendService {
   void do_control(ProxyOp op, BufferList body, const RpcChannel::Responder& respond);
   void do_read(BufferList body, const RpcChannel::Responder& respond,
                const trace::TraceContext& ctx);
-  /// Loop-thread tail of do_read: stage the data and reply.
+  /// Loop-thread tail of do_read: stage the data, end the read's span, reply.
   void reply_read(const ReadRequest& req, Result<BufferList> data,
-                  const RpcChannel::Responder& respond);
+                  const RpcChannel::Responder& respond, trace::Span& span);
 
   /// Materialize one op's payload from its DataRefs (staged segments were
   /// already copied out of the DMA region by do_stage_segment). Errc::corrupt

@@ -519,14 +519,15 @@ void ProxyObjectStore::start_read(const ReadRef& rd) {
 }
 
 void ProxyObjectStore::reserve_read(const ReadRef& rd, std::uint64_t len) {
-  // A reply this small rides inline anyway. Otherwise offer one region
-  // extent for the bulk path (host-side staging); whatever does not fit
-  // rides inline. The reservation queues FIFO with the writes'.
+  // A reply this small rides inline anyway. Otherwise offer one landing
+  // extent for the bulk path (host-side staging); whatever does not fit a
+  // paired extent rides inline. The paired region is not touched until the
+  // host has filled the landing.
   if (len <= kInlineMax) return send_read(rd);
   const std::size_t want = std::min<std::uint64_t>(len, arena_.capacity());
-  arena_.reserve_async(want, [this, rd, want](std::size_t off) {
+  arena_.reserve_landing_async(want, [this, rd, want](std::size_t off) {
     center_.dispatch([this, rd, off, want] {
-      if (rd->done) return arena_.release(off, want);
+      if (rd->done) return arena_.release_landing(off, want);
       rd->rr.buf_off = static_cast<std::uint32_t>(off);
       rd->rr.buf_len = static_cast<std::uint32_t>(want);
       send_read(rd);
@@ -558,17 +559,36 @@ void ProxyObjectStore::on_read_reply(const ReadRef& rd,
     return finish_read(rd, Status(static_cast<Errc>(-reply.result), "host read error"));
   if (reply.inline_data) return finish_read(rd, std::move(reply.data));
 
+  // The filled part of the landing extent, measured from its start, sizes
+  // the DMA leg's paired extent.
   const ReadRequest& rr = rd->rr;
+  std::size_t filled = 0;
   for (const auto& ref : reply.refs) {
-    if (ref.kind != DataRef::Kind::inline_ &&
-        (rr.buf_len == 0 || ref.index < rr.buf_off ||
-         std::uint64_t{ref.index} + ref.len > std::uint64_t{rr.buf_off} + rr.buf_len))
+    if (ref.kind == DataRef::Kind::inline_) continue;
+    if (rr.buf_len == 0 || ref.index < rr.buf_off ||
+        std::uint64_t{ref.index} + ref.len > std::uint64_t{rr.buf_off} + rr.buf_len)
       return finish_read(rd, Status(Errc::corrupt, "read ref outside the extent"));
+    filled = std::max<std::size_t>(filled, ref.index - rr.buf_off + ref.len);
   }
-  // DMA the filled extent back (host -> DPU) in engine-sized jobs. The
-  // completions arrive on the engine's thread and only hop to the loop. The
-  // count held across the loop completes the read below if no job started.
   rd->refs = std::move(reply.refs);
+  if (filled == 0) return on_read_extent(rd, 0, 0);
+  // The DMA leg joins the paired region's FIFO with the write segments.
+  arena_.reserve_async(filled, [this, rd, filled](std::size_t off) {
+    center_.dispatch([this, rd, off, filled] {
+      if (rd->done) return arena_.release(off, filled);
+      on_read_extent(rd, off, filled);
+    });
+  });
+}
+
+void ProxyObjectStore::on_read_extent(const ReadRef& rd, std::size_t off,
+                                      std::size_t len) {
+  rd->dpu_off = off;
+  rd->dpu_len = len;
+  // DMA the landing into the paired extent (host -> DPU) in engine-sized
+  // jobs. The completions arrive on the engine's thread and only hop to the
+  // loop. The count held across the loop completes the read below if no
+  // job started.
   ++rd->dma_pending;
   for (const auto& ref : rd->refs) {
     if (ref.kind == DataRef::Kind::inline_) continue;
@@ -576,8 +596,8 @@ void ProxyObjectStore::on_read_reply(const ReadRef& rd,
          done += cfg_.segment_size) {
       const std::size_t n = std::min<std::size_t>(cfg_.segment_size, ref.len - done);
       rd->dma_status = dpu_.dma().submit(
-          arena_.host_buf(ref.index + done, n), arena_.dpu_buf(ref.index + done, n),
-          doca::DmaDir::host_to_dpu,
+          arena_.host_buf(ref.index + done, n),
+          arena_.dpu_buf(rd->dpu_at(ref) + done, n), doca::DmaDir::host_to_dpu,
           [this, loop = center_.handle(), rd](Status st) {
             loop.dispatch([this, rd, st] { on_read_dma(rd, st); });
           },
@@ -591,13 +611,13 @@ void ProxyObjectStore::on_read_reply(const ReadRef& rd,
 void ProxyObjectStore::on_read_dma(const ReadRef& rd, const Status& st) {
   if (!st.ok() && rd->dma_status.ok()) rd->dma_status = st;
   if (--rd->dma_pending > 0) return;
-  if (rd->done) return release_extent(rd);  // failed meanwhile; held for the jobs
+  if (rd->done) return release_extents(rd);  // failed meanwhile; held for the jobs
   if (!rd->dma_status.ok()) {
     // A DMA error mid-read falls back like the write path (§4.5): every job
-    // submitted has finished, so withdraw the extent and ask once more with
-    // the whole result inline. Not through start_read(): with cooldown 0
-    // that would pick DMA again.
-    release_extent(rd);
+    // submitted has finished, so withdraw both extents and ask once more
+    // with the whole result inline. Not through start_read(): with
+    // cooldown 0 that would pick DMA again.
+    release_extents(rd);
     fallback_.on_dma_failure(env_.now());
     rd->rr.inline_max = std::numeric_limits<std::uint64_t>::max();
     rd->retried = true;
@@ -610,25 +630,27 @@ void ProxyObjectStore::on_read_dma(const ReadRef& rd, const Status& st) {
       out.append(ref.data);
       continue;
     }
-    out.append(arena_.dpu_buf(ref.index, ref.len).data(), ref.len);
+    out.append(arena_.dpu_buf(rd->dpu_at(ref), ref.len).data(), ref.len);
     dpu_.cpu().charge(static_cast<sim::Duration>(cfg_.stage_copy_ns_per_byte *
                                                  static_cast<double>(ref.len)));
   }
   finish_read(rd, std::move(out));
 }
 
-void ProxyObjectStore::release_extent(const ReadRef& rd) {
-  if (rd->rr.buf_len == 0) return;
-  arena_.release(rd->rr.buf_off, rd->rr.buf_len);
+void ProxyObjectStore::release_extents(const ReadRef& rd) {
+  if (rd->rr.buf_len != 0) arena_.release_landing(rd->rr.buf_off, rd->rr.buf_len);
+  if (rd->dpu_len != 0) arena_.release(rd->dpu_off, rd->dpu_len);
   rd->rr.buf_len = 0;
+  rd->dpu_len = 0;
 }
 
 void ProxyObjectStore::finish_read(const ReadRef& rd, Result<BufferList> r) {
   rd->done = true;
   (void)center_.cancel_timer(rd->deadline);
   if (rd->call_id != 0) (void)rpc_.cancel(rd->call_id);
-  // An extent under a running DMA job comes back when the job finishes.
-  if (rd->dma_pending == 0) release_extent(rd);
+  // Extents under a running DMA job come back when the job finishes; a
+  // paired extent still queued for comes back when it is granted.
+  if (rd->dma_pending == 0) release_extents(rd);
   reads_.erase(rd);
   if (rd->retried && r.ok()) {
     rpc_fallback_bytes_.fetch_add(r->length(), std::memory_order_relaxed);

@@ -40,7 +40,8 @@ struct ProxyConfig {
   std::uint64_t segment_size = 2 << 20;
   /// Size of the paired staging/write regions (Fig. 4), in segments: each
   /// side holds slots x segment_size bytes, carved per reservation at byte
-  /// granularity (StagingArena). 16 x 2 MB by default.
+  /// granularity (StagingArena). 16 x 2 MB by default. The host side also
+  /// exports a read landing of twice that.
   int slots = 16;
 
   /// Ablations (paper §3.3 design choices):
@@ -207,12 +208,20 @@ class ProxyObjectStore final : public os::ObjectStore {
 
   /// One read. Touched only on the loop thread.
   struct ReadOp {
-    ReadRequest rr;  ///< buf_len > 0 while the read holds an arena extent
+    ReadRequest rr;  ///< buf_len > 0 while the read holds a landing extent
     OnRead on_read;
     bool done = false;     ///< completed; late completions only clean up
     bool retried = false;  ///< re-asked inline after a DMA failure
     std::uint64_t call_id = 0;  ///< pending stat or read_obj call (0: none)
     std::vector<DataRef> refs;  ///< the reply's layout, while its DMA runs
+    /// The paired extent the DMA leg lands in (dpu_len > 0 while held).
+    std::size_t dpu_off = 0;
+    std::size_t dpu_len = 0;
+    /// Where a landing ref's bytes go in the paired extent: it mirrors the
+    /// landing extent from its start.
+    [[nodiscard]] std::size_t dpu_at(const DataRef& ref) const {
+      return dpu_off + (ref.index - rr.buf_off);
+    }
     int dma_pending = 0;
     Status dma_status;
     event::EventCenter::TimerId deadline = 0;
@@ -246,18 +255,21 @@ class ProxyObjectStore final : public os::ObjectStore {
   void abort(const OpRef& op, const Status& st);
   void finish(const OpRef& op, const Status& st);
 
-  // Loop-thread steps of a read: reserve an extent (while DMA is enabled;
-  // a read to the object's end stats it first), ask the host, DMA the
-  // filled extent back, copy out.
+  // Loop-thread steps of a read: reserve a landing extent (while DMA is
+  // enabled; a read to the object's end stats it first), ask the host, and
+  // once it has filled the landing reserve a paired extent, DMA the landing
+  // into it, copy out.
   void start_read(const ReadRef& rd);
-  /// Reserve an extent for the first `len` bytes of the result, then ask.
+  /// Reserve a landing extent for the first `len` bytes of the result, then ask.
   void reserve_read(const ReadRef& rd, std::uint64_t len);
   void send_read(const ReadRef& rd);
   void on_read_reply(const ReadRef& rd, const Result<BufferList>& response);
+  /// The DMA leg's paired extent [off, off+len) is granted: start the jobs.
+  void on_read_extent(const ReadRef& rd, std::size_t off, std::size_t len);
   /// One DMA job finished; the last one completes (or retries) the read.
   void on_read_dma(const ReadRef& rd, const Status& st);
-  /// Give the read's extent back, if it holds one.
-  void release_extent(const ReadRef& rd);
+  /// Give back the read's landing and paired extents, where it holds them.
+  void release_extents(const ReadRef& rd);
   void finish_read(const ReadRef& rd, Result<BufferList> r);
 
   /// Blocking control RPC with the configured timeout; accounts timed-out

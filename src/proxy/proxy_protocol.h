@@ -38,8 +38,9 @@ inline constexpr std::uint64_t kInlineMax = 4096;
 /// number — Fig. 4's staging-buffer -> write-buffer handoff, which lets the
 /// scarce region bytes recycle immediately. `inline` data rides in the RPC
 /// itself (control fallback after a DMA error, or tiny payloads). Read
-/// replies alone point into the region directly (`region`), since the DPU
-/// drains them; the host rejects a write that carries one.
+/// replies alone point into the exported host region directly (`region`,
+/// an extent of the read landing), since the DPU drains them; the host
+/// rejects a write that carries one.
 struct DataRef {
   enum class Kind : std::uint8_t { inline_ = 0, staged = 1, region = 2 };
   Kind kind = Kind::inline_;
@@ -124,9 +125,9 @@ struct TxnReply {
   }
 };
 
-/// read_obj request: the DPU offers the region extent [buf_off,
-/// buf_off+buf_len) it has reserved (buf_len 0: none); the host fills it
-/// (or replies inline when the result is tiny).
+/// read_obj request: the DPU offers the read-landing extent [buf_off,
+/// buf_off+buf_len) of the exported host region it has reserved (buf_len 0:
+/// none); the host fills it (or replies inline when the result is tiny).
 struct ReadRequest {
   os::coll_t cid;
   os::ghobject_t oid;
@@ -152,8 +153,8 @@ struct ReadRequest {
   }
 };
 
-/// read_obj response: either inline data, or the filled region layout the
-/// DPU should DMA back (host->DPU).
+/// read_obj response: either inline data, or the filled landing layout the
+/// DPU should DMA out (host->DPU).
 struct ReadReply {
   std::int32_t result = 0;
   bool inline_data = false;

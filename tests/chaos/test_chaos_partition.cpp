@@ -53,7 +53,7 @@ TEST(ChaosPartition, DpuHostPartitionTimesOutThenHeals) {
       timeouts = now_timeouts;
     }
 
-    // A 64 KiB read holds an arena extent while its read_obj is lost.
+    // A 64 KiB read holds a read-landing extent while its read_obj is lost.
     {
       const Time t0 = env.now();
       auto r = node.proxy->read(ChaosProxyNode::kColl, {1, "pre64k"}, 0, 64 << 10);
@@ -78,6 +78,8 @@ TEST(ChaosPartition, DpuHostPartitionTimesOutThenHeals) {
     ASSERT_TRUE(again.ok()) << again.status().to_string();
     EXPECT_EQ(again->to_string(), pattern(64 << 10, 5));
     EXPECT_EQ(node.proxy->slots().free_bytes(), node.proxy->slots().capacity());
+    EXPECT_EQ(node.proxy->slots().landing_free_bytes(),
+              node.proxy->slots().landing_capacity());
 
     for (const auto& [name, seed] :
          {std::pair<std::string, unsigned>{"pre", 1}, {"lost", 2}, {"post", 3}}) {

@@ -126,8 +126,9 @@ TEST(TracingE2E, SampledDocephReadChainsDpuReadAndDmaJobs) {
     EXPECT_EQ(r->to_string(), content);
     env.keeper().sleep_for(10'000'000);
 
-    // osd.op -> dpu.read -> doca.dma_job: the store read carries the op's
-    // context, and the read's DMA jobs carry the dpu.read span's.
+    // osd.op -> dpu.read -> {host.read, doca.dma_job}: the store read
+    // carries the op's context, and the host's side of the read and the
+    // read's DMA jobs carry the dpu.read span's.
     const auto spans = env.tracer().completed();
     const auto named = [&](const char* name) {
       std::vector<trace::SpanRecord> out;
@@ -142,9 +143,16 @@ TEST(TracingE2E, SampledDocephReadChainsDpuReadAndDmaJobs) {
     EXPECT_EQ(reads[0].parent_id, osd_ops[0].span_id);
     EXPECT_GE(reads[0].start, osd_ops[0].start);
     EXPECT_LE(reads[0].end, osd_ops[0].end);
+    const auto host_reads = named("host.read");
+    ASSERT_EQ(host_reads.size(), 1u);
+    EXPECT_EQ(host_reads[0].parent_id, reads[0].span_id);
     const auto jobs = named("doca.dma_job");
     ASSERT_FALSE(jobs.empty());
-    for (const auto& j : jobs) EXPECT_EQ(j.parent_id, reads[0].span_id);
+    for (const auto& j : jobs) {
+      EXPECT_EQ(j.parent_id, reads[0].span_id);
+      // The DMA leg starts only once the host has staged the data.
+      EXPECT_LE(host_reads[0].end, j.start);
+    }
     cl.stop();
   });
 }

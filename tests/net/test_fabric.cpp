@@ -5,6 +5,7 @@
 #include <atomic>
 #include <mutex>
 #include <string>
+#include <vector>
 
 #include "sim/env.h"
 
@@ -26,7 +27,8 @@ struct NetFixture {
 
   std::mutex m;
   CondVar cv{env.keeper()};
-  SocketRef server;
+  SocketRef server;                 ///< the latest accepted socket
+  std::vector<SocketRef> accepted;  ///< owns every accepted socket
   BufferList received;
   bool server_eof = false;
   Time last_delivery = -1;
@@ -41,9 +43,9 @@ struct NetFixture {
   ~NetFixture() {  // NOLINT(bugprone-exception-escape): test teardown; a throw fails the binary loudly, which is fine
     ca.stop();
     cb.stop();
-    // Join the loops before the members they touch (server, cv, m — declared
-    // below the threads, so destroyed first) go away: stop() only *asks* the
-    // loops to exit, and a handler may still be mid-flight.
+    // Join the loops before the members they touch (server, accepted, cv,
+    // m — declared below the threads, so destroyed first) go away: stop()
+    // only *asks* the loops to exit, and a handler may still be mid-flight.
     la.join();
     lb.join();
   }
@@ -54,16 +56,19 @@ struct NetFixture {
       {
         const std::lock_guard<std::mutex> lk(m);
         server = s;
+        accepted.push_back(s);
       }
-      s->set_read_handler(cb, [this, s] {
+      // `accepted` owns the socket; the handler only points at it, so no
+      // socket -> handler -> socket cycle outlives the fixture.
+      s->set_read_handler(cb, [this, sock = s.get()] {
         while (true) {
-          BufferList chunk = s->recv(1 << 22);
+          BufferList chunk = sock->recv(1 << 22);
           if (chunk.empty()) break;
           const std::lock_guard<std::mutex> lk(m);
           received.claim_append(chunk);
           last_delivery = env.now();
         }
-        if (s->eof()) {
+        if (sock->eof()) {
           const std::lock_guard<std::mutex> lk(m);
           server_eof = true;
         }

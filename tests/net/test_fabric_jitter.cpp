@@ -55,10 +55,14 @@ TEST_P(NetDelayJitterSweep, ByteStreamOrderSurvivesJitter) {
   std::mutex m;
   CondVar cv(env.keeper());
   std::string stream;
+  // The test owns the accepted socket; its read handler only points at it,
+  // so no socket -> handler -> socket cycle outlives the test.
+  SocketRef server;
   ASSERT_TRUE(b.listen(9000, center, [&](SocketRef s) {
-                 s->set_read_handler(center, [&, s] {
+                 server = s;
+                 s->set_read_handler(center, [&, sock = s.get()] {
                    while (true) {
-                     BufferList c = s->recv(4096);
+                     BufferList c = sock->recv(4096);
                      if (c.empty()) break;
                      const std::lock_guard<std::mutex> lk(m);
                      stream += c.to_string();
@@ -89,6 +93,9 @@ TEST_P(NetDelayJitterSweep, ByteStreamOrderSurvivesJitter) {
   EXPECT_GE(env.faults().fires("net.delay"), 1u) << "sweep point never fired";
   env.faults().clear_all();
   center.stop();
+  // Join the loop before the state its handler touches (stream, cv, m,
+  // server) goes away: stop() only asks it to exit.
+  loop.join();
 }
 
 /// Message order one layer up: a connection's messages must dispatch in

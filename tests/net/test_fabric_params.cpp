@@ -50,10 +50,12 @@ TEST_P(FabricSweep, SingleChunkDeliveryTimeAndIntegrity) {
   CondVar cv(env.keeper());
   BufferList got;
   Time delivered = -1;
+  SocketRef server;  // owns the accepted socket; the handler only points at it
   ASSERT_TRUE(b.listen(9000, center, [&](SocketRef s) {
-                 s->set_read_handler(center, [&, s] {
+                 server = s;
+                 s->set_read_handler(center, [&, sock = s.get()] {
                    while (true) {
-                     BufferList c = s->recv(1 << 22);
+                     BufferList c = sock->recv(1 << 22);
                      if (c.empty()) break;
                      const std::lock_guard<std::mutex> lk(m);
                      got.claim_append(c);
@@ -80,6 +82,7 @@ TEST_P(FabricSweep, SingleChunkDeliveryTimeAndIntegrity) {
   });
   EXPECT_EQ(got.to_string(), payload);
   center.stop();
+  loop.join();
 }
 
 TEST(FabricParams, AsymmetricLatencyUsesSenderSide) {
@@ -92,9 +95,11 @@ TEST(FabricParams, AsymmetricLatencyUsesSenderSide) {
   std::mutex m;
   CondVar cv(env.keeper());
   Time delivered = -1;
+  SocketRef server;  // owns the accepted socket; the handler only points at it
   ASSERT_TRUE(slow.listen(9000, center, [&](SocketRef s) {
-                 s->set_read_handler(center, [&, s] {
-                   while (!s->recv(1 << 20).empty()) {
+                 server = s;
+                 s->set_read_handler(center, [&, sock = s.get()] {
+                   while (!sock->recv(1 << 20).empty()) {
                    }
                    const std::lock_guard<std::mutex> lk(m);
                    delivered = env.now();
@@ -113,6 +118,7 @@ TEST(FabricParams, AsymmetricLatencyUsesSenderSide) {
     EXPECT_LT(delivered - t0, 100'000);
   });
   center.stop();
+  loop.join();
 }
 
 TEST(FabricParams, ManySmallMessagesKeepOrder) {
@@ -125,10 +131,12 @@ TEST(FabricParams, ManySmallMessagesKeepOrder) {
   std::mutex m;
   CondVar cv(env.keeper());
   std::string stream;
+  SocketRef server;  // owns the accepted socket; the handler only points at it
   ASSERT_TRUE(b.listen(9000, center, [&](SocketRef s) {
-                 s->set_read_handler(center, [&, s] {
+                 server = s;
+                 s->set_read_handler(center, [&, sock = s.get()] {
                    while (true) {
-                     BufferList c = s->recv(4096);
+                     BufferList c = sock->recv(4096);
                      if (c.empty()) break;
                      const std::lock_guard<std::mutex> lk(m);
                      stream += c.to_string();
@@ -155,6 +163,7 @@ TEST(FabricParams, ManySmallMessagesKeepOrder) {
   });
   EXPECT_EQ(stream, expect);
   center.stop();
+  loop.join();
 }
 
 }  // namespace

@@ -412,7 +412,9 @@ TEST(ProxyBounds, OutOfRangeStageSegmentIsRejected) {
   cfg.slots = 1;
   ProxyFixture f(cfg);
   f.up();
-  const auto cap = static_cast<std::uint32_t>(f.proxy->slots().capacity());
+  // The host bounds-checks against the whole region it was given: the
+  // paired write region plus the read landing after it.
+  const auto cap = static_cast<std::uint32_t>(f.proxy->slots().host_mmap()->size());
   run_sim(f.env, [&] {
     for (const auto& [off, len] : {std::pair<std::uint32_t, std::uint32_t>{cap, 1},
                                    {cap - 4096, 8192},

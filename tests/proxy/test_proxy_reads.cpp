@@ -59,6 +59,12 @@ struct ReadFixture {
     });
   }
 
+  /// Nothing leaked: every paired byte and every landing byte is free.
+  void expect_staging_free() const {
+    EXPECT_EQ(proxy->slots().free_bytes(), proxy->slots().capacity());
+    EXPECT_EQ(proxy->slots().landing_free_bytes(), proxy->slots().landing_capacity());
+  }
+
   void down() {
     run_sim(env, [&] {
       ASSERT_TRUE(proxy->umount().ok());
@@ -167,7 +173,7 @@ TEST(ProxyReads, DmaErrorMidReadFallsBackInline) {
     EXPECT_EQ(f.dpu.dma().jobs_failed(), failed0 + 1);
     EXPECT_EQ(f.proxy->fallback().failures(), 1u);
     EXPECT_GT(f.proxy->rpc_fallback_bytes(), 0u);
-    EXPECT_EQ(f.proxy->slots().free_bytes(), f.proxy->slots().capacity());
+    f.expect_staging_free();
   });
   f.down();
 }
@@ -193,7 +199,7 @@ TEST(ProxyReads, DmaQueueFullMidReadWaitsThenFallsBack) {
     EXPECT_EQ(f.dpu.dma().jobs_completed(), jobs0 + 2);
     EXPECT_EQ(f.dpu.dma().inflight(), 0);
     EXPECT_EQ(f.proxy->fallback().failures(), 1u);
-    EXPECT_EQ(f.proxy->slots().free_bytes(), f.proxy->slots().capacity());
+    f.expect_staging_free();
   });
   f.down();
 }
@@ -211,18 +217,23 @@ TEST(ProxyReads, StagingIsReleasedAfterReads) {
       ASSERT_TRUE(r.ok()) << i;
       ASSERT_EQ(r->length(), content.size()) << i;
     }
-    EXPECT_EQ(f.proxy->slots().free_bytes(), f.proxy->slots().capacity());  // no leak
+    f.expect_staging_free();
   });
   f.down();
 }
 
 TEST(ProxyReads, ReadQueuesFifoWithWriteSegments) {
   // A 1-slot arena holds exactly one 2 MiB segment. A 1 MiB read issued
-  // while a 2 MiB write segment holds the arena waits for it (no inline
-  // fallback), and a write issued after the read is served after it.
+  // while a 2 MiB write segment holds the arena is filled at the host
+  // meanwhile, then its DMA leg waits for the segment (no inline fallback);
+  // a write issued after the read's reply queued is served after it. A
+  // 20 ms job setup keeps the first segment in the arena long after the
+  // ~2 ms SSD read.
   ProxyConfig cfg;
   cfg.slots = 1;
-  ReadFixture f(cfg);
+  dpu::DpuProfile prof;
+  prof.dma.setup_latency = 20'000'000;
+  ReadFixture f(cfg, prof);
   const std::string content = pattern(1 << 20, 8);
   f.up_with(content);
   Time first_at = -1;
@@ -247,7 +258,10 @@ TEST(ProxyReads, ReadQueuesFifoWithWriteSegments) {
       got = std::move(r);
       read_at = f.env.now();
     });
-    f.env.keeper().sleep_for(10'000);
+    f.env.keeper().sleep_for(10'000'000);  // the reply is back; its DMA leg queued
+    EXPECT_LT(first_at, 0);
+    EXPECT_LT(read_at, 0);
+    EXPECT_EQ(f.proxy->slots().free_bytes(), 0u);
     write(os::coll_t{1, 1}, "second", second_at);
     f.env.keeper().sleep_for(200'000'000);
     EXPECT_GT(f.proxy->slots().total_wait_ns(), wait0);
@@ -256,10 +270,91 @@ TEST(ProxyReads, ReadQueuesFifoWithWriteSegments) {
   });
   ASSERT_TRUE(got.ok()) << got.status().to_string();
   EXPECT_EQ(got->to_string(), content);
-  EXPECT_GT(read_at, 0);
-  EXPECT_GT(second_at, read_at);  // FIFO: queued after the read, served after it
+  EXPECT_GT(read_at, first_at);
   EXPECT_GT(first_at, 0);
-  EXPECT_EQ(f.proxy->slots().free_bytes(), f.proxy->slots().capacity());
+  EXPECT_GT(second_at, read_at);  // FIFO: queued after the read, served after it
+  f.expect_staging_free();
+  f.down();
+}
+
+TEST(ProxyReads, ReadAtTheHostHoldsNoPairedBytes) {
+  // The host's SSD read stalls for 50 ms. Meanwhile the read holds only its
+  // landing extent, so a 2 MiB write segment takes the whole 1-slot arena
+  // without queueing.
+  ProxyConfig cfg;
+  cfg.slots = 1;
+  ReadFixture f(cfg);
+  const std::string content = pattern(1 << 20, 5);
+  f.up_with(content);
+  Time read_at = -1;
+  Time write_at = -1;
+  Result<BufferList> got = BufferList{};
+  run_sim(f.env, [&] {
+    const auto wait0 = f.proxy->slots().total_wait_ns();
+    fault::FaultSpec spike;
+    spike.probability = 1.0;
+    spike.count = 1;
+    spike.delay_ns = 50'000'000;
+    f.env.faults().set("bdev.latency_spike", spike);
+    const Time t0 = f.env.now();
+    f.proxy->read_async(kColl, kObj, 0, 1 << 20, [&](Result<BufferList> r) {
+      got = std::move(r);
+      read_at = f.env.now();
+    });
+    f.env.keeper().sleep_for(5'000'000);
+    EXPECT_EQ(f.proxy->slots().free_bytes(), f.proxy->slots().capacity());
+    EXPECT_EQ(f.proxy->slots().landing_free_bytes(),
+              f.proxy->slots().landing_capacity() - (1 << 20));
+    os::Transaction t;
+    t.create_collection(os::coll_t{1, 1});
+    t.write_full(os::coll_t{1, 1}, {1, "w"}, BufferList::copy_of(pattern(2 << 20, 6)));
+    f.proxy->queue_transaction(std::move(t), [&](Status st) {
+      EXPECT_TRUE(st.ok()) << st.to_string();
+      write_at = f.env.now();
+    });
+    f.env.keeper().sleep_for(30'000'000);
+    EXPECT_GT(write_at, 0);
+    EXPECT_LT(read_at, 0);  // still stalled at the host
+    EXPECT_EQ(f.proxy->slots().total_wait_ns(), wait0);
+    f.env.keeper().sleep_for(100'000'000);
+    EXPECT_GE(read_at - t0, 50'000'000);
+    EXPECT_EQ(f.env.faults().fires("bdev.latency_spike"), 1u);
+    f.env.faults().clear_all();
+  });
+  ASSERT_TRUE(got.ok()) << got.status().to_string();
+  EXPECT_EQ(got->to_string(), content);
+  f.expect_staging_free();
+  f.down();
+}
+
+TEST(ProxyReads, DeadlineWhileQueuedForTheDmaLegReturnsBothExtents) {
+  // The test holds the whole arena, so the read's reply finds no room for
+  // its DMA leg and its 20 ms deadline fires in the queue. The landing comes
+  // back at once; the paired extent comes back as soon as it is granted.
+  ProxyConfig cfg;
+  cfg.slots = 1;
+  cfg.rpc_timeout = 20'000'000;
+  ReadFixture f(cfg);
+  const std::string content = pattern(1 << 20, 7);
+  f.up_with(content);
+  auto& arena = f.proxy->slots();
+  Result<BufferList> got = BufferList{};
+  run_sim(f.env, [&] {
+    const auto wait0 = arena.total_wait_ns();
+    std::size_t held = arena.capacity();
+    arena.reserve_async(arena.capacity(), [&](std::size_t off) { held = off; });
+    ASSERT_EQ(held, 0u);
+    f.proxy->read_async(kColl, kObj, 0, 1 << 20,
+                        [&](Result<BufferList> r) { got = std::move(r); });
+    f.env.keeper().sleep_for(40'000'000);
+    EXPECT_EQ(got.status().code(), Errc::timed_out);
+    EXPECT_EQ(arena.landing_free_bytes(), arena.landing_capacity());
+    EXPECT_EQ(arena.free_bytes(), 0u);
+    arena.release(held, arena.capacity());  // grants the dead read's extent
+    f.env.keeper().sleep_for(1'000'000);
+    EXPECT_GT(arena.total_wait_ns(), wait0);
+    f.expect_staging_free();
+  });
   f.down();
 }
 
@@ -286,7 +381,7 @@ TEST(ProxyReads, WholeObjectReadReservesOnlyTheObjectsBytes) {
     ASSERT_TRUE(r.ok()) << r.status().to_string();
     EXPECT_EQ(r->to_string(), content);
   }
-  EXPECT_EQ(f.proxy->slots().free_bytes(), f.proxy->slots().capacity());
+  f.expect_staging_free();
   f.down();
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <vector>
 
 #include "../test_util.h"
 #include "proxy/fallback.h"
@@ -139,6 +140,44 @@ TEST(StagingArena, ManyContendersAllServed) {
   EXPECT_GE(arena.total_wait_ns(), 3'000'000);
   EXPECT_EQ(arena.free_extents(), 1u);
   EXPECT_EQ(arena.free_bytes(), arena.capacity());
+}
+
+TEST(StagingArena, LandingIsHostOnlyAndQueuesApartFromThePairedRegion) {
+  Env env;
+  StagingArena arena(env, 1, 4 * k16K);
+  EXPECT_EQ(arena.landing_capacity(), 2 * arena.capacity());
+  EXPECT_EQ(arena.host_mmap()->size(), 3 * arena.capacity());
+  Time queued_at = -1;
+  std::size_t queued_off = 0;
+  run_sim(env, [&] {
+    (void)reserve_now(arena, arena.capacity());  // the paired region is full...
+    std::vector<std::size_t> offs;
+    for (int i = 0; i < 8; ++i) {  // ...and the landing still grants at once
+      arena.reserve_landing_async(k16K, [&](std::size_t off) { offs.push_back(off); });
+    }
+    ASSERT_EQ(offs.size(), 8u);
+    std::sort(offs.begin(), offs.end());
+    for (std::size_t i = 0; i < offs.size(); ++i) {
+      EXPECT_EQ(offs[i], arena.capacity() + i * k16K);  // past the paired part
+      EXPECT_TRUE(arena.host_buf(offs[i], k16K).valid());
+      EXPECT_FALSE(arena.dpu_buf(offs[i], k16K).valid());  // no DPU mirror
+    }
+    EXPECT_EQ(arena.landing_free_bytes(), 0u);
+    arena.reserve_landing_async(k16K, [&](std::size_t off) {
+      queued_at = env.now();
+      queued_off = off;
+    });
+    EXPECT_EQ(queued_at, -1);  // the full landing queues it
+    env.keeper().sleep_for(3'000'000);
+    arena.release_landing(offs[5], k16K);
+    EXPECT_EQ(queued_at, 3'000'000);
+    EXPECT_EQ(queued_off, offs[5]);
+    arena.release(0, arena.capacity());
+    for (const std::size_t off : offs) arena.release_landing(off, k16K);
+  });
+  EXPECT_EQ(arena.total_wait_ns(), 3'000'000);  // landing waits count too
+  EXPECT_EQ(arena.free_bytes(), arena.capacity());
+  EXPECT_EQ(arena.landing_free_bytes(), arena.landing_capacity());
 }
 
 TEST(FallbackManager, StartsEnabled) {
