@@ -1,9 +1,10 @@
-// Ablation of write-path sharding (DESIGN.md §15): sweep the op-lane and
-// KV-shard counts over the 16 KB qd64 fresh-object small-write workload —
-// the lap where BENCH_pr8.json showed the single op queue and the single
-// KvStore group-commit stream capping DoCeph throughput. The diagonal
-// (op = kv) shows the end-to-end win; the off-diagonal rows split the
-// knobs to attribute it (op lanes alone vs KV streams alone).
+// Ablation of write-path sharding (DESIGN.md §15): sweep the OSD op-thread
+// and KV-shard counts over the 16 KB qd64 fresh-object small-write
+// workload — the lap where BENCH_pr8.json showed two op threads and the
+// single KvStore group-commit stream capping DoCeph throughput. The
+// diagonal (2N threads, N KV shards: what RunSpec::shards = N deploys)
+// shows the end-to-end win; the off-diagonal rows split the knobs to
+// attribute it (op threads alone vs KV streams alone).
 //
 //   ablation_shards [--out FILE.json]
 //
@@ -26,7 +27,7 @@ namespace {
 
 /// One swept cell: the 16 KB qd64 fresh-object lap under the PR 8
 /// backpressure envelope (the acceptance workload for the sharding PR).
-RunSpec small_write_spec(int op_shards, int kv_shards) {
+RunSpec small_write_spec(int op_threads, int kv_shards) {
   RunSpec spec;
   spec.mode = cluster::DeployMode::doceph;
   spec.object_size = 16 << 10;
@@ -35,7 +36,7 @@ RunSpec small_write_spec(int op_shards, int kv_shards) {
   spec.warmup = 200'000'000;   // 200 ms
   spec.measure = 250'000'000;  // 250 ms: sized so the fastest sharded cell's
                                // fresh-object KV growth stays under nearfull
-  spec.op_shards_override = op_shards;
+  spec.op_threads_override = op_threads;
   spec.kv_shards_override = kv_shards;
   return spec;
 }
@@ -54,28 +55,28 @@ int main(int argc, char** argv) {
     }
   }
 
-  print_banner("Ablation", "write-path sharding: op lanes x KV shards (16KB qd64)");
+  print_banner("Ablation", "write-path sharding: op threads x KV shards (16KB qd64)");
 
   struct Cell {
-    int op_shards;
+    int op_threads;
     int kv_shards;
     RunResult r;
   };
   std::vector<Cell> cells;
 
-  // Diagonal (op = kv): the configuration RunSpec::shards deploys.
-  for (const int n : {1, 2, 4, 8}) cells.push_back({n, n, {}});
+  // Diagonal (2N threads, N KV shards): what RunSpec::shards = N deploys.
+  for (const int n : {1, 2, 4, 8}) cells.push_back({2 * n, n, {}});
   // Split rows: each knob alone at the headline count, to attribute the win.
-  cells.push_back({4, 1, {}});
-  cells.push_back({1, 4, {}});
+  cells.push_back({8, 1, {}});
+  cells.push_back({2, 4, {}});
 
   double base_iops = 0;
-  Table t({"op", "kv", "IOPS", "speedup", "p99 (s)", "queue (s)", "store (s)",
+  Table t({"op thr", "kv", "IOPS", "speedup", "p99 (s)", "queue (s)", "store (s)",
            "failed"});
   for (auto& c : cells) {
-    c.r = run_cached(small_write_spec(c.op_shards, c.kv_shards));
-    if (c.op_shards == 1 && c.kv_shards == 1) base_iops = c.r.iops;
-    t.row({std::to_string(c.op_shards), std::to_string(c.kv_shards),
+    c.r = run_cached(small_write_spec(c.op_threads, c.kv_shards));
+    if (c.op_threads == 2 && c.kv_shards == 1) base_iops = c.r.iops;
+    t.row({std::to_string(c.op_threads), std::to_string(c.kv_shards),
            Table::num(c.r.iops, 1),
            base_iops > 0 ? Table::num(c.r.iops / base_iops, 2) + "x" : "-",
            Table::num(c.r.p99_lat_s, 4), Table::num(c.r.stage_queue_s, 4),
@@ -84,12 +85,12 @@ int main(int argc, char** argv) {
   }
   t.print();
   std::printf(
-      "\nReading: on the offload path, op lanes carry the gain (the OSD\n"
+      "\nReading: on the offload path, op threads carry the gain (the OSD\n"
       "queue stage falls, and the proxy overlaps the extra requests in\n"
-      "flight); KV shards alone are flat (row 1x4), but four lanes on one\n"
-      "KV commit stream (row 4x1) pay for it in p99. Ordering is untouched\n"
-      "— ops for one object share a PG, hence a lane, hence a KV shard\n"
-      "(DESIGN.md §15).\n");
+      "flight); KV shards alone are flat (row 2x4), but eight threads on\n"
+      "one KV commit stream (row 8x1) pay for it in p99. Ordering is\n"
+      "untouched — ops for one object share a PG, hence an ordering token,\n"
+      "hence a KV shard (DESIGN.md §15).\n");
 
   if (!out_path.empty()) {
     JsonWriter w;
@@ -98,7 +99,7 @@ int main(int argc, char** argv) {
     w.begin_array();
     for (const auto& c : cells) {
       w.begin_object();
-      w.kv("op_shards", static_cast<std::int64_t>(c.op_shards));
+      w.kv("op_threads", static_cast<std::int64_t>(c.op_threads));
       w.kv("kv_shards", static_cast<std::int64_t>(c.kv_shards));
       w.kv("ops_per_sec", c.r.iops);
       w.kv("speedup", base_iops > 0 ? c.r.iops / base_iops : 0.0);

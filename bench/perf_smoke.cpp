@@ -30,9 +30,10 @@
 // snapshot outgrows one WAL segment mid-run).
 // --measure-ms scales only the 1 MB laps; the small lap has dedicated
 // durations sized against the store's nearfull ratio. The small-write lap
-// is then re-run with op_shards = kv_shards = 4 ("*_smallwrite_sharded")
-// and gated intra-run: DoCeph sharded ops/s must be >= --shard-gate times
-// the unsharded lap (0 disables), with zero failed ops.
+// is then re-run with shards = 4 ("*_smallwrite_sharded": 8 tp_osd_tp
+// workers and 4 KV shards per OSD) and gated intra-run: DoCeph sharded
+// ops/s must be >= --shard-gate times the unsharded lap (0 disables), with
+// zero failed ops.
 //
 // A threshold of 0 disables that gate (iops/p99/cores each independently).
 // --trace-out makes the DoCeph lap sample 1-in-N client ops (default 64)
@@ -211,8 +212,8 @@ int main(int argc, char** argv) {
                    r.p99_lat_s * 1e3);
     }
 
-    // Sharded re-run of the same lap (op_shards = kv_shards = 4, DESIGN.md
-    // §15): four OSD op lanes feeding the proxy's shared staging arena, and
+    // Sharded re-run of the same lap (shards = 4, DESIGN.md §15): eight OSD
+    // op threads feeding the proxy's shared staging arena, and
     // four independent KV group-commit streams (each with its own full-size
     // WAL ring). Gated intra-run against the unsharded lap below, so a change
     // that quietly re-serializes the write path fails this binary even with
@@ -281,7 +282,7 @@ int main(int argc, char** argv) {
   bool failed = false;
 
   // Intra-run sharding gate: needs no committed baseline, so it guards the
-  // sharded write path even on a fresh checkout. op_shards=kv_shards=4 must
+  // sharded write path even on a fresh checkout. shards = 4 must
   // keep a real speedup over the unsharded small-write lap (measured ~3.0x;
   // gated at 2.0x, DESIGN.md §15.6) and must finish with zero failed ops —
   // backpressure may defer writes, never drop them.

@@ -122,7 +122,7 @@ TRACE_DECL_RE = re.compile(r"\"((?:[a-z0-9_]+\.)+[a-z0-9_]+)\"")
 FIRST_RE = re.compile(r"\bl_([A-Za-z0-9_]+)_first\s*=\s*(\d+)")
 
 # shard-bounds: a `*_shards` knob DECLARATION (int member/local with an
-# initializer). `op_shards_override`-style names deliberately do not match:
+# initializer). `kv_shards_override`-style names deliberately do not match:
 # overrides funnel through the knob they override, which carries the clamp.
 SHARD_DECL_RE = re.compile(r"\bint\s+(\w*_shards)\s*=")
 # A line "checks" a knob when it mentions the knob together with a clamp

@@ -151,7 +151,7 @@ def main(argv):
                         f" {delta_cell(b, c, False)} |")
             lines.append(row)
         lines += ["", "Stages are the Fig.-2 decomposition measured on the "
-                  "primary OSD (queue = op-lane wait, store = ObjectStore "
+                  "primary OSD (queue = op-queue wait, store = ObjectStore "
                   "prep + WAL commit, replication = repop fan-out wait)."]
 
     lines += [

@@ -20,6 +20,18 @@ std::uint64_t storage_class_ctx(const sim::StatsRegistry& stats, sim::ThreadClas
   return stats.class_ctx_switches(c, "host-") + stats.class_ctx_switches(c, "dpu-");
 }
 
+/// tp_osd_tp workers per OSD in the paper profile (cluster::default_osd);
+/// a sharded spec deploys this many per shard.
+constexpr int kOpThreadsPerShard = 2;
+
+int op_threads_of(const RunSpec& s) {
+  return s.op_threads_override > 0 ? s.op_threads_override
+                                   : kOpThreadsPerShard * s.shards;
+}
+int kv_shards_of(const RunSpec& s) {
+  return s.kv_shards_override > 0 ? s.kv_shards_override : s.shards;
+}
+
 }  // namespace
 
 std::string RunSpec::cache_key() const {
@@ -36,15 +48,15 @@ std::string RunSpec::cache_key() const {
   if (dma_failure_rate > 0) os << "_f" << static_cast<int>(dma_failure_rate * 1e4);
   if (backpressure) os << "_bp";
   {
-    // Sharded cells (DESIGN.md §15): `_shN` on the diagonal, `_shOPxKV`
-    // when the ablation overrides split op- and kv-shard counts. Nothing
-    // at 1/1 so the committed paper cells keep their keys.
-    const int op_sh = op_shards_override > 0 ? op_shards_override : shards;
-    const int kv_sh = kv_shards_override > 0 ? kv_shards_override : shards;
-    if (op_sh != kv_sh)
-      os << "_sh" << op_sh << "x" << kv_sh;
-    else if (op_sh > 1)
-      os << "_sh" << op_sh;
+    // Sharded cells (DESIGN.md §15): `_shN` on the diagonal, `_thOPxKV`
+    // when the ablation overrides split the op-thread and KV-shard counts.
+    // Nothing at 1/1 so the committed paper cells keep their keys.
+    const int threads = op_threads_of(*this);
+    const int kv_sh = kv_shards_of(*this);
+    if (threads != kOpThreadsPerShard * kv_sh)
+      os << "_th" << threads << "x" << kv_sh;
+    else if (kv_sh > 1)
+      os << "_sh" << kv_sh;
   }
   return os.str();
 }
@@ -68,12 +80,10 @@ RunResult run_experiment(const RunSpec& spec) {
   auto cfg = cluster::ClusterConfig::paper_testbed(spec.mode, spec.net,
                                                    /*retain_data=*/false);
   cfg.pg_num = spec.pg_num;
-  // Write-path sharding: op lanes and KV shards move together unless an
-  // ablation override splits them (both clamped >= 1 downstream).
-  cfg.osd_template.op_shards =
-      spec.op_shards_override > 0 ? spec.op_shards_override : spec.shards;
-  cfg.kv_shards =
-      spec.kv_shards_override > 0 ? spec.kv_shards_override : spec.shards;
+  // Write-path sharding: op threads and KV shards move together unless an
+  // ablation override splits them (kv_shards is clamped >= 1 downstream).
+  cfg.osd_template.op_threads = op_threads_of(spec);
+  cfg.kv_shards = kv_shards_of(spec);
   if (spec.proxy_override) cfg.proxy = *spec.proxy_override;
   if (spec.backpressure) {
     // End-to-end admission control: bounded queues at every layer, typed

@@ -25,12 +25,13 @@ struct RunSpec {
   /// control, and the committed figure cells must stay byte-identical.
   bool backpressure = false;
 
-  /// Write-path sharding (DESIGN.md §15): sets OsdConfig::op_shards and
-  /// ClusterConfig::kv_shards together. 1 (default) keeps the committed
-  /// figure cells byte-identical; >1 adds a `_shN` cache-key suffix.
+  /// Write-path sharding (DESIGN.md §15): N deploys ClusterConfig::kv_shards
+  /// = N and OsdConfig::op_threads = 2N (the profile's two tp_osd_tp
+  /// workers per shard). 1 (default) keeps the committed figure cells
+  /// byte-identical; >1 adds a `_shN` cache-key suffix.
   int shards = 1;
   /// Ablation overrides splitting the diagonal: 0 = follow `shards`.
-  int op_shards_override = 0;
+  int op_threads_override = 0;
   int kv_shards_override = 0;
 
   /// Ablation overrides for the proxy (DoCeph mode only).

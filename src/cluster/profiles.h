@@ -148,9 +148,8 @@ struct ClusterConfig {
 
   bool retain_data = true;  ///< false for long benches (bounds host RAM)
 
-  /// BlueStore KV shard count for every storage node (the op-lane half of
-  /// the sharding contract rides in osd_template.op_shards). Clamped to
-  /// >= 1 in store_config(); 1 keeps the paper cells byte-identical.
+  /// BlueStore KV shard count for every storage node. Clamped to >= 1 in
+  /// store_config(); 1 keeps the paper cells byte-identical.
   int kv_shards = 1;
 
   osd::OsdConfig osd_template = default_osd(0);

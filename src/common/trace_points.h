@@ -51,10 +51,6 @@ inline constexpr std::string_view kOsdStageQueue = "osd.stage.queue";
 inline constexpr std::string_view kOsdStageStore = "osd.stage.store";
 inline constexpr std::string_view kOsdStageRepl = "osd.stage.replication";
 inline constexpr std::string_view kOsdStageReply = "osd.stage.reply";
-// osd.shard.enqueue marks the lane-routing decision at dispatch (domain
-// "osd.<id>.lane<k>"; instantaneous, emitted only when op_shards > 1 so
-// default-shard trace dumps stay byte-identical).
-inline constexpr std::string_view kOsdShardEnqueue = "osd.shard.enqueue";
 // osd.throttle replaces osd.op for ops bounced at admission (recv ->
 // throttled reply sent; no stage children, the op never entered the queue).
 inline constexpr std::string_view kOsdThrottle = "osd.throttle";
@@ -62,13 +58,13 @@ inline constexpr std::string_view kOsdThrottle = "osd.throttle";
 }  // namespace points
 
 /// Every registered point, for enumeration (admin tooling, tests).
-inline constexpr std::array<std::string_view, 17> kAllTracePoints = {
+inline constexpr std::array<std::string_view, 16> kAllTracePoints = {
     points::kBluestoreTxn,      points::kClientOp,         points::kDocaDmaJob,
     points::kDpuRead,           points::kDpuRpcSubmitTxn,  points::kDpuWrite,
     points::kHostRead,          points::kHostSubmitTxn,    points::kMsgrDispatch,
     points::kOsdOp,             points::kOsdStageMessenger, points::kOsdStageQueue,
     points::kOsdStageStore,     points::kOsdStageRepl,     points::kOsdStageReply,
-    points::kOsdShardEnqueue,   points::kOsdThrottle,
+    points::kOsdThrottle,
 };
 
 }  // namespace doceph::trace

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/crc32c.h"
-#include "common/shard.h"
 #include "common/json.h"
 #include "common/logger.h"
 #include "sim/stats.h"
@@ -24,7 +23,7 @@ std::string osd_op_desc(const msgr::MOSDOp& op) {
   return desc;
 }
 
-/// Per-PG ordering token for enqueue_op_on. Bit 63 keeps every token
+/// Per-PG ordering token for enqueue_op. Bit 63 keeps every token
 /// distinct from 0 (the unordered marker); a cross-pool collision below it
 /// only over-serializes, never under-serializes.
 std::uint64_t pg_ord(std::int64_t pool, std::uint32_t pg_seed) {
@@ -42,6 +41,7 @@ OSD::OSD(sim::Env& env, net::Fabric& fabric, net::NetNode& node,
       store_(store),
       msgr_(env, fabric, node, domain, "osd." + std::to_string(cfg.id), cfg.msgr),
       monc_(env, msgr_, mon_addr),
+      queue_cv_(env.keeper(), "osd.queue_cv"),
       tick_cv_(env.keeper(), "osd.tick_cv"),
       counters_(perf::Builder("osd", l_osd_first, l_osd_last)
                     .add_counter(l_osd_op, "op")
@@ -61,13 +61,7 @@ OSD::OSD(sim::Env& env, net::Fabric& fabric, net::NetNode& node,
                     .add_counter(l_osd_throttle_nearfull, "throttle_nearfull")
                     .add_gauge(l_osd_queue_depth, "queue_depth")
                     .add_gauge(l_osd_queue_depth_hw, "queue_depth_hw")
-                    .add_counter(l_osd_shard_enqueues, "shard_enqueues")
-                    .add_gauge(l_osd_shard_lane_hw, "shard_lane_hw")
                     .create()) {
-  cfg_.op_shards = std::max(1, cfg_.op_shards);  // shard-bounds: knob >= 1
-  lanes_.reserve(static_cast<std::size_t>(cfg_.op_shards));
-  for (int i = 0; i < cfg_.op_shards; ++i)
-    lanes_.push_back(std::make_unique<OpLane>(env.keeper()));
   msgr_.set_dispatcher(this);
   perf_.add(counters_);
   perf_.add(msgr_.counters());
@@ -134,18 +128,15 @@ Status OSD::init() {
     const dbg::LockGuard lk(tick_mutex_);
     stopping_ = false;
   }
-  for (auto& lane : lanes_) {
-    const dbg::LockGuard lk(lane->mutex);
-    lane->stopping = false;
+  {
+    const dbg::LockGuard lk(queue_mutex_);
+    queue_stopping_ = false;
   }
-  // op_threads workers per lane; every worker keeps the exact "tp_osd_tp"
-  // name (sim/stats classifies OSD CPU by it, and the default single-lane
-  // OSD must stay byte-identical).
-  for (std::size_t lane = 0; lane < lanes_.size(); ++lane) {
-    for (int i = 0; i < cfg_.op_threads; ++i) {
-      op_workers_.emplace_back(env_.keeper(), env_.stats(), "tp_osd_tp", domain_,
-                               [this, lane] { op_worker(lane); }, /*daemon=*/true);
-    }
+  // Every worker keeps the exact "tp_osd_tp" name: sim/stats classifies OSD
+  // CPU by it.
+  for (int i = 0; i < cfg_.op_threads; ++i) {
+    op_workers_.emplace_back(env_.keeper(), env_.stats(), "tp_osd_tp", domain_,
+                             [this] { op_worker(); }, /*daemon=*/true);
   }
   ticker_ = sim::Thread(env_.keeper(), env_.stats(),
                         "osd-tick." + std::to_string(cfg_.id), domain_,
@@ -233,10 +224,10 @@ void OSD::stop_threads() {
     stopping_ = true;
     tick_cv_.notify_all();
   }
-  for (auto& lane : lanes_) {
-    const dbg::LockGuard lk(lane->mutex);
-    lane->stopping = true;
-    lane->cv.notify_all();
+  {
+    const dbg::LockGuard lk(queue_mutex_);
+    queue_stopping_ = true;
+    queue_cv_.notify_all();
   }
   {
     // Unblock any tick-thread scan waits.
@@ -271,8 +262,6 @@ void OSD::ms_dispatch(const MessageRef& m) {
       }
       if (cfg_.max_queue_depth > 0 &&
           queue_depth_.load(std::memory_order_relaxed) >= cfg_.max_queue_depth) {
-        // The depth bound covers the TOTAL across lanes, so the admission
-        // envelope is shard-count invariant.
         throttle_client(m, l_osd_throttle_queue, recv);
         break;
       }
@@ -310,38 +299,20 @@ void OSD::ms_dispatch(const MessageRef& m) {
       }
       tracked->mark_event("queued", env_.now());
       counters_->inc(l_osd_op_in_bytes, m->data.length());
-      // PG-stable routing: object -> pg is epoch-independent, so one object
-      // always hashes to the same lane and the same ordering token, and
-      // per-object ordering holds across map churn (DESIGN.md §15). The
-      // lookup is pure computation — it charges no simulated CPU on either
-      // path, so the shards=1 dispatch timing is unchanged by it.
+      // object -> pg is epoch-independent, so one object always carries
+      // the same ordering token and per-object ordering holds across map
+      // churn (DESIGN.md §15.1). The lookup charges no simulated CPU.
       const crush::pg_t pg = monc_.map().object_to_pg(op->pool, op->object);
-      std::size_t lane = 0;
-      if (lanes_.size() > 1) {
-        lane = lane_of(pg.pool, pg.seed);
-        counters_->inc(l_osd_shard_enqueues);
-        if (m->trace.sampled()) {
-          env_.tracer().record_span(
-              "osd.shard.enqueue",
-              "osd." + std::to_string(cfg_.id) + ".lane" + std::to_string(lane),
-              m->trace, env_.now(), env_.now());
-        }
-      }
       const std::uint64_t ord = pg_ord(pg.pool, pg.seed);
-      enqueue_op_on(lane,
-                    [this, m, tracked, lane, ord] {
-                      handle_client_op(m, tracked, lane, ord);
-                    },
-                    ord, op->op == msgr::OsdOpType::read);
+      enqueue_op([this, m, tracked, ord] { handle_client_op(m, tracked, ord); },
+                 ord, op->op == msgr::OsdOpType::read);
       break;
     }
     case msgr::MsgType::osd_repop: {
-      // Repops carry their PG on the wire: same hash, same lane as the
-      // primary's client op for that object.
+      // Repops carry their PG on the wire: the same token as the primary's
+      // client op for that object.
       auto* repop = static_cast<msgr::MOSDRepOp*>(m.get());
-      enqueue_op_on(lane_of(repop->pool, repop->pg_seed),
-                    [this, m] { handle_repop(m); },
-                    pg_ord(repop->pool, repop->pg_seed));
+      enqueue_op([this, m] { handle_repop(m); }, pg_ord(repop->pool, repop->pg_seed));
       break;
     }
     case msgr::MsgType::osd_repop_reply:
@@ -350,12 +321,9 @@ void OSD::ms_dispatch(const MessageRef& m) {
     case msgr::MsgType::osd_ping:
       handle_ping(m);
       break;
-    case msgr::MsgType::pg_scan: {
-      auto* scan = static_cast<msgr::MPGScan*>(m.get());
-      enqueue_op_on(lane_of(scan->pool, scan->pg_seed),
-                    [this, m] { handle_pg_scan(m); });
+    case msgr::MsgType::pg_scan:
+      enqueue_op([this, m] { handle_pg_scan(m); });
       break;
-    }
     case msgr::MsgType::pg_scan_reply:
       handle_pg_scan_reply(m);
       break;
@@ -367,64 +335,60 @@ void OSD::ms_dispatch(const MessageRef& m) {
 
 void OSD::ms_handle_reset(const msgr::ConnectionRef&) {}
 
-std::size_t OSD::lane_of(std::int64_t pool, std::uint32_t pg_seed) const {
-  return common::shard_of_pg(pool, pg_seed, lanes_.size());
-}
-
-void OSD::enqueue_op(std::function<void()> fn) {
-  enqueue_op_on(0, std::move(fn));
-}
-
-void OSD::enqueue_op_on(std::size_t lane, std::function<void()> fn,
-                        std::uint64_t ord, bool read) {
-  OpLane& l = *lanes_[lane];
-  const dbg::LockGuard lk(l.mutex);
-  if (l.stopping) return;
-  l.queue.push_back(OpLane::Entry{ord, read, std::move(fn)});
+void OSD::enqueue_op(std::function<void()> fn, std::uint64_t ord, bool read) {
+  const dbg::LockGuard lk(queue_mutex_);
+  if (queue_stopping_) return;
+  op_queue_.push_back(QueuedOp{ord, read, std::move(fn)});
   const auto depth = queue_depth_.fetch_add(1, std::memory_order_relaxed) + 1;
   counters_->set(l_osd_queue_depth, depth);
   if (depth > counters_->get(l_osd_queue_depth_hw))
     counters_->set(l_osd_queue_depth_hw, depth);
-  if (lanes_.size() > 1) {
-    const auto lane_depth = static_cast<std::uint64_t>(l.queue.size());
-    if (lane_depth > counters_->get(l_osd_shard_lane_hw))
-      counters_->set(l_osd_shard_lane_hw, lane_depth);
-  }
-  l.cv.notify_one();
+  queue_cv_.notify_one();
 }
 
-void OSD::op_worker(std::size_t lane) {
-  OpLane& l = *lanes_[lane];
+std::size_t OSD::next_ready_op() const {
+  // Tokens passed over in this scan: each keeps every later entry of its
+  // PG queued too, so dispatch skips a waiting PG but never reorders it.
+  std::vector<std::uint64_t> held;
+  for (std::size_t i = 0; i < op_queue_.size(); ++i) {
+    const QueuedOp& e = op_queue_[i];
+    if (e.ord == 0) return i;
+    if (std::find(held.begin(), held.end(), e.ord) != held.end()) continue;
+    if (executing_.contains(e.ord) || (!e.read && reading_.contains(e.ord))) {
+      held.push_back(e.ord);
+      continue;
+    }
+    return i;
+  }
+  return op_queue_.size();
+}
+
+void OSD::op_worker() {
   while (true) {
-    OpLane::Entry e;
+    QueuedOp e;
     {
-      dbg::UniqueLock lk(l.mutex);
-      l.cv.wait(lk, [&] {
-        l.mutex.assert_held();  // predicate runs as a separate function
-        // Head-of-line gate: the head stays queued while a same-token op is
-        // executing on the other worker, so per-PG store submissions happen
-        // in arrival order, and a non-read head also while a same-token read
-        // is in flight (DESIGN.md §15.1). Ops behind a gated head wait too —
-        // skipping past it would reorder the lane FIFO.
-        if (l.stopping) return true;
-        if (l.queue.empty()) return false;
-        const OpLane::Entry& head = l.queue.front();
-        return head.ord == 0 || (!l.executing.contains(head.ord) &&
-                                 (head.read || !l.reading.contains(head.ord)));
+      dbg::UniqueLock lk(queue_mutex_);
+      std::size_t next = 0;
+      queue_cv_.wait(lk, [&] {
+        queue_mutex_.assert_held();  // predicate runs as a separate function
+        if (queue_stopping_) return true;
+        next = next_ready_op();
+        return next < op_queue_.size();
       });
-      if (l.stopping) return;
-      e = std::move(l.queue.front());
-      l.queue.pop_front();
-      if (e.ord != 0) l.executing.insert(e.ord);
+      if (queue_stopping_) return;
+      const auto it = op_queue_.begin() + static_cast<std::ptrdiff_t>(next);
+      e = std::move(*it);
+      op_queue_.erase(it);
+      if (e.ord != 0) executing_.insert(e.ord);
       counters_->set(l_osd_queue_depth,
                      queue_depth_.fetch_sub(1, std::memory_order_relaxed) - 1);
     }
     if (domain_ != nullptr) domain_->charge(cfg_.per_op_cost);
     e.fn();
     if (e.ord != 0) {
-      const dbg::LockGuard lk(l.mutex);
-      l.executing.erase(e.ord);
-      l.cv.notify_all();  // release a head gated on this token
+      const dbg::LockGuard lk(queue_mutex_);
+      executing_.erase(e.ord);
+      queue_cv_.notify_all();  // release entries waiting on this token
     }
   }
 }
@@ -519,7 +483,7 @@ void OSD::ensure_pg_collection(const pg_t& pg, os::Transaction& txn) {
 }
 
 void OSD::handle_client_op(const MessageRef& m, const TrackedOpRef& tracked,
-                           std::size_t lane, std::uint64_t ord) {
+                           std::uint64_t ord) {
   tracked->mark_event("dequeued", env_.now());
   auto* op = static_cast<msgr::MOSDOp*>(m.get());
   const crush::OSDMap map = monc_.map();
@@ -542,16 +506,15 @@ void OSD::handle_client_op(const MessageRef& m, const TrackedOpRef& tracked,
     case msgr::OsdOpType::read: {
       counters_->inc(l_osd_op_r);
       // The PG stays "reading" until the callback: this worker returns to
-      // the lane now, but no later write of the PG is dispatched before the
+      // the queue now, but no later write of the PG is dispatched before the
       // read has its bytes (DESIGN.md §15.1).
-      OpLane& l = *lanes_[lane];
       {
-        const dbg::LockGuard lk(l.mutex);
-        ++l.reading[ord];
+        const dbg::LockGuard lk(queue_mutex_);
+        ++reading_[ord];
       }
       // Runs on a device completion context, the proxy loop or inline:
       // short locks only, no CPU charge; the reply just goes to the messenger.
-      auto on_read = [this, m, tracked, &l, ord](Result<BufferList> r) {
+      auto on_read = [this, m, tracked, ord](Result<BufferList> r) {
         tracked->mark_event("commit", env_.now());  // read served by the store
         if (r.ok()) {
           ops_served_.fetch_add(1, std::memory_order_relaxed);
@@ -561,10 +524,10 @@ void OSD::handle_client_op(const MessageRef& m, const TrackedOpRef& tracked,
           reply_client(m, -static_cast<std::int32_t>(r.status().code()), 0, 0, {},
                        tracked);
         }
-        const dbg::LockGuard lk(l.mutex);
-        if (--l.reading[ord] == 0) {
-          l.reading.erase(ord);
-          l.cv.notify_all();  // release a write gated on this PG's reads
+        const dbg::LockGuard lk(queue_mutex_);
+        if (--reading_[ord] == 0) {
+          reading_.erase(ord);
+          queue_cv_.notify_all();  // release a write waiting on this PG's reads
         }
       };
       store_.read_async(pg.to_coll(), oid, op->offset, op->length,

@@ -39,25 +39,17 @@ enum {
   l_osd_throttle_queue,    ///< ... because the op queue was full
   l_osd_throttle_conn,     ///< ... because the connection hit its in-flight cap
   l_osd_throttle_nearfull, ///< ... because the store is near-full (writes)
-  l_osd_queue_depth,       ///< gauge: current op-queue depth (all lanes)
-  l_osd_queue_depth_hw,    ///< gauge: high-water op-queue depth (all lanes)
-  l_osd_shard_enqueues,    ///< ops hash-routed onto a lane (op_shards > 1)
-  l_osd_shard_lane_hw,     ///< gauge: high-water depth of a single lane
+  l_osd_queue_depth,       ///< gauge: current op-queue depth
+  l_osd_queue_depth_hw,    ///< gauge: high-water op-queue depth
   l_osd_last,
 };
 
 struct OsdConfig {
   int id = 0;
   std::uint16_t public_port = 6800;
-  int op_threads = 2;  ///< "tp_osd_tp" worker count PER LANE
-
-  /// Op-queue lanes: client ops and repops hash by placement group
-  /// (common::shard_of_pg — the same PG-stable hash the DPU proxy's write
-  /// workers use) onto this many independent dbg::-instrumented queues,
-  /// each served by `op_threads` workers. Per-object ordering holds within
-  /// a lane (DESIGN.md §15); clamped to >= 1 at the OSD ctor. 1 = the
-  /// legacy single dispatch queue.
-  int op_shards = 1;
+  /// "tp_osd_tp" workers serving the one op queue. Per-PG dispatch keeps
+  /// per-object ordering at any count (DESIGN.md §15.1).
+  int op_threads = 2;
 
   /// Passed to this OSD's messenger (the cluster keeps the MsgrCostModel
   /// defaults).
@@ -155,25 +147,24 @@ class OSD final : public msgr::Dispatcher {
   void stop_threads();
 
   // ---- op pipeline -----------------------------------------------------------
-  /// Route `fn` onto lane 0 (misc deferrals with no PG affinity).
-  void enqueue_op(std::function<void()> fn);
-  /// Route `fn` onto a specific lane (PG-hashed; see lane_of). A nonzero
-  /// `ord` token serializes this op against every other op carrying the
-  /// same token: the lane head is not handed to a worker while a same-token
-  /// op is still executing, so per-PG store submissions happen in queue
-  /// order even with op_threads > 1. A client read (`read`) also holds its
-  /// PG from dispatch until its store callback: later reads may pass it,
-  /// but a tokened write or repop at the head waits until the PG has no
-  /// read in flight (DESIGN.md §15.1).
-  void enqueue_op_on(std::size_t lane, std::function<void()> fn,
-                     std::uint64_t ord = 0, bool read = false);
-  [[nodiscard]] std::size_t lane_of(std::int64_t pool, std::uint32_t pg_seed) const;
-  void op_worker(std::size_t lane);
+  /// Queue `fn` for a tp_osd_tp worker. A nonzero `ord` (per-PG token)
+  /// keeps the PG's ops in queue order: an entry dispatches only when no
+  /// earlier entry of its token is still queued and no op of its token is
+  /// executing, so per-PG store submissions happen in arrival order with any
+  /// number of workers. A client read (`read`) also holds its PG from
+  /// dispatch until its store callback: later reads may pass it, but a
+  /// tokened write or repop waits until the PG has no read in flight.
+  /// Entries of other PGs dispatch past a waiting one (DESIGN.md §15.1).
+  void enqueue_op(std::function<void()> fn, std::uint64_t ord = 0, bool read = false);
+  /// Index of the first entry of op_queue_ a worker may take, or
+  /// op_queue_.size() when none may.
+  [[nodiscard]] std::size_t next_ready_op() const DOCEPH_REQUIRES(queue_mutex_);
+  void op_worker();
 
-  /// `lane`/`ord` are where the op was queued; a read releases that PG's
-  /// read hold from its store callback.
+  /// `ord` is the op's PG token; a read releases that PG's read hold from
+  /// its store callback.
   void handle_client_op(const msgr::MessageRef& m, const TrackedOpRef& op,
-                        std::size_t lane, std::uint64_t ord);
+                        std::uint64_t ord);
   void handle_repop(const msgr::MessageRef& m);
   void handle_repop_reply(const msgr::MessageRef& m);
   void handle_ping(const msgr::MessageRef& m);
@@ -229,33 +220,26 @@ class OSD final : public msgr::Dispatcher {
   msgr::Messenger msgr_;
   mon::MonClient monc_;
 
-  // Op-queue lanes feeding tp_osd_tp workers (op_shards lanes, op_threads
-  // workers each). Lane mutexes share the "osd.queue" lock class; no path
-  // holds two lanes at once. queue_depth_ tracks the cross-lane total so
-  // admission control reads it without touching any lane lock.
-  struct OpLane {
-    dbg::Mutex mutex{"osd.queue"};
-    dbg::CondVar cv;
-    struct Entry {
-      std::uint64_t ord = 0;  ///< 0 = unordered; else per-PG serial token
-      bool read = false;      ///< a client read: may pass reads in flight
-      std::function<void()> fn;
-    };
-    std::deque<Entry> queue DOCEPH_GUARDED_BY(mutex);
-    /// Ordering tokens with an op currently executing on a worker, i.e.
-    /// not yet submitted to the store. The lane head stays queued while its
-    /// token is in here: with two tp_osd_tp workers per lane, dispatching
-    /// consecutive same-PG ops concurrently would let their store
-    /// submissions race and acked writes reorder.
-    std::unordered_set<std::uint64_t> executing DOCEPH_GUARDED_BY(mutex);
-    /// Per-token count of client reads submitted whose callback has not
-    /// run yet. A tokened non-read head stays queued while its token is in
-    /// here, so a write never overtakes an earlier read of its PG.
-    std::unordered_map<std::uint64_t, int> reading DOCEPH_GUARDED_BY(mutex);
-    bool stopping DOCEPH_GUARDED_BY(mutex) = false;
-    explicit OpLane(sim::TimeKeeper& tk) : cv(tk, "osd.queue_cv") {}
+  // The op queue feeding the op_threads tp_osd_tp workers. queue_depth_
+  // mirrors its size so admission control reads it without the queue lock.
+  struct QueuedOp {
+    std::uint64_t ord = 0;  ///< 0 = unordered; else per-PG serial token
+    bool read = false;      ///< a client read: may pass reads in flight
+    std::function<void()> fn;
   };
-  std::vector<std::unique_ptr<OpLane>> lanes_;
+  dbg::Mutex queue_mutex_{"osd.queue"};
+  dbg::CondVar queue_cv_;
+  std::deque<QueuedOp> op_queue_ DOCEPH_GUARDED_BY(queue_mutex_);
+  /// Ordering tokens with an op currently executing on a worker, i.e. not
+  /// yet submitted to the store. Their queued entries wait: two workers
+  /// running consecutive same-PG ops concurrently would let their store
+  /// submissions race and acked writes reorder.
+  std::unordered_set<std::uint64_t> executing_ DOCEPH_GUARDED_BY(queue_mutex_);
+  /// Per-token count of client reads submitted whose callback has not run
+  /// yet. A tokened non-read entry waits while its token is in here, so a
+  /// write never overtakes an earlier read of its PG.
+  std::unordered_map<std::uint64_t, int> reading_ DOCEPH_GUARDED_BY(queue_mutex_);
+  bool queue_stopping_ DOCEPH_GUARDED_BY(queue_mutex_) = false;
   std::atomic<std::size_t> queue_depth_{0};
   std::vector<sim::Thread> op_workers_;
   dbg::Mutex tick_mutex_{"osd.tick"};

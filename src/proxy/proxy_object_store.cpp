@@ -446,6 +446,7 @@ void ProxyObjectStore::finish(const OpRef& op, const Status& st) {
   if (!next) pgs_.erase(q);
   if (op->on_commit) op->on_commit(st);
   if (next && !stopping_) start(next);
+  for (const auto& rd : op->reads_behind) start_read(rd);
 }
 
 // ---- control plane ----------------------------------------------------------------
@@ -482,7 +483,15 @@ void ProxyObjectStore::read_async(const os::coll_t& c, const os::ghobject_t& o,
   rd->rr = ReadRequest{.cid = c, .oid = o, .off = off, .len = len};
   rd->on_read = std::move(on_read);
   rd->span = env_.tracer().span("dpu.read", "dpu." + dpu_.name(), ctx, env_.now());
-  center_.dispatch([this, rd] { start_read(rd); });
+  center_.dispatch([this, rd] { admit_read(rd); });
+}
+
+void ProxyObjectStore::admit_read(const ReadRef& rd) {
+  // The PG's writes queued so far were submitted before this read: wait for
+  // the last of them, or the read can reach the host first.
+  const auto q = pgs_.find(rd->rr.cid);
+  if (q == pgs_.end() || stopping_) return start_read(rd);
+  q->second.back()->reads_behind.push_back(rd);
 }
 
 void ProxyObjectStore::start_read(const ReadRef& rd) {

@@ -100,8 +100,9 @@ struct BreakdownSnapshot {
 /// every later step (reservation grant, staging copy, DMA completion, stage
 /// ack, host reply) runs as a loop handler. Each PG keeps a write FIFO whose
 /// head alone is in flight, so per-PG order holds without PGs waiting on
-/// each other; reads are not ordered against writes here (the OSD's per-PG
-/// gate does that).
+/// each other. A read waits for the writes its PG had queued when it
+/// arrived, so it sees every transaction queued before it, as a BlueStore
+/// read does; the OSD's per-PG dispatch keeps writes behind earlier reads.
 class ProxyObjectStore final : public os::ObjectStore {
  public:
   ProxyObjectStore(sim::Env& env, dpu::DpuDevice& dpu, ProxyConfig cfg = {});
@@ -169,6 +170,9 @@ class ProxyObjectStore final : public os::ObjectStore {
     std::size_t off = 0;      ///< arena offset
   };
 
+  struct ReadOp;
+  using ReadRef = std::shared_ptr<ReadOp>;
+
   /// One admitted write. Touched only on the loop thread.
   struct WriteOp {
     os::coll_t cid;
@@ -179,6 +183,9 @@ class ProxyObjectStore final : public os::ObjectStore {
     OnCommit on_commit;
     sim::Time enqueued = 0;
     bool done = false;  ///< committed or failed; late completions only clean up
+    /// Reads of this PG that arrived while this write was its FIFO's tail;
+    /// they start once it finishes.
+    std::vector<ReadRef> reads_behind;
 
     // Routing cursor: the next ref to route is wire.parts[part][ref]. At
     // most one reservation is pending at a time.
@@ -227,7 +234,6 @@ class ProxyObjectStore final : public os::ObjectStore {
     event::EventCenter::TimerId deadline = 0;
     trace::Span span;
   };
-  using ReadRef = std::shared_ptr<ReadOp>;
 
   // Loop-thread steps of a write, in the order a request meets them.
   void admit(const OpRef& op);
@@ -255,10 +261,11 @@ class ProxyObjectStore final : public os::ObjectStore {
   void abort(const OpRef& op, const Status& st);
   void finish(const OpRef& op, const Status& st);
 
-  // Loop-thread steps of a read: reserve a landing extent (while DMA is
-  // enabled; a read to the object's end stats it first), ask the host, and
-  // once it has filled the landing reserve a paired extent, DMA the landing
-  // into it, copy out.
+  // Loop-thread steps of a read: wait for the writes its PG queued before
+  // it, reserve a landing extent (while DMA is enabled; a read to the
+  // object's end stats it first), ask the host, and once it has filled the
+  // landing reserve a paired extent, DMA the landing into it, copy out.
+  void admit_read(const ReadRef& rd);
   void start_read(const ReadRef& rd);
   /// Reserve a landing extent for the first `len` bytes of the result, then ask.
   void reserve_read(const ReadRef& rd, std::uint64_t len);

@@ -33,6 +33,24 @@ TEST(RunSpec, CacheKeyIsStableAndDistinct) {
   EXPECT_NE(a.cache_key(), e.cache_key());
 }
 
+TEST(RunSpec, ShardedKeysNameTheDiagonalOrTheSplit) {
+  // shards = N deploys 2N op threads and N KV shards: `_shN`, however it is
+  // spelled. Off the diagonal the key names both counts.
+  RunSpec diag;
+  diag.shards = 4;
+  RunSpec spelled;
+  spelled.op_threads_override = 8;
+  spelled.kv_shards_override = 4;
+  EXPECT_EQ(diag.cache_key(), RunSpec{}.cache_key() + "_sh4");
+  EXPECT_EQ(spelled.cache_key(), diag.cache_key());
+  RunSpec split;
+  split.op_threads_override = 8;
+  EXPECT_EQ(split.cache_key(), RunSpec{}.cache_key() + "_th8x1");
+  RunSpec unsharded;
+  unsharded.op_threads_override = 2;
+  EXPECT_EQ(unsharded.cache_key(), RunSpec{}.cache_key());
+}
+
 TEST(BreakdownSnapshot, OthersIsResidualAndNonNegative) {
   proxy::BreakdownSnapshot bd;
   bd.count = 2;

@@ -1,11 +1,11 @@
-// Chaos: power-loss kill under the SHARDED write path (op_shards =
+// Chaos: power-loss kill under the SHARDED write path (8 op threads,
 // kv_shards = 4, DESIGN.md §15). The hard-kill drill from
 // test_chaos_hard_kill gets the extra hazard sharding introduces: at the
-// kill instant four op lanes and four KV sync threads are mid-commit
+// kill instant eight op threads and four KV sync threads are mid-commit
 // independently, so the remount must locate four per-shard checkpoints and
 // replay four WAL sub-regions — and any cross-shard chain cut mid-flight
 // must surface as a failed (never acked-then-lost) op. Recovery then runs
-// over the sharded lanes too (parallel PG scans fan out per lane). The
+// over the eight op threads too (PG scans are served in parallel). The
 // seed comes from env_seed() so the nightly chaos matrix sweeps the drill
 // across universes.
 #include <gtest/gtest.h>
@@ -29,7 +29,7 @@ ClusterConfig sharded_chaos_cfg(DeployMode mode) {
   auto cfg = ClusterConfig::paper_testbed(mode, NetworkKind::gbe_100,
                                           /*retain_data=*/true);
   cfg.pg_num = 8;
-  cfg.osd_template.op_shards = 4;
+  cfg.osd_template.op_threads = 8;
   cfg.kv_shards = 4;
   cfg.osd_template.heartbeat_grace = 2'000'000'000;
   cfg.osd_template.recovery_quiesce = 500'000'000;
@@ -54,7 +54,7 @@ void sharded_hard_kill(Env& env, DeployMode mode) {
   auto io = cl.client().io_ctx(1);
 
   // Sequential laps spanning the kill and the revival; objects spread over
-  // 8 PGs, so the stream exercises every lane on both OSDs.
+  // 8 PGs on both OSDs.
   for (int i = 0; i < kObjects; ++i) {
     const Status st = io.write_full(
         "obj" + std::to_string(i),

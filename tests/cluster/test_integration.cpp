@@ -193,7 +193,7 @@ TEST_P(IntegrationTest, HostCpuAccountingMatchesMode) {
 
 TEST_P(IntegrationTest, StalledReadsDoNotParkOpThreads) {
   // Two reads stall 50 ms on the primary's SSD. An OSD op thread only
-  // submits a read and returns to its lane, so a third read (another PG,
+  // submits a read and returns to the queue, so a third read (another PG,
   // same primary) is served at once although the primary has only two
   // tp_osd_tp threads.
   Env env;
@@ -234,6 +234,90 @@ TEST_P(IntegrationTest, StalledReadsDoNotParkOpThreads) {
     EXPECT_EQ(r0->data().to_string(), pattern(kSize, 0));
     EXPECT_EQ(r1->data().to_string(), pattern(kSize, 1));
     EXPECT_EQ(env.faults().fires("bdev.latency_spike"), 2u);
+    env.faults().clear_all();
+    cluster.stop();
+  });
+}
+
+TEST_P(IntegrationTest, UnrelatedPgIsNotStalledBehindAGatedHead) {
+  // A read of A stalls 50 ms on the primary's SSD, and a write to A then
+  // waits for it (a write never overtakes an earlier read of its PG). A
+  // write to B, in another PG of the same primary, must not queue behind
+  // that waiting write.
+  Env env;
+  Cluster cluster(env, small_cfg(GetParam()));
+  run_sim(env, [&] {
+    ASSERT_TRUE(cluster.start().ok());
+    cluster.wait_all_clean();
+    auto io = cluster.client().io_ctx(1);
+    // Above BlueStore's 64 KiB inline threshold, so the read hits the SSD.
+    constexpr std::size_t kSize = 128 << 10;
+    const int primary = 0;
+    const auto objs = objects_led_by(cluster, primary, 2, "gate");
+    for (std::size_t i = 0; i < objs.size(); ++i) {
+      ASSERT_TRUE(io.write_full(objs[i], BufferList::copy_of(pattern(
+                                             kSize, static_cast<unsigned>(i))))
+                      .ok());
+    }
+    fault::FaultSpec spike;
+    spike.force_next = 1;
+    spike.count = 1;
+    spike.delay_ns = 50'000'000;
+    spike.match = "bdev-" + std::to_string(primary);
+    env.faults().set("bdev.latency_spike", spike);
+
+    const Time t0 = env.now();
+    auto read_a = io.aio_read(objs[0], 0, 0);
+    auto write_a = io.aio_write_full(objs[0], BufferList::copy_of(pattern(kSize, 10)));
+    const Status write_b =
+        io.write_full(objs[1], BufferList::copy_of(pattern(kSize, 11)));
+    const Time b_acked = env.now() - t0;
+    ASSERT_TRUE(write_b.ok()) << write_b.to_string();
+    EXPECT_LT(b_acked, 10'000'000) << "B's write waited behind A's gated write";
+
+    ASSERT_TRUE(read_a->wait().ok());
+    ASSERT_TRUE(write_a->wait().ok());
+    EXPECT_GE(env.now() - t0, 50'000'000);
+    EXPECT_EQ(read_a->data().to_string(), pattern(kSize, 0));
+    EXPECT_EQ(env.faults().fires("bdev.latency_spike"), 1u);
+    env.faults().clear_all();
+    EXPECT_EQ(io.read(objs[0], 0, 0)->to_string(), pattern(kSize, 10));
+    EXPECT_EQ(io.read(objs[1], 0, 0)->to_string(), pattern(kSize, 11));
+    cluster.stop();
+  });
+}
+
+TEST_P(IntegrationTest, ReadQueuedBehindAGatedWriteSeesIt) {
+  // Pipelined R1 -> W -> R2 on one object, with R1 stalled 50 ms on the
+  // SSD: W waits for R1, and R2, though a read may pass reads in flight,
+  // must not pass the queued W of its PG. R2 returns W's bytes.
+  Env env;
+  Cluster cluster(env, small_cfg(GetParam()));
+  run_sim(env, [&] {
+    ASSERT_TRUE(cluster.start().ok());
+    cluster.wait_all_clean();
+    auto io = cluster.client().io_ctx(1);
+    constexpr std::size_t kSize = 128 << 10;
+    const int primary = 0;
+    const std::string obj = objects_led_by(cluster, primary, 1, "fifo")[0];
+    ASSERT_TRUE(io.write_full(obj, BufferList::copy_of(pattern(kSize, 1))).ok());
+    fault::FaultSpec spike;
+    spike.force_next = 1;
+    spike.count = 1;
+    spike.delay_ns = 50'000'000;
+    spike.match = "bdev-" + std::to_string(primary);
+    env.faults().set("bdev.latency_spike", spike);
+
+    auto r1 = io.aio_read(obj, 0, 0);
+    auto w = io.aio_write_full(obj, BufferList::copy_of(pattern(kSize, 2)));
+    auto r2 = io.aio_read(obj, 0, 0);
+    ASSERT_TRUE(r1->wait().ok());
+    ASSERT_TRUE(w->wait().ok());
+    ASSERT_TRUE(r2->wait().ok());
+    EXPECT_EQ(r1->data().to_string(), pattern(kSize, 1));
+    EXPECT_EQ(r2->data().to_string(), pattern(kSize, 2))
+        << "R2 passed the write queued before it";
+    EXPECT_EQ(env.faults().fires("bdev.latency_spike"), 1u);
     env.faults().clear_all();
     cluster.stop();
   });

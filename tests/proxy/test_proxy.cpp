@@ -4,7 +4,6 @@
 
 #include "../test_util.h"
 #include "bluestore/bluestore.h"
-#include "common/shard.h"
 #include "proxy/host_backend.h"
 
 namespace doceph::proxy {
@@ -253,15 +252,12 @@ TEST(Proxy, ConcurrentWritersKeepPerObjectOrder) {
 }
 
 TEST(Proxy, SmallWriteOnAnotherPgIsNotQueuedBehindALargeOne) {
-  // Two PGs that share a shard under the PG hash the OSD lanes use: a 16 KiB
-  // write to the second must not wait for a 16 MiB write to the first.
+  // The proxy keeps one write FIFO per PG: a 16 KiB write to a second PG
+  // must not wait for a 16 MiB write to the first.
   ProxyFixture f;
   f.up();
   const os::coll_t pg_a = kColl;
-  os::coll_t pg_b{1, 1};
-  while (common::shard_of_pg(1, pg_b.pg_seed, 8) !=
-         common::shard_of_pg(1, pg_a.pg_seed, 8))
-    ++pg_b.pg_seed;
+  const os::coll_t pg_b{1, 1};
   std::vector<std::string> committed;
   run_sim(f.env, [&] {
     os::Transaction mk;

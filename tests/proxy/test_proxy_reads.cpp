@@ -277,6 +277,33 @@ TEST(ProxyReads, ReadQueuesFifoWithWriteSegments) {
   f.down();
 }
 
+TEST(ProxyReads, ReadSeesAWriteOfItsPgQueuedBeforeIt) {
+  // The write's payload takes the DMA path while the read would reach the
+  // host straight away: the read waits for the write its PG queued first,
+  // as a BlueStore read sees every transaction queued before it.
+  ReadFixture f;
+  f.up_with(pattern(1 << 20, 1));
+  Result<BufferList> got = BufferList{};
+  Time write_at = -1;
+  Time read_at = -1;
+  run_sim(f.env, [&] {
+    os::Transaction t;
+    t.write_full(kColl, kObj, BufferList::copy_of(pattern(1 << 20, 2)));
+    f.proxy->queue_transaction(std::move(t), [&](Status st) {
+      EXPECT_TRUE(st.ok()) << st.to_string();
+      write_at = f.env.now();
+    });
+    got = f.proxy->read(kColl, kObj, 0, 0);
+    read_at = f.env.now();
+  });
+  ASSERT_TRUE(got.ok()) << got.status().to_string();
+  EXPECT_EQ(got->to_string(), pattern(1 << 20, 2));
+  EXPECT_GT(write_at, 0);
+  EXPECT_GE(read_at, write_at);
+  f.expect_staging_free();
+  f.down();
+}
+
 TEST(ProxyReads, ReadAtTheHostHoldsNoPairedBytes) {
   // The host's SSD read stalls for 50 ms. Meanwhile the read holds only its
   // landing extent, so a 2 MiB write segment takes the whole 1-slot arena
