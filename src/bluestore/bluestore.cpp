@@ -65,6 +65,8 @@ BlueStore::BlueStore(sim::Env& env, sim::CpuDomain* domain, BlueStoreConfig cfg,
                   .add_gauge(l_bstore_nearfull, "nearfull")
                   .add_gauge(l_bstore_kv_shard_bytes_hw, "kv_shard_bytes_hw")
                   .add_gauge(l_bstore_kv_shard_cross, "kv_shard_cross")
+                  .add_counter(l_bstore_kv_ckpt_bytes, "kv_ckpt_bytes")
+                  .add_counter(l_bstore_kv_ckpt_chunks, "kv_ckpt_chunks")
                   .create();
 }
 
@@ -492,6 +494,18 @@ void BlueStore::finish_txc(const TxRef& txc, Status st) {
   counters_->set(l_bstore_kv_bytes, kv_->map_bytes());
   counters_->set(l_bstore_nearfull,
                  fullness() >= cfg_.nearfull_ratio ? 1 : 0);
+  // Checkpoint writes go in as deltas of the KV totals, so a counter reset
+  // opens a clean window. Shard sync threads race here: only the caller
+  // that advances `seen` adds the difference.
+  auto add_delta = [this](int idx, std::atomic<std::uint64_t>& seen,
+                          std::uint64_t total) {
+    std::uint64_t prev = seen.load(std::memory_order_relaxed);
+    while (prev < total && !seen.compare_exchange_weak(prev, total)) {
+    }
+    if (prev < total) counters_->inc(idx, total - prev);
+  };
+  add_delta(l_bstore_kv_ckpt_bytes, ckpt_bytes_seen_, kv_->ckpt_bytes());
+  add_delta(l_bstore_kv_ckpt_chunks, ckpt_chunks_seen_, kv_->ckpt_chunks());
   if (kv_->shards() > 1) {
     counters_->set(l_bstore_kv_shard_bytes_hw, kv_->max_shard_bytes());
     counters_->set(l_bstore_kv_shard_cross, kv_->cross_shard_commits());

@@ -28,6 +28,8 @@ enum {
   l_bstore_nearfull,    ///< gauge: 1 when fullness() >= nearfull_ratio
   l_bstore_kv_shard_bytes_hw,  ///< gauge: resident bytes of the fullest KV shard
   l_bstore_kv_shard_cross,     ///< gauge: cross-shard chained commits completed
+  l_bstore_kv_ckpt_bytes,      ///< KV checkpoint chunk bytes written to the device
+  l_bstore_kv_ckpt_chunks,     ///< KV checkpoint chunk records written
   l_bstore_last,
 };
 
@@ -212,6 +214,9 @@ class BlueStore final : public os::ObjectStore {
   std::unique_ptr<ExtentAllocator> alloc_;
   bool mounted_ = false;
   perf::PerfCountersRef counters_;
+  // KvStore checkpoint totals already added to the counters.
+  std::atomic<std::uint64_t> ckpt_bytes_seen_{0};
+  std::atomic<std::uint64_t> ckpt_chunks_seen_{0};
 
   dbg::Mutex mutex_{"bluestore.store"};  // onode cache + sequencers
   dbg::CondVar seq_drained_;

@@ -1,6 +1,7 @@
 #include "bluestore/kv.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 
 #include "common/crc32c.h"
@@ -16,6 +17,24 @@ constexpr std::uint8_t kKindTxn = 2;
 constexpr std::size_t kRecHeader = 4 + 1 + 8 + 8 + 4;  // magic kind gen seq len
 constexpr std::size_t kRecTrailer = 4;                 // crc
 constexpr std::size_t kChunkHdr = 4 + 4;  // checkpoint chunk_index + total_chunks
+constexpr std::size_t kMapHdr = 4;        // entry count of a chunk's key range
+/// Device bytes a checkpoint chunk record adds on top of its entries.
+constexpr std::uint64_t kChunkOverhead = kRecHeader + kChunkHdr + kMapHdr + kRecTrailer;
+/// Smallest paced chunk worth a record of its own.
+constexpr std::uint64_t kMinChunk = 4 << 10;
+
+using Map = std::map<std::string, BufferList>;
+
+/// Encoded size of one map entry inside a chunk (length-prefixed key + value).
+std::uint64_t entry_bytes(const Map::value_type& e) {
+  return 4 + e.first.size() + 4 + e.second.length();
+}
+
+std::uint64_t range_bytes(Map::const_iterator first, Map::const_iterator last) {
+  std::uint64_t n = 0;
+  for (; first != last; ++first) n += entry_bytes(*first);
+  return n;
+}
 
 /// Serialize one WAL record.
 BufferList make_record(std::uint8_t kind, std::uint64_t gen, std::uint64_t seq,
@@ -33,6 +52,25 @@ BufferList make_record(std::uint8_t kind, std::uint64_t gen, std::uint64_t seq,
   return rec;
 }
 
+/// One checkpoint chunk record: (chunk_index, total_chunks) ahead of the
+/// key range [first, last) encoded as a map (the seq field doubles as the
+/// chunk index). total_chunks is 0 on a paced chunk that is not the last.
+BufferList chunk_record(std::uint64_t gen, std::uint32_t index, std::uint32_t total,
+                        Map::const_iterator first, Map::const_iterator last) {
+  BufferList entries;
+  std::uint32_t count = 0;
+  for (; first != last; ++first, ++count) {
+    doceph::encode(first->first, entries);
+    doceph::encode(first->second, entries);
+  }
+  BufferList payload;
+  doceph::encode(index, payload);
+  doceph::encode(total, payload);
+  doceph::encode(count, payload);
+  payload.claim_append(entries);
+  return make_record(kKindCheckpoint, gen, index, payload);
+}
+
 struct ParsedRecord {
   std::uint8_t kind = 0;
   std::uint64_t gen = 0;
@@ -40,6 +78,36 @@ struct ParsedRecord {
   BufferList payload;
   std::uint64_t total_len = 0;
 };
+
+/// Parse one record at an absolute offset; nullopt past `seg_end`, on a read
+/// error, a bad magic or a bad CRC.
+std::optional<ParsedRecord> read_record(BlockDevice& dev, std::uint64_t off,
+                                        std::uint64_t seg_end) {
+  if (off + kRecHeader + kRecTrailer > seg_end) return std::nullopt;
+  auto hdr = dev.read(off, kRecHeader);
+  if (!hdr.ok()) return std::nullopt;
+  BufferList::Cursor cur(*hdr);
+  std::uint32_t magic = 0;
+  ParsedRecord rec;
+  std::uint32_t payload_len = 0;
+  if (!doceph::decode(magic, cur) || magic != kWalMagic ||
+      !doceph::decode(rec.kind, cur) || !doceph::decode(rec.gen, cur) ||
+      !doceph::decode(rec.seq, cur) || !doceph::decode(payload_len, cur))
+    return std::nullopt;
+  if (off + kRecHeader + payload_len + kRecTrailer > seg_end) return std::nullopt;
+  auto rest = dev.read(off + kRecHeader, payload_len + kRecTrailer);
+  if (!rest.ok()) return std::nullopt;
+  rec.payload = rest->substr(0, payload_len);
+  const BufferList crc_bl = rest->substr(payload_len, kRecTrailer);
+  BufferList::Cursor ccur(crc_bl);
+  std::uint32_t stored_crc = 0;
+  (void)doceph::decode(stored_crc, ccur);
+  BufferList body = hdr->substr(4, kRecHeader - 4);
+  body.append(rec.payload);
+  if (body.crc32c() != stored_crc) return std::nullopt;
+  rec.total_len = kRecHeader + payload_len + kRecTrailer;
+  return rec;
+}
 
 }  // namespace
 
@@ -85,74 +153,127 @@ Status KvStore::mkfs() {
       s.map.clear();
       s.map_bytes = 0;
     }
-    s.generation = 1;
-    s.active_segment = 0;
-    const Status st = write_checkpoint(s, 0, 1);
+    const Status st = write_checkpoint(s, 0, 1, Map{});
     if (!st.ok()) return st;
   }
   return Status::OK();
 }
 
-Status KvStore::write_checkpoint(Shard& s, int segment, std::uint64_t generation) {
-  BufferList snapshot;
-  {
-    const dbg::ReadLockGuard lk(s.map_mutex);
-    doceph::encode(s.map, snapshot);
-  }
-  // Chained checkpoint: one or two kKindCheckpoint records, each carrying
-  // (chunk_index, total_chunks) ahead of its slice of the snapshot (the seq
-  // field doubles as the chunk index). The common case is a single chunk at
-  // the head of `segment`; an oversized snapshot spills its remainder once
-  // into the head of the other segment. Write order — target segment first,
-  // spill second — keeps the previous generation's checkpoint recoverable
-  // until the chain is complete (the spill write is what overwrites it).
-  // Journal headroom: the segment where appends resume after the roll must
-  // keep room for subsequent txn records, or the store wedges — every roll
-  // would rewrite the same snapshot and still reject the record that forced
-  // it. A snapshot that would leave less than this in its own segment
-  // spills into the other one instead (the spill chunk is small there, so
-  // appends after it see nearly a full segment).
-  const std::uint64_t chunk_cap =
-      segment_len() - (kRecHeader + kChunkHdr + kRecTrailer);
-  const std::uint64_t headroom =
-      std::min<std::uint64_t>(4 << 20, segment_len() / 8);
-  const std::uint64_t single_cap = chunk_cap - headroom;
-  const std::uint32_t total = snapshot.length() > single_cap ? 2 : 1;
-  const std::uint64_t first_len =
-      std::min<std::uint64_t>(snapshot.length(), chunk_cap);
-  const std::uint64_t spill_len = snapshot.length() - first_len;
-  if (spill_len > single_cap) {
-    return Status(Errc::no_space,
-                  "KV checkpoint exceeds WAL region: snapshot " +
-                      std::to_string(snapshot.length()) + " B > " +
-                      std::to_string(chunk_cap + single_cap) +
-                      " B chained capacity");
-  }
-  auto chunk_record = [&](std::uint32_t index, std::uint64_t off,
-                          std::uint64_t len) {
-    BufferList payload;
-    doceph::encode(index, payload);
-    doceph::encode(total, payload);
-    payload.append(snapshot.substr(off, len));
-    return make_record(kKindCheckpoint, generation, index, payload);
-  };
+namespace {
 
-  BufferList first = chunk_record(0, 0, first_len);
+/// Entry bytes one chunk holds when it fills a segment alone.
+std::uint64_t chunk_cap(std::uint64_t segment_len) {
+  return segment_len - kChunkOverhead;
+}
+
+/// Entry bytes a checkpoint may hold in one segment while leaving the
+/// journal headroom for the appends that follow it. A snapshot that would
+/// leave less spills into the other segment instead, or the store wedges —
+/// every roll would rewrite the same snapshot and still reject the record
+/// that forced it.
+std::uint64_t single_cap(std::uint64_t segment_len) {
+  const std::uint64_t headroom = std::min<std::uint64_t>(4 << 20, segment_len / 8);
+  return chunk_cap(segment_len) - headroom;
+}
+
+}  // namespace
+
+Status KvStore::write_checkpoint(Shard& s, int segment, std::uint64_t generation,
+                                 const Map& snapshot) {
+  // Synchronous checkpoint: one chunk at the head of `segment`, or — for a
+  // snapshot past single_cap — a chain whose remainder spills once into the
+  // head of the other segment. Write order — target segment first, spill
+  // second — keeps the previous generation's checkpoint recoverable until
+  // the chain is complete (the spill write is what overwrites it).
+  const std::uint64_t bytes = range_bytes(snapshot.begin(), snapshot.end());
+  auto split = snapshot.end();
+  std::uint32_t total = 1;
+  if (bytes > single_cap(segment_len())) {
+    total = 2;
+    split = snapshot.begin();
+    std::uint64_t first = 0;
+    while (split != snapshot.end() &&
+           first + entry_bytes(*split) <= chunk_cap(segment_len())) {
+      first += entry_bytes(*split);
+      ++split;
+    }
+    if (bytes - first > single_cap(segment_len())) {
+      return Status(Errc::no_space,
+                    "KV checkpoint exceeds WAL region: snapshot " +
+                        std::to_string(bytes) + " B > " +
+                        std::to_string(chunk_cap(segment_len()) +
+                                       single_cap(segment_len())) +
+                        " B chained capacity");
+    }
+  }
+
+  const BufferList head = chunk_record(generation, 0, total, snapshot.begin(), split);
   int end_seg = segment;
-  std::uint64_t end_off = segment_off(s, segment) + first.length();
-  Status st = dev_.write(segment_off(s, segment), first);
+  std::uint64_t end_off = segment_off(s, segment) + head.length();
+  Status st = dev_.write(segment_off(s, segment), head);
   if (!st.ok()) return st;
+  count_chunk(head.length());
   if (total == 2) {
-    BufferList second = chunk_record(1, first_len, spill_len);
+    const BufferList spill = chunk_record(generation, 1, 2, split, snapshot.end());
     end_seg = 1 - segment;
-    end_off = segment_off(s, end_seg) + second.length();
-    st = dev_.write(segment_off(s, end_seg), second);
+    end_off = segment_off(s, end_seg) + spill.length();
+    st = dev_.write(segment_off(s, end_seg), spill);
     if (!st.ok()) return st;
+    count_chunk(spill.length());
   }
   s.active_segment = end_seg;
   s.generation = generation;
   s.append_off = end_off;
   s.next_seq = 1;
+  s.ckpt.reset();
+  s.ckpt_spans = total == 2;
+  return Status::OK();
+}
+
+Status KvStore::finish_checkpoint(Shard& s) {
+  // The remainder as one chunk at the active segment's tail: txn records
+  // only fit while the segment keeps room for it, so it always fits here.
+  PendingCheckpoint& ck = *s.ckpt;
+  const BufferList rec = chunk_record(s.generation, ck.next_index, ck.next_index + 1,
+                                      ck.rest.cbegin(), ck.rest.cend());
+  assert(s.append_off + rec.length() <=
+         segment_off(s, s.active_segment) + segment_len());
+  const Status st = dev_.write(s.append_off, rec);
+  if (!st.ok()) return st;
+  s.append_off += rec.length();
+  count_chunk(rec.length());
+  s.ckpt.reset();
+  return Status::OK();
+}
+
+Status KvStore::roll(Shard& s) {
+  // The previous segment's checkpoint and txns stand in for an incomplete
+  // checkpoint of the segment about to open, so the active segment's own
+  // checkpoint must be complete before the roll.
+  if (s.ckpt) {
+    const Status st = finish_checkpoint(s);
+    if (!st.ok()) return st;
+  }
+  Map snapshot;
+  {
+    const dbg::ReadLockGuard lk(s.map_mutex);
+    snapshot = s.map;  // shares the values' bytes
+  }
+  const int target = 1 - s.active_segment;
+  const std::uint64_t bytes = range_bytes(snapshot.begin(), snapshot.end());
+  // A spanning checkpoint's head chunk sits at `target`: the next checkpoint
+  // overwrites it, so it must land in one write. An oversized snapshot
+  // spans itself. Both keep the synchronous chain.
+  if (s.ckpt_spans || bytes > single_cap(segment_len()))
+    return write_checkpoint(s, target, s.generation + 1, snapshot);
+  auto ck = std::make_unique<PendingCheckpoint>();
+  ck->rest = std::move(snapshot);
+  ck->bytes_left = bytes;
+  s.active_segment = target;
+  s.generation += 1;
+  s.append_off = segment_off(s, target);
+  s.next_seq = 1;
+  s.ckpt = std::move(ck);
   return Status::OK();
 }
 
@@ -181,133 +302,118 @@ Status KvStore::mount() {
   return Status::OK();
 }
 
-Status KvStore::replay(Shard& s) {
-  // Helper to parse one record at an absolute offset within a segment.
-  auto read_record = [&](std::uint64_t off, std::uint64_t seg_end)
-      -> std::optional<ParsedRecord> {
-    if (off + kRecHeader + kRecTrailer > seg_end) return std::nullopt;
-    auto hdr = dev_.read(off, kRecHeader);
-    if (!hdr.ok()) return std::nullopt;
-    BufferList::Cursor cur(*hdr);
-    std::uint32_t magic = 0;
-    ParsedRecord rec;
-    std::uint32_t payload_len = 0;
-    if (!doceph::decode(magic, cur) || magic != kWalMagic ||
-        !doceph::decode(rec.kind, cur) || !doceph::decode(rec.gen, cur) ||
-        !doceph::decode(rec.seq, cur) || !doceph::decode(payload_len, cur))
-      return std::nullopt;
-    if (off + kRecHeader + payload_len + kRecTrailer > seg_end) return std::nullopt;
-    auto rest = dev_.read(off + kRecHeader, payload_len + kRecTrailer);
-    if (!rest.ok()) return std::nullopt;
-    rec.payload = rest->substr(0, payload_len);
-    const BufferList crc_bl = rest->substr(payload_len, kRecTrailer);
-    BufferList::Cursor ccur(crc_bl);
-    std::uint32_t stored_crc = 0;
-    (void)doceph::decode(stored_crc, ccur);
-    BufferList body = hdr->substr(4, kRecHeader - 4);
-    body.append(rec.payload);
-    if (body.crc32c() != stored_crc) return std::nullopt;
-    rec.total_len = kRecHeader + payload_len + kRecTrailer;
-    return rec;
-  };
+/// One segment's record stream under one generation, as replay found it.
+struct KvStore::Stream {
+  std::uint64_t gen = 0;
+  Map ckpt;                  ///< checkpoint entries of the chunks seen
+  std::uint32_t chunks = 0;  ///< chunks seen, contiguous from index 0
+  std::uint32_t total = 0;   ///< chain length once known (0: paced, open)
+  std::vector<KvTxn> txns;   ///< in stream order
+  int seg = 0;               ///< segment the stream ends in
+  std::uint64_t end_off = 0;
+  std::uint64_t seq = 0;     ///< last txn seq
 
-  // Reassemble one checkpoint chain starting at `seg`'s head: a chunk-0
-  // record, plus (for a spanning checkpoint) the matching chunk-1 record at
-  // the other segment's head. Incomplete chains (crash between the two
-  // chunk writes) yield nullopt so discovery falls back to the other
-  // generation.
-  struct FoundChain {
-    std::uint64_t gen = 0;
-    BufferList snapshot;
-    int end_seg = 0;
-    std::uint64_t end_off = 0;
-  };
-  auto chunk_of = [](const ParsedRecord& rec)
-      -> std::optional<std::pair<std::uint32_t, std::uint32_t>> {
-    if (rec.kind != kKindCheckpoint || rec.payload.length() < kChunkHdr)
-      return std::nullopt;
-    BufferList::Cursor cur(rec.payload);
-    std::uint32_t index = 0;
-    std::uint32_t total = 0;
-    if (!doceph::decode(index, cur) || !doceph::decode(total, cur))
-      return std::nullopt;
-    return std::make_pair(index, total);
-  };
-  auto read_chain = [&](int seg) -> std::optional<FoundChain> {
-    auto head =
-        read_record(segment_off(s, seg), segment_off(s, seg) + segment_len());
-    if (!head) return std::nullopt;
-    auto ct = chunk_of(*head);
-    if (!ct || ct->first != 0 || ct->second < 1 || ct->second > 2)
-      return std::nullopt;
-    FoundChain chain;
-    chain.gen = head->gen;
-    chain.snapshot =
-        head->payload.substr(kChunkHdr, head->payload.length() - kChunkHdr);
-    chain.end_seg = seg;
-    chain.end_off = segment_off(s, seg) + head->total_len;
-    if (ct->second == 2) {
-      const int other = 1 - seg;
-      auto spill = read_record(segment_off(s, other),
-                               segment_off(s, other) + segment_len());
-      if (!spill || spill->gen != head->gen) return std::nullopt;
-      auto sct = chunk_of(*spill);
-      if (!sct || sct->first != 1 || sct->second != 2) return std::nullopt;
-      chain.snapshot.append(
-          spill->payload.substr(kChunkHdr, spill->payload.length() - kChunkHdr));
-      chain.end_seg = other;
-      chain.end_off = segment_off(s, other) + spill->total_len;
-    }
-    return chain;
-  };
+  [[nodiscard]] bool complete() const noexcept { return total != 0 && chunks == total; }
+};
 
-  // Find the newest complete checkpoint chain.
-  std::optional<FoundChain> best;
-  for (int seg = 0; seg < 2; ++seg) {
-    auto chain = read_chain(seg);
-    if (chain && (!best || chain->gen >= best->gen)) best = std::move(chain);
-  }
-  if (!best) return Status(Errc::corrupt, "no KV checkpoint found (mkfs?)");
-  const std::uint64_t best_gen = best->gen;
-
-  {
-    const dbg::WriteLockGuard lk(s.map_mutex);
-    s.map.clear();
-    BufferList::Cursor cur(best->snapshot);
-    if (!doceph::decode(s.map, cur))
-      return Status(Errc::corrupt, "bad KV checkpoint payload");
-    s.map_bytes = 0;
-    for (const auto& [k, v] : s.map) s.map_bytes += k.size() + v.length();
-  }
-
-  // Replay txn records after the checkpoint. Valid records carry strictly
-  // increasing seq under the checkpoint's generation; replay stops at the
-  // first hole — a torn/corrupt record (bad CRC), a stale-generation
-  // record, or a non-increasing seq. Gaps in seq are tolerated (historical
-  // logs could skip numbers when a mid-roll write failed; since the chunked
-  // sync_thread stamps seqs only on durable writes, new logs are gapless).
-  const std::uint64_t seg_end = segment_off(s, best->end_seg) + segment_len();
-  std::uint64_t off = best->end_off;
-  std::uint64_t seq = 0;
-  while (true) {
-    auto rec = read_record(off, seg_end);
-    if (!rec || rec->kind != kKindTxn || rec->gen != best_gen || rec->seq <= seq)
-      break;
-    KvTxn txn;
+bool KvStore::scan_stream(const Shard& s, int seg, std::uint64_t off, Stream& st) {
+  // Valid records carry the head chunk's generation; checkpoint chunks come
+  // in index order, and txn records carry strictly increasing seq. The
+  // first hole — a torn/corrupt record (bad CRC), a stale-generation record,
+  // a non-increasing seq — ends the stream. Gaps in seq are tolerated
+  // (historical logs could skip numbers when a mid-roll write failed; since
+  // the chunked sync_thread stamps seqs only on durable writes, new logs are
+  // gapless).
+  const std::uint64_t seg_end = segment_off(s, seg) + segment_len();
+  while (auto rec = read_record(dev_, off, seg_end)) {
+    if (st.chunks == 0) st.gen = rec->gen;
+    if (rec->gen != st.gen) break;
     BufferList::Cursor cur(rec->payload);
-    if (!txn.decode(cur)) break;
-    {
-      const dbg::WriteLockGuard lk(s.map_mutex);
-      apply_locked(s, txn);
+    if (rec->kind == kKindCheckpoint) {
+      std::uint32_t index = 0;
+      std::uint32_t total = 0;
+      Map part;
+      if (!doceph::decode(index, cur) || !doceph::decode(total, cur) ||
+          index != st.chunks || (st.total != 0 && total != st.total) ||
+          (total != 0 && total <= index) || !doceph::decode(part, cur))
+        break;
+      st.ckpt.merge(part);  // chunks hold disjoint key ranges
+      ++st.chunks;
+      st.total = total;
+    } else if (rec->kind == kKindTxn && st.chunks > 0 && rec->seq > st.seq) {
+      KvTxn txn;
+      if (!txn.decode(cur)) break;
+      st.txns.push_back(std::move(txn));
+      st.seq = rec->seq;
+    } else {
+      break;
     }
-    seq = rec->seq;
     off += rec->total_len;
   }
+  st.seg = seg;
+  st.end_off = off;
+  return st.chunks > 0;
+}
 
-  s.active_segment = best->end_seg;
-  s.generation = best_gen;
-  s.append_off = off;
-  s.next_seq = seq + 1;
+Status KvStore::replay(Shard& s) {
+  // Each segment head opens one generation's stream. A spanning chain's
+  // spill chunk heads the other segment, and its stream continues there.
+  std::array<Stream, 2> st;
+  std::array<bool, 2> found{};
+  for (int seg = 0; seg < 2; ++seg) {
+    found[seg] = scan_stream(s, seg, segment_off(s, seg), st[seg]);
+    if (found[seg] && st[seg].total == 2 && st[seg].chunks == 1)
+      (void)scan_stream(s, 1 - seg, segment_off(s, 1 - seg), st[seg]);
+  }
+  int newest = -1;
+  for (int seg = 0; seg < 2; ++seg) {
+    if (found[seg] && (newest < 0 || st[seg].gen > st[newest].gen)) newest = seg;
+  }
+  if (newest < 0) return Status(Errc::corrupt, "no KV checkpoint found (mkfs?)");
+
+  // The newest checkpoint complete: its chunks plus its generation's txns.
+  // Incomplete (a crash mid-pacing, or between a spanning chain's writes):
+  // the previous generation's checkpoint and txns, which the roll left
+  // intact, then the newest stream's txns on top.
+  Stream* base = &st[newest];
+  Stream* open = nullptr;
+  if (!base->complete()) {
+    Stream& prev = st[1 - newest];
+    if (!found[1 - newest] || !prev.complete() || prev.gen + 1 != base->gen)
+      return Status(Errc::corrupt, "no complete KV checkpoint found");
+    if (base->total == 0) open = base;
+    base = &prev;
+  }
+
+  std::unique_ptr<PendingCheckpoint> ck;
+  {
+    const dbg::WriteLockGuard lk(s.map_mutex);
+    s.map = std::move(base->ckpt);
+    s.map_bytes = 0;
+    for (const auto& [k, v] : s.map) s.map_bytes += k.size() + v.length();
+    for (const auto& txn : base->txns) apply_locked(s, txn);
+    if (open != nullptr) {
+      // The open checkpoint's snapshot is the map as of its roll: resume
+      // pacing after the last key its durable chunks cover.
+      ck = std::make_unique<PendingCheckpoint>();
+      ck->rest = s.map;
+      if (!open->ckpt.empty()) {
+        ck->rest.erase(ck->rest.begin(),
+                       ck->rest.upper_bound(open->ckpt.rbegin()->first));
+      }
+      ck->next_index = open->chunks;
+      ck->bytes_left = range_bytes(ck->rest.cbegin(), ck->rest.cend());
+      for (const auto& txn : open->txns) apply_locked(s, txn);
+    }
+  }
+
+  const Stream& tail = open != nullptr ? *open : *base;
+  s.active_segment = tail.seg;
+  s.generation = tail.gen;
+  s.append_off = tail.end_off;
+  s.next_seq = tail.seq + 1;
+  s.ckpt = std::move(ck);
+  s.ckpt_spans = base->total == 2 && open == nullptr;
   return Status::OK();
 }
 
@@ -461,12 +567,16 @@ void KvStore::sync_thread(Shard& s) {
     while (idx < batch.size()) {
       const std::uint64_t seg_end =
           segment_off(s, s.active_segment) + segment_len();
+      // While a checkpoint is open, txn records leave room for one paced
+      // chunk plus the remainder as one chunk (what a roll would write).
+      const std::uint64_t reserve =
+          s.ckpt ? s.ckpt->bytes_left + 2 * kChunkOverhead : 0;
       BufferList wal_bl;
       std::size_t end = idx;
       while (end < batch.size()) {
         BufferList rec = make_record(kKindTxn, s.generation,
                                      s.next_seq + (end - idx), payloads[end]);
-        if (s.append_off + wal_bl.length() + rec.length() > seg_end) break;
+        if (s.append_off + wal_bl.length() + rec.length() + reserve > seg_end) break;
         wal_bl.claim_append(rec);
         ++end;
       }
@@ -483,8 +593,7 @@ void KvStore::sync_thread(Shard& s) {
           ++idx;
           continue;
         }
-        const Status st =
-            write_checkpoint(s, 1 - s.active_segment, s.generation + 1);
+        const Status st = roll(s);
         if (!st.ok()) {
           // The roll failed before anything was stamped under the new
           // generation: generation/next_seq are untouched, so no sequence
@@ -498,7 +607,30 @@ void KvStore::sync_thread(Shard& s) {
         continue;
       }
 
-      const Status st = dev_.write(s.append_off, wal_bl);  // durable before apply
+      // An open checkpoint rides ahead of the txn records: its chunk spreads
+      // the snapshot bytes left over the txn space left, so it completes
+      // before the segment fills (the reserve above guarantees the fit).
+      BufferList out;
+      std::uint64_t ckpt_taken = 0;
+      auto ckpt_last = Map::const_iterator{};
+      if (s.ckpt) {
+        const PendingCheckpoint& ck = *s.ckpt;
+        const std::uint64_t txn_space = seg_end - s.append_off - reserve;
+        const std::uint64_t budget = std::max<std::uint64_t>(
+            kMinChunk, static_cast<std::uint64_t>(
+                           static_cast<double>(wal_bl.length()) *
+                           static_cast<double>(ck.bytes_left) /
+                           static_cast<double>(txn_space)));
+        ckpt_last = ck.rest.cbegin();
+        while (ckpt_last != ck.rest.cend() && ckpt_taken < budget)
+          ckpt_taken += entry_bytes(*ckpt_last++);
+        const bool last = ckpt_last == ck.rest.cend();
+        out = chunk_record(s.generation, ck.next_index, last ? ck.next_index + 1 : 0,
+                           ck.rest.cbegin(), ckpt_last);
+      }
+      const std::uint64_t ckpt_len = out.length();
+      out.claim_append(wal_bl);
+      const Status st = dev_.write(s.append_off, out);  // durable before apply
       if (!st.ok()) {
         // The media is untouched and this chunk's sequence numbers were
         // never consumed; fail the remainder (ordering, as above).
@@ -506,7 +638,17 @@ void KvStore::sync_thread(Shard& s) {
           if (auto& cb = batch[i].second) cb(st);
         break;
       }
-      s.append_off += wal_bl.length();
+      s.append_off += out.length();
+      if (s.ckpt) {
+        count_chunk(ckpt_len);
+        if (ckpt_last == s.ckpt->rest.cend()) {
+          s.ckpt.reset();
+        } else {
+          s.ckpt->rest.erase(s.ckpt->rest.cbegin(), ckpt_last);
+          s.ckpt->bytes_left -= ckpt_taken;
+          ++s.ckpt->next_index;
+        }
+      }
       s.next_seq += end - idx;
       at_fresh_checkpoint = false;
       {

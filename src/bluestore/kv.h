@@ -65,24 +65,37 @@ struct KvCostModel {
 /// byte-identical to the unsharded store.
 ///
 /// WAL layout (per shard): the sub-region is split into two segments;
-/// records are appended to the active segment. When it fills, a checkpoint
-/// (full shard-map snapshot) opens the other segment with a higher
-/// generation. mount() locates the newest checkpoint and replays records
-/// after it.
+/// records are appended to the active segment. When it fills, the segment
+/// rolls: the other segment opens under a higher generation and a
+/// checkpoint (the shard map's snapshot at the roll) heads it. mount()
+/// locates the newest checkpoint and replays the txn records of its
+/// generation.
 ///
-/// A checkpoint is a CHAIN of one or two records, each tagged with
-/// (chunk_index, total_chunks). The common case is a single chunk at the
-/// head of the target segment; a snapshot too large to leave journal
-/// headroom in one segment spills its remainder once into the head of the
-/// other segment instead of failing permanently (the degraded spanning
-/// regime). The spill overwrites the
-/// previous checkpoint, so write order (target segment first) keeps the old
-/// generation recoverable until the chain completes; a crash between the two
-/// chunk writes of a SECOND consecutive spanning roll is the one window
-/// with no complete chain on disk — strictly narrower than the pre-chain
-/// behavior, which wedged the store with `no_space` at the first oversized
-/// snapshot. The near-full gauge (`max_shard_bytes()` vs the chained
-/// ceiling) exists so upper layers throttle before the ceiling becomes fatal.
+/// A checkpoint is written as CHUNK records, each tagged with
+/// (chunk_index, total_chunks) and carrying a contiguous key range of the
+/// snapshot. The common case is PACED: the roll copies the map (values are
+/// refcounted, so the copy shares their bytes) and writes nothing; each
+/// group commit in the new segment then carries one chunk ahead of its txn
+/// records, sized from the snapshot bytes left and the segment space left so
+/// the snapshot completes before the segment fills (total_chunks reads 0 on
+/// every chunk but the last). Txn records only fit while the segment keeps
+/// room for the unwritten remainder, and a roll that finds the checkpoint
+/// still open writes the remainder synchronously first — so the previous
+/// segment, whose checkpoint and txns replay in place of an incomplete one,
+/// is never overwritten while the current checkpoint is incomplete.
+///
+/// A snapshot too large to leave journal headroom in one segment (and the
+/// roll right after one) is written synchronously at the roll instead: a
+/// single chunk, or a chain of two whose remainder spills once into the
+/// head of the other segment instead of failing permanently (the degraded
+/// spanning regime). The spill overwrites the previous checkpoint, so write
+/// order (target segment first) keeps the old generation recoverable until
+/// the chain completes; a crash between the two chunk writes of a SECOND
+/// consecutive spanning roll is the one window with no complete chain on
+/// disk — strictly narrower than the pre-chain behavior, which wedged the
+/// store with `no_space` at the first oversized snapshot. The near-full
+/// gauge (`max_shard_bytes()` vs the chained ceiling) exists so upper layers
+/// throttle before the ceiling becomes fatal.
 class KvStore {
  public:
   using OnCommit = std::function<void(Status)>;
@@ -106,7 +119,8 @@ class KvStore {
   /// sync threads.
   Status mount();
 
-  /// Graceful stop: drain queued transactions, checkpoint, stop the threads.
+  /// Graceful stop: drain queued transactions and stop the threads. A paced
+  /// checkpoint still open stays open; the next mount() resumes it.
   Status umount();
 
   /// Simulated power loss: stop without checkpoint or drain. Queued but
@@ -157,6 +171,11 @@ class KvStore {
   /// once per shard link.
   [[nodiscard]] std::uint64_t committed() const noexcept { return committed_; }
 
+  /// Checkpoint chunk records written and their device bytes (every shard,
+  /// mkfs included): the checkpoint share of the WAL's device writes.
+  [[nodiscard]] std::uint64_t ckpt_chunks() const noexcept { return ckpt_chunks_; }
+  [[nodiscard]] std::uint64_t ckpt_bytes() const noexcept { return ckpt_bytes_; }
+
   /// Cross-shard chained commits completed (0 unless shards > 1).
   [[nodiscard]] std::uint64_t cross_shard_commits() const noexcept {
     return cross_shard_commits_;
@@ -177,8 +196,24 @@ class KvStore {
     return shards_[static_cast<std::size_t>(shard)]->append_off;
   }
 
+  /// Whether one shard's newest checkpoint is still being paced out.
+  /// Diagnostics/tests only, with the same raciness as append_offset().
+  [[nodiscard]] bool checkpoint_open(int shard = 0) const noexcept {
+    return shards_[static_cast<std::size_t>(shard)]->ckpt != nullptr;
+  }
+
  private:
-  struct Record;  // wire format helpers in kv.cpp
+  using Map = std::map<std::string, BufferList>;
+  struct Stream;  // replay scan state, kv.cpp
+
+  /// A paced checkpoint in flight: the entries of the map as of the roll
+  /// that are not yet on media (written ones are dropped, releasing values
+  /// overwritten since). Sync thread only (and mount).
+  struct PendingCheckpoint {
+    Map rest;
+    std::uint32_t next_index = 0;  ///< chunk index of the next record
+    std::uint64_t bytes_left = 0;  ///< encoded entry bytes of `rest`
+  };
 
   /// All per-shard state. Every shard mutex belongs to the same lock class
   /// ("bluestore.kv_map"/"bluestore.kv_queue"); no code path ever holds two
@@ -191,7 +226,7 @@ class KvStore {
     const std::size_t index;  ///< position in shards_ (fixes the WAL sub-region)
 
     mutable dbg::SharedMutex map_mutex{"bluestore.kv_map"};
-    std::map<std::string, BufferList> map DOCEPH_GUARDED_BY(map_mutex);
+    Map map DOCEPH_GUARDED_BY(map_mutex);
     std::uint64_t map_bytes DOCEPH_GUARDED_BY(map_mutex) = 0;
 
     // Sync-thread state.
@@ -206,6 +241,11 @@ class KvStore {
     std::uint64_t append_off = 0;  // absolute device offset
     std::uint64_t generation = 1;
     std::uint64_t next_seq = 1;
+    /// Open paced checkpoint of `generation` (null once complete).
+    std::unique_ptr<PendingCheckpoint> ckpt;
+    /// The newest checkpoint spans both segments (its spill heads the
+    /// active one): the next roll must be written in one piece.
+    bool ckpt_spans = false;
   };
 
   /// State of an in-flight cross-shard chained commit.
@@ -217,9 +257,17 @@ class KvStore {
   void sync_thread(Shard& s);
   void enqueue_shard(Shard& s, KvTxn txn, OnCommit cb);
   void queue_chain_link(const std::shared_ptr<Chain>& chain, std::size_t i);
-  Status write_checkpoint(Shard& s, int segment, std::uint64_t generation);
+  Status write_checkpoint(Shard& s, int segment, std::uint64_t generation,
+                          const Map& snapshot);
+  Status roll(Shard& s);
+  Status finish_checkpoint(Shard& s);
   void apply_locked(Shard& s, const KvTxn& txn) DOCEPH_REQUIRES(s.map_mutex);
   Status replay(Shard& s);
+  bool scan_stream(const Shard& s, int seg, std::uint64_t off, Stream& st);
+  void count_chunk(std::uint64_t len) noexcept {
+    ckpt_chunks_.fetch_add(1, std::memory_order_relaxed);
+    ckpt_bytes_.fetch_add(len, std::memory_order_relaxed);
+  }
   [[nodiscard]] std::uint64_t shard_wal_off(const Shard& s) const noexcept;
   [[nodiscard]] std::uint64_t shard_wal_len() const noexcept {
     return wal_len_ / shards_.size();
@@ -244,6 +292,8 @@ class KvStore {
   bool running_ = false;  // mount/umount/crash caller thread only
   std::atomic<std::uint64_t> committed_{0};
   std::atomic<std::uint64_t> cross_shard_commits_{0};
+  std::atomic<std::uint64_t> ckpt_chunks_{0};
+  std::atomic<std::uint64_t> ckpt_bytes_{0};
 };
 
 }  // namespace doceph::bluestore

@@ -91,6 +91,18 @@ TEST(BlueStore, SmallObjectInlineRoundTrip) {
   });
 }
 
+TEST(BlueStore, KvCheckpointCountersTrackKvWrites) {
+  BsFixture f;
+  f.fresh_mount();  // mkfs wrote the first checkpoint; a commit refreshes
+  run_sim(f.env, [&] {
+    const auto& c = f.store->perf_counters();
+    EXPECT_GE(c->get(l_bstore_kv_ckpt_chunks), 1u);
+    EXPECT_EQ(c->get(l_bstore_kv_ckpt_chunks), f.store->kv().ckpt_chunks());
+    EXPECT_EQ(c->get(l_bstore_kv_ckpt_bytes), f.store->kv().ckpt_bytes());
+    EXPECT_TRUE(f.store->umount().ok());
+  });
+}
+
 TEST(BlueStore, LargeObjectExtentRoundTrip) {
   BsFixture f;
   f.fresh_mount();

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <random>
 
 #include "../test_util.h"
@@ -422,6 +423,268 @@ TEST(KvStore, GroupCommitBatchesConcurrentWriters) {
     lk.unlock();
     EXPECT_TRUE(f.kv->umount().ok());
   });
+}
+
+TEST(KvStore, RollDoesNotStallCommits) {
+  // Regression (write_16k p99): a segment roll wrote the whole map snapshot
+  // synchronously on the commit path, so the commit that rolled waited out
+  // the full snapshot write — 8 MiB at 530 MB/s, about 16 ms. The snapshot
+  // now paces out in chunks over the new segment's group commits: no commit
+  // through the roll waits a quarter of that.
+  constexpr std::uint64_t kWal = 24 << 20;  // 12 MiB segments: 8 MiB paces
+  constexpr int kKeys = 128;                // 128 x 64 KiB = 8 MiB map
+  KvFixture f(kWal);
+  run_sim(f.env, [&] {
+    ASSERT_TRUE(f.kv->mkfs().ok());
+    ASSERT_TRUE(f.kv->mount().ok());
+    for (int i = 0; i < kKeys; ++i) {
+      const auto value = pattern(64 << 10, static_cast<unsigned>(i));
+      ASSERT_TRUE(f.kv->submit(KvFixture::set("obj" + std::to_string(i), value)).ok());
+    }
+    const auto snapshot_write = static_cast<Duration>(
+        static_cast<double>(f.kv->map_bytes()) / f.dev_cfg.write_bw * 1e9);
+    auto segment = [&] { return (f.kv->append_offset() - 4096) / (kWal / 2); };
+    const std::uint64_t first = segment();
+    Duration worst = 0;
+    int after_roll = -1;
+    for (int i = kKeys; after_roll < 200; ++i) {
+      ASSERT_LT(i, 1000) << "no segment roll";
+      const Time t0 = f.env.now();
+      const auto value = pattern(64 << 10, static_cast<unsigned>(i));
+      ASSERT_TRUE(
+          f.kv->submit(KvFixture::set("obj" + std::to_string(i % kKeys), value)).ok());
+      worst = std::max(worst, f.env.now() - t0);
+      if (after_roll >= 0 || segment() != first) ++after_roll;
+    }
+    EXPECT_LT(worst, snapshot_write / 4)
+        << "worst commit " << worst << " ns, snapshot write " << snapshot_write << " ns";
+    EXPECT_TRUE(f.kv->umount().ok());
+  });
+}
+
+// ---- Crash matrix for the paced checkpoint ----------------------------------
+//
+// One script drives a store with 1 MiB segments through segment rolls, one
+// 16 KiB overwrite per commit; each commit writes one "seq" key and one of
+// kPacedKeys object keys, so the map (~256 KiB) paces out over many chunks.
+// Each case cuts the script at a different point of the second roll's
+// checkpoint and checks that the remount holds exactly the acked commits.
+
+constexpr std::uint64_t kPacedWal = 2 << 20;
+constexpr int kPacedKeys = 16;
+
+struct PacedLog {
+  int acked = -1;                         ///< last acknowledged step
+  std::array<int, kPacedKeys> writer{};   ///< step that last wrote k<j>
+  int big = -1;                           ///< step that wrote "big", if acked
+  std::size_t big_len = 0;
+  int rolls = 0;
+  std::uint64_t seg = 0;
+
+  PacedLog() { writer.fill(-1); }
+
+  static std::uint64_t segment(const KvStore& kv) {
+    return (kv.append_offset() - 4096) / (kPacedWal / 2);
+  }
+
+  static KvTxn txn(int i) {
+    KvTxn t;
+    t.sets["seq"] = BufferList::copy_of(std::to_string(i));
+    t.sets["k" + std::to_string(i % kPacedKeys)] =
+        BufferList::copy_of(pattern(16 << 10, static_cast<unsigned>(i)));
+    return t;
+  }
+
+  void note_roll(const KvStore& kv) {
+    if (segment(kv) != seg) {
+      ++rolls;
+      seg = segment(kv);
+    }
+  }
+
+  /// Commit the next step and record it in the model once acked.
+  Status step(KvStore& kv) {
+    const int i = acked + 1;
+    const Status st = kv.submit(txn(i));
+    if (st.ok()) {
+      acked = i;
+      writer[static_cast<std::size_t>(i % kPacedKeys)] = i;
+      note_roll(kv);
+    }
+    return st;
+  }
+
+  /// Commit steps until the store has rolled `n` segments in total.
+  void step_to_roll(KvStore& kv, int n) {
+    while (rolls < n) ASSERT_TRUE(step(kv).ok());
+  }
+
+  /// Queue the next step without waiting for it (it is never acked).
+  static void queue_unacked(KvStore& kv, int i) {
+    kv.queue(txn(i), [](Status) {});
+  }
+
+  /// The remounted store holds every acked step, and the unacked step
+  /// `acked + 1` wholly or (unless `allow_tail`) not at all.
+  void verify(const KvStore& kv, bool allow_tail) const {
+    int seq = -1;
+    if (const auto v = kv.get("seq")) seq = std::stoi(v->to_string());
+    ASSERT_TRUE(seq == acked || (allow_tail && seq == acked + 1))
+        << "seq " << seq << " acked " << acked;
+    for (int j = 0; j < kPacedKeys; ++j) {
+      int w = writer[static_cast<std::size_t>(j)];
+      if (seq == acked + 1 && (acked + 1) % kPacedKeys == j) w = acked + 1;
+      const auto v = kv.get("k" + std::to_string(j));
+      if (w < 0) {
+        EXPECT_FALSE(v.has_value()) << j;
+      } else {
+        ASSERT_TRUE(v.has_value()) << j;
+        EXPECT_EQ(v->to_string(), pattern(16 << 10, static_cast<unsigned>(w))) << j;
+      }
+    }
+    EXPECT_EQ(kv.contains("big"), big >= 0);
+    if (big >= 0) {
+      EXPECT_EQ(kv.get("big")->to_string(), pattern(big_len, static_cast<unsigned>(big)));
+    }
+  }
+};
+
+/// Crash, remount and check the model; then keep committing through one more
+/// roll and a completed checkpoint (resumed pacing), crash and check again.
+void remount_and_continue(KvFixture& f, PacedLog& log, bool allow_tail) {
+  f.reopen(kPacedWal);
+  run_sim(f.env, [&] {
+    ASSERT_TRUE(f.kv->mount().ok());
+    log.verify(*f.kv, allow_tail);
+    // The unacked tail, if it landed, is now the newest committed step.
+    const auto seq = f.kv->get("seq");
+    if (seq && std::stoi(seq->to_string()) == log.acked + 1) {
+      log.acked += 1;
+      log.writer[static_cast<std::size_t>(log.acked % kPacedKeys)] = log.acked;
+    }
+    log.seg = PacedLog::segment(*f.kv);
+    log.step_to_roll(*f.kv, log.rolls + 1);
+    while (f.kv->checkpoint_open()) ASSERT_TRUE(log.step(*f.kv).ok());
+    f.kv->crash();
+  });
+  f.reopen(kPacedWal);
+  run_sim(f.env, [&] {
+    ASSERT_TRUE(f.kv->mount().ok());
+    log.verify(*f.kv, false);
+    EXPECT_TRUE(f.kv->umount().ok());
+  });
+}
+
+TEST(KvStore, PacedCheckpointCrashMatrix) {
+  // Dry run: which step rolls into the second checkpoint, and how many
+  // chunks that checkpoint paces out over.
+  int n = 0;
+  int roll_step = 0;
+  {
+    KvFixture f(kPacedWal);
+    PacedLog log;
+    run_sim(f.env, [&] {
+      ASSERT_TRUE(f.kv->mkfs().ok());
+      ASSERT_TRUE(f.kv->mount().ok());
+      log.step_to_roll(*f.kv, 2);
+      roll_step = log.acked;
+      const std::uint64_t chunks0 = f.kv->ckpt_chunks();
+      ASSERT_TRUE(f.kv->checkpoint_open());  // the roll wrote chunk 0 only
+      while (f.kv->checkpoint_open()) ASSERT_TRUE(log.step(*f.kv).ok());
+      n = static_cast<int>(f.kv->ckpt_chunks() - chunks0) + 1;
+      EXPECT_EQ(log.rolls, 2) << "the checkpoint completes before the segment fills";
+      EXPECT_TRUE(f.kv->umount().ok());
+    });
+  }
+  ASSERT_GE(n, 4) << "checkpoint too small to cut mid-way";
+
+  // Cut after k of the n chunks (k >= 1): crash with an unacked commit
+  // queued. k < n remounts through the fallback (previous checkpoint and
+  // txns, then the open segment's txns); k == n through the complete one.
+  for (const int k : {1, n - 1, n}) {
+    SCOPED_TRACE("crash after " + std::to_string(k) + " of " + std::to_string(n) +
+                 " chunks");
+    KvFixture f(kPacedWal);
+    PacedLog log;
+    run_sim(f.env, [&] {
+      ASSERT_TRUE(f.kv->mkfs().ok());
+      ASSERT_TRUE(f.kv->mount().ok());
+      log.step_to_roll(*f.kv, 2);
+      for (int c = 1; c < k; ++c) ASSERT_TRUE(log.step(*f.kv).ok());
+      EXPECT_EQ(f.kv->checkpoint_open(), k < n);
+      PacedLog::queue_unacked(*f.kv, log.acked + 1);
+      f.kv->crash();
+    });
+    remount_and_continue(f, log, true);
+  }
+
+  {
+    SCOPED_TRACE("crash after 0 chunks: the rolling commit fails");
+    KvFixture f(kPacedWal);
+    PacedLog log;
+    run_sim(f.env, [&] {
+      ASSERT_TRUE(f.kv->mkfs().ok());
+      ASSERT_TRUE(f.kv->mount().ok());
+      while (log.acked + 1 < roll_step) ASSERT_TRUE(log.step(*f.kv).ok());
+      fault::FaultSpec once;
+      once.force_next = 1;
+      f.env.faults().set("bdev.io_error", once);
+      EXPECT_EQ(log.step(*f.kv).code(), Errc::io_error);
+      EXPECT_NE(PacedLog::segment(*f.kv), log.seg) << "the failed step rolled";
+      f.kv->crash();
+    });
+    remount_and_continue(f, log, false);
+  }
+
+  {
+    SCOPED_TRACE("clean umount with the checkpoint incomplete");
+    KvFixture f(kPacedWal);
+    PacedLog log;
+    run_sim(f.env, [&] {
+      ASSERT_TRUE(f.kv->mkfs().ok());
+      ASSERT_TRUE(f.kv->mount().ok());
+      log.step_to_roll(*f.kv, 2);
+      ASSERT_TRUE(f.kv->checkpoint_open());
+      EXPECT_TRUE(f.kv->umount().ok());
+    });
+    remount_and_continue(f, log, false);
+  }
+
+  {
+    // A record too big for the open segment's tail rolls while its
+    // checkpoint is still open: the roll writes the remainder before the
+    // new segment opens, so the crash falls back onto a complete checkpoint.
+    SCOPED_TRACE("roll with the previous checkpoint still open");
+    KvFixture f(kPacedWal);
+    PacedLog log;
+    run_sim(f.env, [&] {
+      ASSERT_TRUE(f.kv->mkfs().ok());
+      ASSERT_TRUE(f.kv->mount().ok());
+      log.step_to_roll(*f.kv, 1);
+      ASSERT_TRUE(f.kv->checkpoint_open());
+      // Past the open segment's space left over its unwritten snapshot, but
+      // within a fresh segment's room beside the whole snapshot.
+      const std::uint64_t snapshot = f.kv->map_bytes() + 8 * f.kv->num_keys();
+      log.big_len = static_cast<std::size_t>(kPacedWal / 2 - snapshot - (8 << 10));
+      const int i = log.acked + 1;
+      KvTxn t;
+      t.sets["seq"] = BufferList::copy_of(std::to_string(i));
+      t.sets["big"] = BufferList::copy_of(pattern(log.big_len, static_cast<unsigned>(i)));
+      ASSERT_TRUE(f.kv->submit(std::move(t)).ok());
+      log.acked = i;
+      log.big = i;
+      log.note_roll(*f.kv);
+      ASSERT_EQ(log.rolls, 2);
+      ASSERT_TRUE(f.kv->checkpoint_open());
+      f.kv->crash();
+    });
+    f.reopen(kPacedWal);
+    run_sim(f.env, [&] {
+      ASSERT_TRUE(f.kv->mount().ok());
+      log.verify(*f.kv, false);
+      EXPECT_TRUE(f.kv->umount().ok());
+    });
+  }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <set>
 #include <string>
 #include <vector>
@@ -261,6 +262,45 @@ TEST(KvSharded, ShardedLayoutMatchesUnshardedAtOne) {
     EXPECT_EQ(f.kv->max_shard_bytes(), f.kv->map_bytes());
     EXPECT_NEAR(f.kv->checkpoint_pressure(),
                 static_cast<double>(f.kv->map_bytes()) / (8 << 20), 1e-9);
+    EXPECT_TRUE(f.kv->umount().ok());
+  });
+}
+
+TEST(KvSharded, RollDoesNotStallCommits) {
+  // Sharded twin of KvStore.RollDoesNotStallCommits: every shard paces its
+  // own checkpoint, so no commit through either shard's roll waits a
+  // quarter of that shard's snapshot write.
+  constexpr std::uint64_t kShardWal = 24 << 20;  // per shard: 12 MiB segments
+  constexpr int kKeys = 128;                     // 128 x 64 KiB = 8 MiB map
+  ShardedKvFixture f(2, 2 * kShardWal);
+  run_sim(f.env, [&] {
+    ASSERT_TRUE(f.kv->mkfs().ok());
+    ASSERT_TRUE(f.kv->mount().ok());
+    for (int i = 0; i < kKeys; ++i) {
+      ASSERT_TRUE(f.kv->submit(ShardedKvFixture::set(
+          "obj" + std::to_string(i), pattern(64 << 10, static_cast<unsigned>(i)))).ok());
+    }
+    const auto snapshot_write = static_cast<Duration>(
+        static_cast<double>(f.kv->max_shard_bytes()) / f.dev_cfg.write_bw * 1e9);
+    auto segment = [&](int shard) {
+      return (f.kv->append_offset(shard) - 4096) / (kShardWal / 2);
+    };
+    const std::array<std::uint64_t, 2> first{segment(0), segment(1)};
+    Duration worst = 0;
+    int after_rolls = -1;
+    for (int i = kKeys; after_rolls < 200; ++i) {
+      ASSERT_LT(i, 2000) << "not every shard rolled";
+      const Time t0 = f.env.now();
+      const auto value = pattern(64 << 10, static_cast<unsigned>(i));
+      ASSERT_TRUE(
+          f.kv->submit(ShardedKvFixture::set("obj" + std::to_string(i % kKeys), value))
+              .ok());
+      worst = std::max(worst, f.env.now() - t0);
+      if (after_rolls >= 0 || (segment(0) != first[0] && segment(1) != first[1]))
+        ++after_rolls;
+    }
+    EXPECT_LT(worst, snapshot_write / 4)
+        << "worst commit " << worst << " ns, snapshot write " << snapshot_write << " ns";
     EXPECT_TRUE(f.kv->umount().ok());
   });
 }

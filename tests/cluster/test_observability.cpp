@@ -153,6 +153,9 @@ TEST_P(ObservabilityTest, AdminDumpAggregatesAllDaemons) {
     } else {
       // Baseline OSDs front BlueStore directly; its block rides along.
       EXPECT_NE(dump.find("\"bluestore\""), std::string::npos);
+      // The KV checkpoint's share of the device writes (mkfs wrote one).
+      EXPECT_NE(dump.find("\"kv_ckpt_bytes\""), std::string::npos);
+      EXPECT_NE(dump.find("\"kv_ckpt_chunks\""), std::string::npos);
     }
 
     // Commands registered by a subset of daemons aggregate just those.
