@@ -123,9 +123,11 @@ Status CommChannel::send(BufferList msg) {
                                   cur, arrival, std::memory_order_relaxed)) {
       }
     }
-    arrival = std::max(arrival,
-                       sim::Time{c.min_deliver[to].load(std::memory_order_relaxed)});
   }
+  // Outside the fault block: a message sent after the stall spec is cleared
+  // must still not overtake the stalled one.
+  arrival =
+      std::max(arrival, sim::Time{c.min_deliver[to].load(std::memory_order_relaxed)});
   c.env.scheduler().schedule_at(
       arrival, [core = core_, to, msg = std::move(msg)]() mutable {
         core->deliver(to, std::move(msg));

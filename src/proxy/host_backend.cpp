@@ -110,12 +110,12 @@ Result<BufferList> HostBackendService::assemble_payload(
         out.append(ref.data);
         break;
       case DataRef::Kind::staged: {
+        // A segment whose stage failed (or never came) fails the txn:
+        // committing anything in its place would write wrong bytes.
         auto it = segs.find(ref.index);
-        if (it != segs.end()) {
-          out.claim_append(it->second);
-        } else {
-          out.append_zero(ref.len);  // lost segment: keep sizes consistent
-        }
+        if (it == segs.end() || it->second.length() != ref.len)
+          return Status(Errc::corrupt, "write payload names an unstaged segment");
+        out.claim_append(it->second);
         break;
       }
       case DataRef::Kind::region:

@@ -61,7 +61,8 @@ class HostBackendService {
 
   /// Materialize one op's payload from its DataRefs (staged segments were
   /// already copied out of the DMA region by do_stage_segment). Errc::corrupt
-  /// for a region ref, which no write carries.
+  /// for a region ref, which no write carries, and for a staged ref whose
+  /// segment this request never staged.
   Result<BufferList> assemble_payload(std::uint64_t token,
                                       const std::vector<DataRef>& refs);
   /// True iff [off, off+len) lies inside the shared host region.

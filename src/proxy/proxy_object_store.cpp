@@ -176,11 +176,11 @@ void ProxyObjectStore::start(const OpRef& op) {
   advance(op);
 }
 
-void ProxyObjectStore::advance(const OpRef& op) {
+void ProxyObjectStore::advance(const OpRef& op, const Segment* done_seg) {
   while (!op->done && !op->reserving) {
     if (op->part == op->wire.parts.size()) {
-      if (op->outstanding == 0) submit(op);
-      return;
+      if (op->in_dma == 0 && op->submit_id == 0) return submit(op, done_seg);
+      break;
     }
     if (op->ref == op->wire.parts[op->part].size()) {
       ++op->part;
@@ -189,7 +189,8 @@ void ProxyObjectStore::advance(const OpRef& op) {
     }
     // Ablation: strictly serial -- wait out each transfer (and its staging
     // handoff) before touching the next segment.
-    if (!cfg_.pipelining && op->outstanding > 0) return;
+    if (!cfg_.pipelining && (op->in_dma > 0 || !op->rpcs.empty() || done_seg != nullptr))
+      break;
 
     DataRef& ref = op->wire.parts[op->part][op->ref++];
     if (ref.kind == DataRef::Kind::inline_) continue;
@@ -206,11 +207,19 @@ void ProxyObjectStore::advance(const OpRef& op) {
                 .index = ref.index,
                 .probing = path == FallbackManager::Path::probe};
     op->reserving = true;
+    ++op->in_dma;
     arena_.reserve_async(
         ref.len, [this, op, seg, asked = env_.now()](std::size_t off) mutable {
           seg.off = off;
           center_.dispatch([this, op, seg, asked] { on_reserved(op, seg, asked); });
         });
+  }
+  // Not the last segment: its handoff goes alone.
+  if (done_seg != nullptr) {
+    RpcChannel::Call stage = stage_call(op, *done_seg);
+    const std::uint64_t id =
+        rpc_.call_async(std::move(stage.request), std::move(stage.cb), stage.ctx);
+    op->rpcs[done_seg->index] = {.id = id, .seg = *done_seg, .named = true};
   }
 }
 
@@ -231,25 +240,52 @@ void ProxyObjectStore::on_reserved(const OpRef& op, const Segment& seg, sim::Tim
   // the CommChannel (one round trip) before staging.
   BufferList ping;
   encode(ProxyOp::ping, ping);
-  segment_call(op, seg, std::move(ping), [this, op, seg](const Result<BufferList>&) {
-    if (op->done)
-      drop_segment(seg);
-    else
-      stage(op, seg);
-  });
+  const std::uint64_t id = rpc_.call_async(
+      std::move(ping),
+      segment_reply(op, seg,
+                    [this, op, seg](const Result<BufferList>&) {
+                      if (op->done)
+                        drop_segment(seg);
+                      else
+                        stage(op, seg);
+                    }),
+      op->wire.meta.trace());
+  op->rpcs[seg.index] = {.id = id, .seg = seg};
 }
 
-void ProxyObjectStore::segment_call(const OpRef& op, const Segment& seg,
-                                    BufferList request, SegmentReply then) {
-  const std::uint64_t id = rpc_.call_async(
-      std::move(request),
-      [this, op, index = seg.index, then = std::move(then)](Result<BufferList> r) {
-        center_.dispatch([op, index, then, r = std::move(r)] {
-          if (op->rpcs.erase(index) != 0) then(r);  // else abort() withdrew it
-        });
-      },
-      op->wire.meta.trace());
-  op->rpcs[seg.index] = {id, seg};
+RpcChannel::ResponseCb ProxyObjectStore::on_loop(Reply then) {
+  return [this, seq = ++loop_calls_, then = std::move(then)](Result<BufferList> r) {
+    center_.dispatch([this, seq, then, r = std::move(r)] {
+      if (r.ok()) release_quarantine(seq);
+      then(r);
+    });
+  };
+}
+
+RpcChannel::ResponseCb ProxyObjectStore::segment_reply(const OpRef& op,
+                                                       const Segment& seg, Reply then) {
+  return on_loop(
+      [op, index = seg.index, then = std::move(then)](const Result<BufferList>& r) {
+        if (op->rpcs.erase(index) != 0) then(r);  // else the call was withdrawn
+      });
+}
+
+RpcChannel::Call ProxyObjectStore::stage_call(const OpRef& op, const Segment& seg) {
+  // Hand the extent's content to the host's per-request write buffer; the
+  // bytes recycle as soon as the host acks the copy (Fig. 4).
+  BufferList request;
+  encode(ProxyOp::stage_segment, request);
+  StageSegment{.token = op->wire.token,
+               .seg_index = seg.index,
+               .off = static_cast<std::uint32_t>(seg.off),
+               .len = static_cast<std::uint32_t>(seg.data.length())}
+      .encode(request);
+  return {.request = std::move(request),
+          .cb = segment_reply(op, seg,
+                              [this, op, seg](const Result<BufferList>& r) {
+                                on_stage_ack(op, seg, r);
+                              }),
+          .ctx = op->wire.meta.trace()};
 }
 
 void ProxyObjectStore::stage(const OpRef& op, const Segment& seg) {
@@ -259,7 +295,6 @@ void ProxyObjectStore::stage(const OpRef& op, const Segment& seg) {
   seg.data.copy_out(0, len, src.data());
   dpu_.cpu().charge(static_cast<sim::Duration>(cfg_.stage_copy_ns_per_byte *
                                                static_cast<double>(len)));
-  ++op->outstanding;
   if (op->first_submit < 0) op->first_submit = env_.now();
   // The completion arrives on the engine's thread; it only hops to the loop.
   const Status submitted = dpu_.dma().submit(
@@ -269,6 +304,7 @@ void ProxyObjectStore::stage(const OpRef& op, const Segment& seg) {
       },
       op->wire.meta.trace());
   if (!submitted.ok()) {
+    --op->in_dma;
     fallback_.on_dma_failure(env_.now());
     segment_done(op, seg, /*failed=*/true);
     return;
@@ -281,6 +317,7 @@ void ProxyObjectStore::stage(const OpRef& op, const Segment& seg) {
 
 void ProxyObjectStore::on_dma_done(const OpRef& op, Segment seg, const Status& st) {
   op->last_complete = env_.now();
+  --op->in_dma;
   if (!st.ok()) {
     fallback_.on_dma_failure(env_.now());
     segment_done(op, seg, /*failed=*/true);
@@ -292,31 +329,27 @@ void ProxyObjectStore::on_dma_done(const OpRef& op, Segment seg, const Status& s
     arena_.release(seg.off, seg.data.length());  // the request already failed
     return;
   }
-  // Hand the extent's content to the host's per-request write buffer; the
-  // bytes recycle as soon as the host acks the copy (Fig. 4).
-  BufferList request;
-  encode(ProxyOp::stage_segment, request);
-  StageSegment{.token = op->wire.token,
-               .seg_index = seg.index,
-               .off = static_cast<std::uint32_t>(seg.off),
-               .len = static_cast<std::uint32_t>(seg.data.length())}
-      .encode(request);
-  segment_call(op, seg, std::move(request), [this, op, seg](const Result<BufferList>& r) {
-    bool failed = !r.ok();
-    if (r.ok()) {
-      BufferList::Cursor cur(*r);
-      std::int32_t res = 0;
-      failed = !decode(res, cur) || res != 0;
-    }
-    segment_done(op, seg, failed);
-  });
+  // After an earlier failure the submit re-sends every staged chunk inline,
+  // so this one needs no handoff.
+  if (op->any_failed) return segment_done(op, seg, /*failed=*/false);
+  advance(op, &seg);
+}
+
+void ProxyObjectStore::on_stage_ack(const OpRef& op, const Segment& seg,
+                                    const Result<BufferList>& r) {
+  bool failed = !r.ok();
+  if (r.ok()) {
+    BufferList::Cursor cur(*r);
+    std::int32_t res = 0;
+    failed = !decode(res, cur) || res != 0;
+  }
+  segment_done(op, seg, failed);
 }
 
 void ProxyObjectStore::segment_done(const OpRef& op, const Segment& seg, bool failed) {
   arena_.release(seg.off, seg.data.length());
   if (op->done) return;
   if (failed) op->any_failed = true;
-  --op->outstanding;
   advance(op);
 }
 
@@ -325,7 +358,41 @@ void ProxyObjectStore::drop_segment(const Segment& seg) {
   if (seg.probing) fallback_.on_probe_abandoned();
 }
 
-void ProxyObjectStore::submit(const OpRef& op) {
+void ProxyObjectStore::withdraw_segments(const OpRef& op, bool host_past) {
+  bool held = false;
+  for (auto it = op->rpcs.begin(); it != op->rpcs.end();) {
+    // A call whose cancel loses the race with its response keeps its
+    // entry: that response's handler gives the extent back.
+    if (!rpc_.cancel(it->second.id)) {
+      ++it;
+      continue;
+    }
+    const Segment& seg = it->second.seg;
+    if (it->second.named && !host_past) {
+      quarantine_.push_back(
+          {.after = loop_calls_, .off = seg.off, .len = seg.data.length()});
+      held = true;
+    } else {
+      drop_segment(seg);
+    }
+    it = op->rpcs.erase(it);
+  }
+  if (!held) return;
+  // Ask for a response to a request issued now, so the quarantine ends
+  // even if no other traffic follows.
+  BufferList ping;
+  encode(ProxyOp::ping, ping);
+  (void)rpc_.call_async(std::move(ping), on_loop([](const Result<BufferList>&) {}));
+}
+
+void ProxyObjectStore::release_quarantine(std::uint64_t seq) {
+  while (!quarantine_.empty() && quarantine_.front().after < seq) {
+    arena_.release(quarantine_.front().off, quarantine_.front().len);
+    quarantine_.pop_front();
+  }
+}
+
+void ProxyObjectStore::submit(const OpRef& op, const Segment* last_seg) {
   if (op->any_failed) {
     // Fallback (paper §4): staged segments whose transfer or handoff
     // failed are unusable; conservatively re-send every staged chunk inline
@@ -348,16 +415,30 @@ void ProxyObjectStore::submit(const OpRef& op) {
   op->wire.encode(request);
   op->rpc_span = env_.tracer().span("dpu.rpc.submit_txn", "dpu." + dpu_.name(),
                                     op->write_span.context(), env_.now());
-  op->submit_id = rpc_.call_async(
-      std::move(request),
-      [this, op](Result<BufferList> r) {
-        center_.dispatch([this, op, r = std::move(r)] { on_txn_reply(op, r); });
-      },
-      op->rpc_span.context());
+  RpcChannel::Call submit_call{
+      .request = std::move(request),
+      .cb = on_loop([this, op](const Result<BufferList>& r) { on_txn_reply(op, r); }),
+      .ctx = op->rpc_span.context()};
+  if (last_seg == nullptr) {
+    op->submit_id = rpc_.call_async(std::move(submit_call.request),
+                                    std::move(submit_call.cb), submit_call.ctx);
+    return;
+  }
+  // The last segment's handoff rides in the submit's message, ahead of it:
+  // the host copies the extent before it assembles the transaction.
+  std::vector<RpcChannel::Call> calls;
+  calls.push_back(stage_call(op, *last_seg));
+  calls.push_back(std::move(submit_call));
+  const auto ids = rpc_.call_together(std::move(calls));
+  op->rpcs[last_seg->index] = {.id = ids[0], .seg = *last_seg, .named = true};
+  op->submit_id = ids[1];
 }
 
 void ProxyObjectStore::on_txn_reply(const OpRef& op, const Result<BufferList>& response) {
   if (op->done) return;
+  // Every stage frame went out ahead of the submit: once its response has
+  // come, the host has copied them all (their acks normally came first).
+  withdraw_segments(op, /*host_past=*/response.ok());
   op->rpc_span.end(env_.now());
   Status st;
   TxnReply reply;
@@ -413,17 +494,9 @@ void ProxyObjectStore::on_txn_reply(const OpRef& op, const Result<BufferList>& r
 
 void ProxyObjectStore::abort(const OpRef& op, const Status& st) {
   op->done = true;
-  // Withdraw every RPC still pending. An extent whose cancel loses the race
-  // with its response comes back through that response's handler; one
-  // whose DMA job is still running comes back from on_dma_done.
-  for (auto it = op->rpcs.begin(); it != op->rpcs.end();) {
-    if (rpc_.cancel(it->second.first)) {
-      drop_segment(it->second.second);
-      it = op->rpcs.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  // Withdraw every RPC still pending. An extent whose DMA job is still
+  // running comes back from on_dma_done.
+  withdraw_segments(op, /*host_past=*/false);
   if (op->submit_id != 0) (void)rpc_.cancel(op->submit_id);
   // The host drops any segments already staged under this token.
   BufferList abort_req;
@@ -514,16 +587,13 @@ void ProxyObjectStore::start_read(const ReadRef& rd) {
   rd->rr.cid.encode(request);
   rd->rr.oid.encode(request);
   rd->call_id = rpc_.call_async(
-      std::move(request),
-      [this, rd](Result<BufferList> r) {
-        center_.dispatch([this, rd, r = std::move(r)] {
-          rd->call_id = 0;
-          if (rd->done) return;
-          const auto info = decode_payload<os::ObjectInfo>(control_payload(r));
-          if (!info.ok()) return finish_read(rd, info.status());
-          reserve_read(rd, info->size > rd->rr.off ? info->size - rd->rr.off : 0);
-        });
-      },
+      std::move(request), on_loop([this, rd](const Result<BufferList>& r) {
+        rd->call_id = 0;
+        if (rd->done) return;
+        const auto info = decode_payload<os::ObjectInfo>(control_payload(r));
+        if (!info.ok()) return finish_read(rd, info.status());
+        reserve_read(rd, info->size > rd->rr.off ? info->size - rd->rr.off : 0);
+      }),
       rd->span.context());
 }
 
@@ -550,9 +620,7 @@ void ProxyObjectStore::send_read(const ReadRef& rd) {
   rd->rr.encode(request);
   rd->call_id = rpc_.call_async(
       std::move(request),
-      [this, rd](Result<BufferList> r) {
-        center_.dispatch([this, rd, r = std::move(r)] { on_read_reply(rd, r); });
-      },
+      on_loop([this, rd](const Result<BufferList>& r) { on_read_reply(rd, r); }),
       rd->span.context());
 }
 

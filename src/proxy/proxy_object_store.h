@@ -103,6 +103,14 @@ struct BreakdownSnapshot {
 /// each other. A read waits for the writes its PG had queued when it
 /// arrived, so it sees every transaction queued before it, as a BlueStore
 /// read does; the OSD's per-PG dispatch keeps writes behind earlier reads.
+///
+/// A write's last stage_segment frame rides in one comch message with its
+/// submit_txn frame, sent as the last DMA job completes: the host handles
+/// both in order on one loop, so the submit waits for no stage ack. An
+/// extent never returns to the arena while the host may still copy it: one
+/// whose stage frame went out and whose request was withdrawn before the
+/// ack is quarantined until a response arrives to a request issued after
+/// the withdrawal (comch is FIFO both ways).
 class ProxyObjectStore final : public os::ObjectStore {
  public:
   ProxyObjectStore(sim::Env& env, dpu::DpuDevice& dpu, ProxyConfig cfg = {});
@@ -193,12 +201,19 @@ class ProxyObjectStore final : public os::ObjectStore {
     std::size_t ref = 0;
     std::uint32_t next_seg = 0;
     bool reserving = false;
-    int outstanding = 0;  ///< staged segments not yet acked by the host
+    /// Segments routed to DMA whose job has not finished; the submit waits
+    /// for these only.
+    int in_dma = 0;
     bool any_failed = false;
 
-    /// Segments whose extent waits on an RPC (the mr_cache=false ping, or
-    /// the stage ack), by segment index.
-    std::map<std::uint32_t, std::pair<std::uint64_t, Segment>> rpcs;
+    /// A segment whose extent waits on an RPC: the mr_cache=false ping, or
+    /// the stage ack (`named`: the host was told to copy the extent).
+    struct SegmentCall {
+      std::uint64_t id = 0;
+      Segment seg;
+      bool named = false;
+    };
+    std::map<std::uint32_t, SegmentCall> rpcs;  ///< by segment index
     std::uint64_t submit_id = 0;               ///< submit_txn call (0: none)
     event::EventCenter::TimerId deadline = 0;
 
@@ -239,22 +254,40 @@ class ProxyObjectStore final : public os::ObjectStore {
   void admit(const OpRef& op);
   void start(const OpRef& op);
   /// Route segments until a reservation is pending, the pipeline must wait
-  /// (pipelining = false), or everything is staged and acked (then submit).
-  void advance(const OpRef& op);
+  /// (pipelining = false), or everything is staged and its DMA done (then
+  /// submit). `done_seg`, a segment whose DMA just finished, has its stage
+  /// frame sent: with the submit when that goes out now, else alone.
+  void advance(const OpRef& op, const Segment* done_seg = nullptr);
   void on_reserved(const OpRef& op, const Segment& seg, sim::Time asked);
   void stage(const OpRef& op, const Segment& seg);
   void on_dma_done(const OpRef& op, Segment seg, const Status& st);
-  using SegmentReply = std::function<void(const Result<BufferList>&)>;
-  /// Send `request` for `seg`, holding its extent in `rpcs`; `then` runs on
-  /// the loop with the response unless abort() withdrew the call first.
-  void segment_call(const OpRef& op, const Segment& seg, BufferList request,
-                    SegmentReply then);
+  using Reply = std::function<void(const Result<BufferList>&)>;
+  /// Response callback for a request the loop is issuing now: `then` runs
+  /// on the loop with the response. A response also frees the quarantined
+  /// extents withdrawn before that request went out.
+  RpcChannel::ResponseCb on_loop(Reply then);
+  /// Response callback for a call that holds `seg`'s extent in `rpcs`:
+  /// `then` runs on the loop unless the call was withdrawn first.
+  RpcChannel::ResponseCb segment_reply(const OpRef& op, const Segment& seg,
+                                       Reply then);
+  /// The stage_segment call for `seg`; its ack gives the extent back.
+  RpcChannel::Call stage_call(const OpRef& op, const Segment& seg);
+  /// The host acked (or failed) `seg`'s stage_segment.
+  void on_stage_ack(const OpRef& op, const Segment& seg, const Result<BufferList>& r);
   /// A segment's extent is back in the arena; the request moves on.
   void segment_done(const OpRef& op, const Segment& seg, bool failed);
   /// A dead request lets go of a segment: its extent goes back, and a probe
   /// that never reached the engine is handed back to the fallback manager.
   void drop_segment(const Segment& seg);
-  void submit(const OpRef& op);
+  /// Withdraw the request's pending segment calls. An extent the host was
+  /// told to copy goes back at once only if `host_past` (a response to a
+  /// later request arrived); otherwise it is quarantined, and a ping makes
+  /// sure such a response comes.
+  void withdraw_segments(const OpRef& op, bool host_past);
+  /// A response arrived to the loop's request number `seq`: every extent
+  /// quarantined before that request went out is safe to reuse.
+  void release_quarantine(std::uint64_t seq);
+  void submit(const OpRef& op, const Segment* last_seg);
   void on_txn_reply(const OpRef& op, const Result<BufferList>& response);
   /// Fail the request now (deadline or umount): withdraw its pending RPCs
   /// and tell the host to drop what it staged.
@@ -300,6 +333,16 @@ class ProxyObjectStore final : public os::ObjectStore {
   std::map<os::coll_t, std::deque<OpRef>> pgs_;
   std::set<ReadRef> reads_;  ///< reads not yet completed
   bool stopping_ = false;  ///< umount began: start and admit nothing new
+  /// Requests the loop has issued; numbers them for the quarantine.
+  std::uint64_t loop_calls_ = 0;
+  /// Extents the host may still copy, in quarantine order: each goes back
+  /// once a response arrives to a request numbered above `after`.
+  struct Quarantined {
+    std::uint64_t after = 0;
+    std::size_t off = 0;
+    std::size_t len = 0;
+  };
+  std::deque<Quarantined> quarantine_;
 
   // Table 3 accumulators.
   mutable dbg::Mutex bd_mutex_{"proxy.breakdown"};

@@ -37,10 +37,11 @@ void RpcChannel::drain_sends() {
       const Status st = ch_->send(std::move(out.msg));
       lk.lock();
       if (!st.ok()) {
-        // A failed request frame gets the send error (responses/oneways
-        // have no callback to fail).
-        auto it = pending_.find(out.req_id);
-        if (it != pending_.end()) {
+        // The requests riding the message get the send error
+        // (responses/oneways have no callback to fail).
+        for (const std::uint64_t id : out.req_ids) {
+          auto it = pending_.find(id);
+          if (it == pending_.end()) continue;
           failed.push_back(std::move(it->second));
           pending_.erase(it);
         }
@@ -52,42 +53,59 @@ void RpcChannel::drain_sends() {
   for (auto& cb : failed) cb(fail_st);
 }
 
-void RpcChannel::enqueue_frame_locked(BufferList frame, std::uint64_t req_id) {
-  OutMsg out;
-  encode(static_cast<std::uint32_t>(frame.length()), out.msg);
-  out.msg.claim_append(frame);
-  out.req_id = req_id;
-  frames_sent_.fetch_add(1, std::memory_order_relaxed);
-  sendq_.push_back(std::move(out));
+void RpcChannel::add_frames(std::vector<Frame>& out, std::uint64_t req_id,
+                            std::uint8_t flags, const BufferList& payload,
+                            const trace::TraceContext& ctx) {
+  const std::size_t chunk_max =
+      ch_->config().max_msg_size - kEntryPrefix - kFragHeader;
+  bytes_sent_.fetch_add(payload.length(), std::memory_order_relaxed);
+  const bool is_request = (flags & (kResponse | kOneway)) == 0;
+  std::size_t off = 0;
+  do {
+    const std::size_t n = std::min(chunk_max, payload.length() - off);
+    const bool last = off + n == payload.length();
+    Frame frame;
+    frame.req_id = is_request ? req_id : 0;
+    encode(req_id, frame.bytes);
+    encode(static_cast<std::uint8_t>(flags | (last ? kLastPart : 0)), frame.bytes);
+    encode(ctx, frame.bytes);
+    frame.bytes.append(payload.substr(off, n));
+    out.push_back(std::move(frame));
+    off += n;
+  } while (off < payload.length());
+}
+
+void RpcChannel::send_frames(std::vector<Frame> frames) {
+  // All frames are queued under one mutex_ hold, so they land contiguously
+  // in sendq_ and reassemble in order. Send errors surface through the
+  // pending callbacks (drain_sends).
+  {
+    const dbg::LockGuard lk(mutex_);
+    const std::size_t cap = ch_->config().max_msg_size;
+    bool first = true;
+    for (auto& frame : frames) {
+      const std::size_t entry = kEntryPrefix + frame.bytes.length();
+      // Only a message this call started may take the frame. A fragment
+      // that is not a payload's last fills its message, so one payload's
+      // fragments never share one.
+      if (first || sendq_.back().msg.length() + entry > cap) sendq_.emplace_back();
+      first = false;
+      OutMsg& out = sendq_.back();
+      encode(static_cast<std::uint32_t>(frame.bytes.length()), out.msg);
+      out.msg.claim_append(frame.bytes);
+      if (frame.req_id != 0) out.req_ids.push_back(frame.req_id);
+      frames_sent_.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+  drain_sends();
 }
 
 Status RpcChannel::send_fragmented(std::uint64_t req_id, std::uint8_t flags,
                                    BufferList payload,
                                    const trace::TraceContext& ctx) {
-  const std::size_t chunk_max =
-      ch_->config().max_msg_size - kEntryPrefix - kFragHeader;
-  bytes_sent_.fetch_add(payload.length(), std::memory_order_relaxed);
-  const bool is_request = (flags & (kResponse | kOneway)) == 0;
-
-  // All fragments of one payload are enqueued under one mutex_ hold, so
-  // they land contiguously in sendq_ and reassemble in order. Send errors
-  // surface through the pending callback (drain_sends), not the return.
-  {
-    const dbg::LockGuard lk(mutex_);
-    std::size_t off = 0;
-    do {
-      const std::size_t n = std::min(chunk_max, payload.length() - off);
-      const bool last = off + n == payload.length();
-      BufferList frame;
-      encode(req_id, frame);
-      encode(static_cast<std::uint8_t>(flags | (last ? kLastPart : 0)), frame);
-      encode(ctx, frame);
-      frame.append(payload.substr(off, n));
-      enqueue_frame_locked(std::move(frame), is_request ? req_id : 0);
-      off += n;
-    } while (off < payload.length());
-  }
-  drain_sends();
+  std::vector<Frame> frames;
+  add_frames(frames, req_id, flags, payload, ctx);
+  send_frames(std::move(frames));
   return Status::OK();
 }
 
@@ -102,6 +120,22 @@ std::uint64_t RpcChannel::call_async(BufferList request, ResponseCb cb,
   // drain_sends (possibly synchronously, on this thread).
   (void)send_fragmented(id, 0, std::move(request), ctx);
   return id;
+}
+
+std::vector<std::uint64_t> RpcChannel::call_together(std::vector<Call> calls) {
+  std::vector<std::uint64_t> ids;
+  std::vector<Frame> frames;
+  for (const auto& call : calls) {
+    ids.push_back(next_id_.fetch_add(1));
+    add_frames(frames, ids.back(), 0, call.request, call.ctx);
+  }
+  {
+    const dbg::LockGuard lk(mutex_);
+    for (std::size_t i = 0; i < calls.size(); ++i)
+      pending_[ids[i]] = std::move(calls[i].cb);
+  }
+  send_frames(std::move(frames));
+  return ids;
 }
 
 bool RpcChannel::cancel(std::uint64_t id) {

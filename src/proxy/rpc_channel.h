@@ -4,6 +4,7 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <vector>
 
 #include "common/trace.h"
 #include "dbg/mutex.h"
@@ -18,9 +19,10 @@ namespace doceph::proxy {
 /// side acts as client (call/call_async/notify), the other as server
 /// (set_request_handler); both roles may be mixed.
 ///
-/// Wire format: every comch message carries one [u32 frame_len][frame]
-/// entry (the receiver also accepts a run of them); a frame is [u64 req_id]
-/// [u8 flags][TraceContext][payload chunk].
+/// Wire format: a comch message carries a run of [u32 frame_len][frame]
+/// entries; a frame is [u64 req_id][u8 flags][TraceContext][payload chunk].
+/// Every message carries one entry, except for call_together(), whose
+/// frames share messages with each other (and with nothing else).
 class RpcChannel {
  public:
   RpcChannel(sim::Env& env, doca::CommChannelRef channel);
@@ -41,6 +43,17 @@ class RpcChannel {
   /// and reaches the server's RequestHandler (distributed tracing).
   std::uint64_t call_async(BufferList request, ResponseCb cb,
                            const trace::TraceContext& ctx = {});
+  /// One request of call_together().
+  struct Call {
+    BufferList request;
+    ResponseCb cb;
+    trace::TraceContext ctx;
+  };
+  /// Fire `calls` as call_async does, packing their frames in order into as
+  /// few comch messages as the size cap allows: one, when they fit. A failed
+  /// send fails every request riding in that message. Returns the request
+  /// ids in call order.
+  std::vector<std::uint64_t> call_together(std::vector<Call> calls);
   /// Drop the pending callback for `id`; a late response is then ignored.
   /// Returns false if the response already claimed the callback (it has run
   /// or is about to).
@@ -66,25 +79,32 @@ class RpcChannel {
   /// Total payload bytes moved through this endpoint (diagnostics).
   [[nodiscard]] std::uint64_t bytes_sent() const noexcept { return bytes_sent_.load(); }
 
-  /// Frames sent, one comch message (one doorbell per endpoint) each.
+  /// Frames sent. Each is one comch message (one doorbell per endpoint),
+  /// except that call_together() packs its frames into shared messages.
   [[nodiscard]] std::uint64_t frames_sent() const noexcept { return frames_sent_.load(); }
 
  private:
   enum Flags : std::uint8_t { kResponse = 1, kOneway = 2, kLastPart = 4 };
 
+  struct Frame {
+    BufferList bytes;
+    std::uint64_t req_id = 0;  ///< request this frame belongs to (0: none)
+  };
+  /// Cut `payload` into frames of at most one comch message each.
+  void add_frames(std::vector<Frame>& out, std::uint64_t req_id, std::uint8_t flags,
+                  const BufferList& payload, const trace::TraceContext& ctx);
+  /// Queue `frames` on sendq_, in order, and drain. A frame joins the
+  /// message of the frame before it while the size cap allows.
+  void send_frames(std::vector<Frame> frames);
   Status send_fragmented(std::uint64_t req_id, std::uint8_t flags, BufferList payload,
                          const trace::TraceContext& ctx = {});
-  /// Queue one framed entry as an outbound message on sendq_. Does NOT
-  /// send: CommChannel::send charges simulated CPU (a virtual-clock sleep),
-  /// and sleeping while holding mutex_ would stall every thread blocked on
-  /// it — and with them the virtual clock itself (TimeKeeper discipline).
-  /// Callers run drain_sends() after dropping mutex_.
-  void enqueue_frame_locked(BufferList frame, std::uint64_t req_id)
-      DOCEPH_REQUIRES(mutex_);
   /// Send queued messages FIFO. One thread drains at a time (sending_), so
   /// wire order matches queue order; the channel is only ever touched with
-  /// mutex_ dropped. A failed request frame gets its callback run with the
-  /// send error.
+  /// mutex_ dropped: CommChannel::send charges simulated CPU (a
+  /// virtual-clock sleep), and sleeping while holding mutex_ would stall
+  /// every thread blocked on it, and with them the virtual clock itself
+  /// (TimeKeeper discipline). Every request riding a message whose send
+  /// failed gets its callback run with the send error.
   void drain_sends();
   void on_message(BufferList msg);
   void on_frame(BufferList frame);
@@ -104,7 +124,7 @@ class RpcChannel {
   // caller.
   struct OutMsg {
     BufferList msg;
-    std::uint64_t req_id = 0;  ///< request frame riding it (0: none)
+    std::vector<std::uint64_t> req_ids;  ///< requests whose frames ride it
   };
   std::deque<OutMsg> sendq_ DOCEPH_GUARDED_BY(mutex_);
   bool sending_ DOCEPH_GUARDED_BY(mutex_) = false;

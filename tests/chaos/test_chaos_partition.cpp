@@ -91,6 +91,65 @@ TEST(ChaosPartition, DpuHostPartitionTimesOutThenHeals) {
   });
 }
 
+TEST(ChaosPartition, StalledHandoffKeepsItsExtentUntilTheHostIsPast) {
+  // A 16 KiB write sends one DPU->host message: its stage frame and its
+  // submit. Stall that message past the write's deadline. Until the host has
+  // handled it, the host may still copy the extent, so the aborted write's
+  // extent must stay out of the arena.
+  Env env(TimeKeeper::Mode::virtual_time, doceph::testing::env_seed(7));
+  run_sim(env, [&] {
+    ProxyConfig pcfg;
+    pcfg.rpc_timeout = 200'000'000;
+    ChaosProxyNode node(env, pcfg);
+    ASSERT_TRUE(node.up().ok());
+    StagingArena& arena = node.proxy->slots();
+    constexpr std::size_t kLen = 16 << 10;
+
+    fault::FaultSpec stall;
+    stall.fire_at_time = 0;
+    stall.count = 1;
+    stall.delay_ns = 300'000'000;
+    stall.match = "dpu-0/d2h";
+    env.faults().set("doca.comch_stall", stall);
+    EXPECT_EQ(node.write("a", kLen, 1).code(), Errc::timed_out);
+    EXPECT_EQ(arena.free_bytes(), arena.capacity() - kLen);
+
+    // The next write stages while a's message is still stalled. Had it
+    // been given a's extent, the host would copy b's bytes into a.
+    std::mutex m;
+    sim::CondVar cv(env.keeper());
+    bool done = false;
+    Status b_st;
+    os::Transaction t;
+    t.write(ChaosProxyNode::kColl, {1, "b"}, 0, BufferList::copy_of(pattern(kLen, 2)));
+    node.proxy->queue_transaction(std::move(t), [&](Status st) {
+      const std::lock_guard<std::mutex> lk(m);
+      b_st = st;
+      done = true;
+      cv.notify_all();
+    });
+    env.keeper().sleep_for(50'000'000);  // b's DMA is done; its message waits
+    EXPECT_EQ(arena.free_bytes(), arena.capacity() - 2 * kLen);
+    {
+      std::unique_lock<std::mutex> lk(m);
+      cv.wait(lk, [&] { return done; });
+    }
+    EXPECT_TRUE(b_st.ok()) << b_st.to_string();
+    env.faults().clear("doca.comch_stall");
+
+    // The host handled a's message after its deadline: a committed with its
+    // own bytes, and every extent is back.
+    for (const auto& [name, seed] :
+         {std::pair<std::string, unsigned>{"a", 1}, {"b", 2}}) {
+      auto r = node.store->read(ChaosProxyNode::kColl, {1, name}, 0, 0);
+      ASSERT_TRUE(r.ok()) << name;
+      EXPECT_EQ(r->to_string(), pattern(kLen, seed)) << name;
+    }
+    EXPECT_EQ(arena.free_bytes(), arena.capacity());
+    node.down();
+  });
+}
+
 TEST(ChaosPartition, ProbeLostToPartitionIsHandedOutAgain) {
   Env env(TimeKeeper::Mode::virtual_time, /*seed=*/5);
   run_sim(env, [&] {

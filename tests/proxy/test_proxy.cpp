@@ -384,6 +384,60 @@ TEST(Proxy, SubSegmentWritesOverlapInOneSegmentRegion) {
   f.down();
 }
 
+// ---- what a write costs on comch and on the host ------------------------------------
+
+struct WriteCost {
+  std::uint64_t msgs = 0;     ///< comch messages, both directions
+  std::uint64_t host_ns = 0;  ///< CPU charged to the host domain
+};
+
+WriteCost write_cost(ProxyFixture& f, const std::string& name, std::size_t bytes) {
+  const auto msgs = [&] {
+    return f.dpu.dpu_comch()->sent() + f.dpu.host_comch()->sent();
+  };
+  const WriteCost before{msgs(), f.host_cpu.busy_ns()};
+  os::Transaction t;
+  t.write_full(kColl, {1, name}, BufferList::copy_of(pattern(bytes)));
+  EXPECT_TRUE(f.commit(std::move(t)).ok()) << name;
+  return {msgs() - before.msgs, f.host_cpu.busy_ns() - before.host_ns};
+}
+
+TEST(ProxyComch, MessagesPerWriteShape) {
+  // Inline: submit_txn and its reply (a payload near 4 KiB spills into a
+  // second fragment with its metadata). A DMA write of k segments: k - 1
+  // stage_segment requests and their acks, then one message carrying the
+  // last stage frame and the submit, the last ack, and the commit reply.
+  ProxyFixture f;
+  f.up();
+  run_sim(f.env, [&] {
+    EXPECT_EQ(write_cost(f, "inline", 2048).msgs, 2u);
+    EXPECT_EQ(write_cost(f, "one", 16 << 10).msgs, 3u);
+    for (const std::uint64_t k : {2u, 4u}) {
+      EXPECT_EQ(write_cost(f, "k" + std::to_string(k), k * (2 << 20)).msgs, 2 * k + 1)
+          << k;
+    }
+  });
+  EXPECT_EQ(f.proxy->rpc_fallback_bytes(), 0u);  // every segment went by DMA
+  f.down();
+}
+
+TEST(ProxyComch, HostCpuOfOneSmallWrite) {
+  // Host CPU of one 16 KiB DMA write, 30.3 us: three comch messages
+  // (receive the stage+submit message, send the stage ack and the commit
+  // reply) at 6 us each plus 0.15 ns/B, the 2.5 us copy out of the write
+  // region (0.15 ns/B), and BlueStore's transaction and KV commit. Sending
+  // the stage frame in a message of its own costs the host one more
+  // receive: 36.3 us.
+  ProxyFixture f;
+  f.up();
+  run_sim(f.env, [&] {
+    const WriteCost c = write_cost(f, "w16k", 16 << 10);
+    EXPECT_EQ(c.msgs, 3u);
+    EXPECT_EQ(c.host_ns, 30'317u);
+  });
+  f.down();
+}
+
 // ---- host-side bounds checks on DPU-supplied region offsets -------------------
 
 /// Sends a hand-built request on the proxy's channel and returns the host's
@@ -485,6 +539,31 @@ TEST(ProxyBounds, OutOfRangeRegionRefFailsTheTxn) {
       EXPECT_EQ(host_result(f, ProxyOp::submit_txn, body), kCorrupt) << index;
       EXPECT_FALSE(f.store->exists(kColl, kObj)) << index;  // nothing was applied
     }
+  });
+  f.down();
+}
+
+TEST(ProxyBounds, SubmitNamingAnUnstagedSegmentFailsTheTxn) {
+  ProxyFixture f;
+  f.up();
+  const std::string before = pattern(16 << 10, 3);
+  run_sim(f.env, [&] {
+    os::Transaction t;
+    t.write_full(kColl, kObj, BufferList::copy_of(before));
+    ASSERT_TRUE(f.commit(std::move(t)).ok());
+    // Segment 0 of this token never reached the host (its stage failed or
+    // was lost): the txn fails and applies nothing, rather than committing
+    // zeros in the segment's place.
+    WireTxn wire;
+    wire.token = 1234;
+    wire.meta.write_full(kColl, kObj, BufferList{});
+    wire.parts.resize(1);
+    wire.parts[0].push_back(
+        DataRef{.kind = DataRef::Kind::staged, .index = 0, .len = 16 << 10, .data = {}});
+    BufferList body;
+    wire.encode(body);
+    EXPECT_EQ(host_result(f, ProxyOp::submit_txn, body), kCorrupt);
+    EXPECT_EQ(f.store->read(kColl, kObj, 0, 0)->to_string(), before);
   });
   f.down();
 }

@@ -154,6 +154,64 @@ TEST(RpcChannel, DelayedResponseCompletesLater) {
   });
 }
 
+TEST(RpcChannel, CallsSentTogetherShareOneMessageInOrder) {
+  RpcFixture f;
+  std::vector<std::string> seen;  // server loop only
+  f.server->set_request_handler([&](BufferList req, bool, RpcChannel::Responder respond,
+                                    const trace::TraceContext&) {
+    seen.push_back(req.to_string());
+    respond(std::move(req));
+  });
+  f.server->start(f.sc);
+  f.client->start(f.cc);
+  run_sim(f.env, [&] {
+    std::mutex m;
+    CondVar cv(f.env.keeper());
+    std::vector<std::string> got;
+    std::vector<RpcChannel::Call> calls;
+    for (const char* body : {"first", "second", "third"}) {
+      calls.push_back({.request = BufferList::copy_of(body),
+                       .cb =
+                           [&](Result<BufferList> r) {
+                             ASSERT_TRUE(r.ok()) << r.status().to_string();
+                             const std::lock_guard<std::mutex> lk(m);
+                             got.push_back(r->to_string());
+                             cv.notify_all();
+                           },
+                       .ctx = {}});
+    }
+    const auto sent = f.dpu_end->sent();
+    const auto ids = f.client->call_together(std::move(calls));
+    EXPECT_EQ(ids.size(), 3u);
+    EXPECT_EQ(f.dpu_end->sent() - sent, 1u);  // one comch message
+    EXPECT_EQ(f.client->frames_sent(), 3u);
+    std::unique_lock<std::mutex> lk(m);
+    cv.wait(lk, [&] { return got.size() == 3; });
+    const std::vector<std::string> want{"first", "second", "third"};
+    EXPECT_EQ(seen, want);  // handled in call order
+    EXPECT_EQ(got, want);
+  });
+}
+
+TEST(RpcChannel, FailedTogetherSendFailsEveryCallInIt) {
+  RpcFixture f;
+  f.start_echo();
+  run_sim(f.env, [&] {
+    f.dpu_end->close();
+    std::vector<Status> failed;
+    std::vector<RpcChannel::Call> calls;
+    for (int i = 0; i < 2; ++i) {
+      calls.push_back({.request = BufferList::copy_of("lost"),
+                       .cb = [&](Result<BufferList> r) { failed.push_back(r.status()); },
+                       .ctx = {}});
+    }
+    const auto ids = f.client->call_together(std::move(calls));
+    ASSERT_EQ(failed.size(), 2u);  // the failed send ran both callbacks
+    for (const Status& st : failed) EXPECT_EQ(st.code(), Errc::not_connected);
+    for (const std::uint64_t id : ids) EXPECT_FALSE(f.client->cancel(id));
+  });
+}
+
 TEST(RpcChannel, BytesSentAccounting) {
   RpcFixture f;
   f.start_echo();
