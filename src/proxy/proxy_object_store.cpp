@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 #include <limits>
 #include <vector>
 
@@ -29,6 +30,16 @@ Result<T> decode_payload(const Result<BufferList>& payload) {
   T v{};
   if (!decode_from_bl(v, *payload)) return Status(Errc::corrupt, "bad control reply");
   return v;
+}
+
+/// Whether the host store reads the object before it applies `txn`: there a
+/// partial write, zero or truncate is a read-modify-write, which first waits
+/// for the collection's earlier transactions (BlueStore::flush_collection).
+bool reads_before_writing(const os::Transaction& txn) {
+  return std::any_of(txn.ops().begin(), txn.ops().end(), [](const os::Transaction::Op& o) {
+    return o.op == os::TxnOp::write || o.op == os::TxnOp::zero ||
+           o.op == os::TxnOp::truncate;
+  });
 }
 
 }  // namespace
@@ -138,11 +149,30 @@ void ProxyObjectStore::admit(const OpRef& op) {
   q.push_back(op);
   if (stopping_)
     abort(op, Status(Errc::shutting_down, "proxy umount"));  // umount emptied pgs_
-  else if (q.size() == 1)
-    start(op);
+  else
+    start_ready(q);
+}
+
+void ProxyObjectStore::start_ready(std::deque<OpRef>& q) {
+  for (std::size_t i = 0; i < q.size(); ++i) {
+    const OpRef op = q[i];
+    if (!op->started) {
+      // An RMW write waits until every earlier write of its PG has finished:
+      // the host store's flush_collection would otherwise park the host
+      // loop, which serves every PG of the node, for a whole commit.
+      if (i > 0 && reads_before_writing(op->wire.meta)) return;
+      start(op);  // a request that submits at once starts the next one itself
+    }
+    // No successor starts before this write's submit has left: it would
+    // overtake this write at the host, or, held back with its DMA done,
+    // keep arena bytes that this write's 2 MB segment needs in a
+    // one-segment arena.
+    if (op->submit_id == 0) return;
+  }
 }
 
 void ProxyObjectStore::start(const OpRef& op) {
+  op->started = true;
   // Detach bulk payloads from the transaction metadata, cut to the segment
   // size. Tiny requests are not worth a DMA round: they ride the control
   // channel. The rest is routed segment by segment in advance().
@@ -422,16 +452,20 @@ void ProxyObjectStore::submit(const OpRef& op, const Segment* last_seg) {
   if (last_seg == nullptr) {
     op->submit_id = rpc_.call_async(std::move(submit_call.request),
                                     std::move(submit_call.cb), submit_call.ctx);
-    return;
+  } else {
+    // The last segment's handoff rides in the submit's message, ahead of it:
+    // the host copies the extent before it assembles the transaction.
+    std::vector<RpcChannel::Call> calls;
+    calls.push_back(stage_call(op, *last_seg));
+    calls.push_back(std::move(submit_call));
+    const auto ids = rpc_.call_together(std::move(calls));
+    op->rpcs[last_seg->index] = {.id = ids[0], .seg = *last_seg, .named = true};
+    op->submit_id = ids[1];
   }
-  // The last segment's handoff rides in the submit's message, ahead of it:
-  // the host copies the extent before it assembles the transaction.
-  std::vector<RpcChannel::Call> calls;
-  calls.push_back(stage_call(op, *last_seg));
-  calls.push_back(std::move(submit_call));
-  const auto ids = rpc_.call_together(std::move(calls));
-  op->rpcs[last_seg->index] = {.id = ids[0], .seg = *last_seg, .named = true};
-  op->submit_id = ids[1];
+  // The submit has left: the PG's next write may start. Comch is FIFO and
+  // the host store sequences each collection's transactions, so the PG's
+  // commits still come back in submit order.
+  start_ready(pgs_.find(op->cid)->second);
 }
 
 void ProxyObjectStore::on_txn_reply(const OpRef& op, const Result<BufferList>& response) {
@@ -514,11 +548,23 @@ void ProxyObjectStore::finish(const OpRef& op, const Status& st) {
   counters_->set(l_dpu_inflight, inflight_.fetch_sub(1, std::memory_order_relaxed) - 1);
 
   auto q = pgs_.find(op->cid);
-  q->second.pop_front();  // op was its PG's head
-  OpRef next = q->second.empty() ? nullptr : q->second.front();
-  if (!next) pgs_.erase(q);
+  auto& fifo = q->second;
+  const auto at = std::find(fifo.begin(), fifo.end(), op);
+  // A read waits for commits, not submits: the reads behind a write that
+  // finishes before an earlier write of its PG (a host error) pass to the
+  // nearest earlier unfinished one.
+  if (at != fifo.begin()) {
+    auto& prev = (*std::prev(at))->reads_behind;
+    prev.insert(prev.end(), op->reads_behind.begin(), op->reads_behind.end());
+    op->reads_behind.clear();
+  }
+  fifo.erase(at);
+  if (fifo.empty()) pgs_.erase(q);
   if (op->on_commit) op->on_commit(st);
-  if (next && !stopping_) start(next);
+  // Writes that waited for this one (an RMW write, or any write behind one
+  // that never submitted) may start now.
+  q = pgs_.find(op->cid);
+  if (q != pgs_.end() && !stopping_) start_ready(q->second);
   for (const auto& rd : op->reads_behind) start_read(rd);
 }
 

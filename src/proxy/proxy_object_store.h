@@ -49,9 +49,8 @@ struct ProxyConfig {
   bool mr_cache = true;    ///< false: CommChannel negotiation round-trip per segment
 
   sim::Duration cooldown = 500'000'000;   ///< 500 ms DMA disable after an error
-  /// Deadline of a blocking RPC, of a write request from the moment it
-  /// reaches the head of its PG's queue to its host commit, and of a read
-  /// from its dispatch to its completion.
+  /// Deadline of a blocking RPC, of a write request from its start to its
+  /// host commit, and of a read from its dispatch to its completion.
   sim::Duration rpc_timeout = 30'000'000'000;
   double stage_copy_ns_per_byte = 0.25;   ///< DPU staging memcpy cost
 
@@ -98,11 +97,16 @@ struct BreakdownSnapshot {
 /// Writes and reads are per-request state machines driven entirely by the
 /// proxy's event loop: queue_transaction and read_async only dispatch, and
 /// every later step (reservation grant, staging copy, DMA completion, stage
-/// ack, host reply) runs as a loop handler. Each PG keeps a write FIFO whose
-/// head alone is in flight, so per-PG order holds without PGs waiting on
-/// each other. A read waits for the writes its PG had queued when it
-/// arrived, so it sees every transaction queued before it, as a BlueStore
-/// read does; the OSD's per-PG dispatch keeps writes behind earlier reads.
+/// ack, host reply) runs as a loop handler. Each PG keeps a FIFO of its
+/// unfinished writes that orders their submits: a write starts once every
+/// earlier write of its PG has sent its submit_txn, so per-PG commit order
+/// comes from the FIFO comch and the host store's per-collection sequencer,
+/// and PGs never wait on each other. A write that makes the host store read
+/// the object first (partial write, zero, truncate) starts only once its PG
+/// has no earlier unfinished write. A read waits until every write its PG
+/// had queued when it arrived has finished, so it sees every transaction
+/// queued before it, as a BlueStore read does; the OSD's per-PG dispatch
+/// keeps writes behind earlier reads.
 ///
 /// A write's last stage_segment frame rides in one comch message with its
 /// submit_txn frame, sent as the last DMA job completes: the host handles
@@ -190,9 +194,10 @@ class ProxyObjectStore final : public os::ObjectStore {
     std::uint64_t total_bytes = 0;
     OnCommit on_commit;
     sim::Time enqueued = 0;
-    bool done = false;  ///< committed or failed; late completions only clean up
+    bool started = false;  ///< deadline armed, segments routed
+    bool done = false;     ///< committed or failed; late completions only clean up
     /// Reads of this PG that arrived while this write was its FIFO's tail;
-    /// they start once it finishes.
+    /// they start once it and every earlier write of its PG have finished.
     std::vector<ReadRef> reads_behind;
 
     // Routing cursor: the next ref to route is wire.parts[part][ref]. At
@@ -252,6 +257,8 @@ class ProxyObjectStore final : public os::ObjectStore {
 
   // Loop-thread steps of a write, in the order a request meets them.
   void admit(const OpRef& op);
+  /// Start every write of the PG FIFO `q` that may start now, front to back.
+  void start_ready(std::deque<OpRef>& q);
   void start(const OpRef& op);
   /// Route segments until a reservation is pending, the pipeline must wait
   /// (pipelining = false), or everything is staged and its DMA done (then
@@ -329,7 +336,7 @@ class ProxyObjectStore final : public os::ObjectStore {
   bool mounted_ = false;  // lifecycle thread only
 
   // Loop-thread state.
-  /// Per-PG write FIFOs; the front of each is the request in flight.
+  /// Per-PG FIFOs of the writes not yet finished, in admission order.
   std::map<os::coll_t, std::deque<OpRef>> pgs_;
   std::set<ReadRef> reads_;  ///< reads not yet completed
   bool stopping_ = false;  ///< umount began: start and admit nothing new

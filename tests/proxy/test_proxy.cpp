@@ -252,7 +252,7 @@ TEST(Proxy, ConcurrentWritersKeepPerObjectOrder) {
 }
 
 TEST(Proxy, SmallWriteOnAnotherPgIsNotQueuedBehindALargeOne) {
-  // The proxy keeps one write FIFO per PG: a 16 KiB write to a second PG
+  // The proxy orders writes within a PG only: a 16 KiB write to a second PG
   // must not wait for a 16 MiB write to the first.
   ProxyFixture f;
   f.up();
@@ -380,6 +380,117 @@ TEST(Proxy, SubSegmentWritesOverlapInOneSegmentRegion) {
   });
   EXPECT_EQ(f.dpu.dma().jobs_completed(), static_cast<std::uint64_t>(kN));
   EXPECT_LT(elapsed, 2 * f.dpu.dma().config().setup_latency);
+  EXPECT_EQ(f.proxy->slots().free_bytes(), f.proxy->slots().capacity());
+  f.down();
+}
+
+// ---- same-PG writes in flight together ----------------------------------------------
+
+/// Arms a one-shot stall of `delay` on the next host-device IO.
+void stall_next_device_io(Env& env, sim::Duration delay) {
+  fault::FaultSpec spike;
+  spike.probability = 1.0;
+  spike.count = 1;
+  spike.delay_ns = static_cast<std::uint64_t>(delay);
+  env.faults().set("bdev.latency_spike", spike);
+}
+
+/// Named writes, in the order their commit callbacks fired.
+struct Commits {
+  std::mutex m;
+  CondVar cv;
+  std::vector<std::string> order;
+
+  explicit Commits(Env& env) : cv(env.keeper()) {}
+
+  ProxyObjectStore::OnCommit on(const std::string& name, std::function<void()> also = {}) {
+    return [this, name, also](Status st) {
+      EXPECT_TRUE(st.ok()) << name << ": " << st.to_string();
+      if (also) also();
+      const std::lock_guard<std::mutex> lk(m);
+      order.push_back(name);
+      cv.notify_all();
+    };
+  }
+
+  void wait_for(std::size_t n) {
+    std::unique_lock<std::mutex> lk(m);
+    cv.wait(lk, [&] { return order.size() == n; });
+  }
+};
+
+TEST(ProxyPipelining, SamePgWriteStagesWhileItsPredecessorCommits) {
+  // The first write's SSD write stalls for 50 ms. The second write to the
+  // same PG starts as soon as the first one's submit has left, so its DMA
+  // job is done long before the first commit; the host store's sequencer
+  // still commits the two in queue order. The first write spans four
+  // segments: a second write that started before the first one's submit
+  // left would finish its DMA first, then submit, and commit, first.
+  ProxyFixture f;
+  f.up();
+  Commits commits(f.env);
+  std::uint64_t jobs_at_first_commit = 0;
+  run_sim(f.env, [&] {
+    const auto jobs0 = f.dpu.dma().jobs_completed();
+    stall_next_device_io(f.env, 50'000'000);
+    os::Transaction first;
+    first.write_full(kColl, kObj, BufferList::copy_of(pattern(8 << 20, 1)));
+    f.proxy->queue_transaction(std::move(first), commits.on("first", [&] {
+      jobs_at_first_commit = f.dpu.dma().jobs_completed() - jobs0;
+    }));
+    os::Transaction second;
+    second.write_full(kColl, kObj, BufferList::copy_of(pattern(1 << 20, 2)));
+    f.proxy->queue_transaction(std::move(second), commits.on("second"));
+    commits.wait_for(2);
+    EXPECT_EQ(f.env.faults().fires("bdev.latency_spike"), 1u);
+    f.env.faults().clear_all();
+    EXPECT_EQ(f.store->read(kColl, kObj, 0, 0)->to_string(), pattern(1 << 20, 2));
+  });
+  EXPECT_EQ(jobs_at_first_commit, 5u);  // the first's four segments and the second's one
+  EXPECT_EQ(commits.order, (std::vector<std::string>{"first", "second"}));
+  EXPECT_EQ(f.proxy->slots().free_bytes(), f.proxy->slots().capacity());
+  f.down();
+}
+
+TEST(ProxyPipelining, RmwWriteWaitsForItsPgAndDoesNotParkTheHostLoop) {
+  // A partial write makes the host store wait for its collection's earlier
+  // transactions and read the object before it applies. Behind a 1 MiB
+  // write of its PG whose SSD write stalls for 50 ms, it starts only once
+  // that write has committed, so the host loop never parks on it: a write
+  // to another PG, queued once the partial write could have reached the
+  // host, commits meanwhile.
+  ProxyFixture f;
+  f.up();
+  const os::coll_t other{1, 1};
+  const std::string patch = pattern(16 << 10, 2);
+  Commits commits(f.env);
+  std::uint64_t jobs_at_big_commit = 0;
+  run_sim(f.env, [&] {
+    os::Transaction mk;
+    mk.create_collection(other);
+    ASSERT_TRUE(f.commit(std::move(mk)).ok());
+    const auto jobs0 = f.dpu.dma().jobs_completed();
+    stall_next_device_io(f.env, 50'000'000);
+    os::Transaction big;
+    big.write_full(kColl, kObj, BufferList::copy_of(pattern(1 << 20, 1)));
+    f.proxy->queue_transaction(std::move(big), commits.on("big", [&] {
+      jobs_at_big_commit = f.dpu.dma().jobs_completed() - jobs0;
+    }));
+    os::Transaction rmw;
+    rmw.write(kColl, kObj, 4096, BufferList::copy_of(patch));
+    f.proxy->queue_transaction(std::move(rmw), commits.on("rmw"));
+    f.env.keeper().sleep_for(10'000'000);
+    os::Transaction elsewhere;
+    elsewhere.write_full(other, {1, "other"}, BufferList::copy_of(pattern(16 << 10, 3)));
+    f.proxy->queue_transaction(std::move(elsewhere), commits.on("other"));
+    commits.wait_for(3);
+    f.env.faults().clear_all();
+    std::string want = pattern(1 << 20, 1);
+    want.replace(4096, patch.size(), patch);
+    EXPECT_EQ(f.store->read(kColl, kObj, 0, 0)->to_string(), want);
+  });
+  EXPECT_EQ(commits.order, (std::vector<std::string>{"other", "big", "rmw"}));
+  EXPECT_EQ(jobs_at_big_commit, 2u);  // the big write's and the other PG's, not the RMW's
   EXPECT_EQ(f.proxy->slots().free_bytes(), f.proxy->slots().capacity());
   f.down();
 }

@@ -304,6 +304,58 @@ TEST(ProxyReads, ReadSeesAWriteOfItsPgQueuedBeforeIt) {
   f.down();
 }
 
+TEST(ProxyReads, ReadWaitsForEveryEarlierWriteEvenIfTheLastFinishesFirst) {
+  // Two writes of the read's PG are in flight when it arrives. The first
+  // one's SSD write stalls for 50 ms. The second one's first stage_segment
+  // message is lost, so the host fails its submit at once, long before the
+  // first write commits. The read still waits for that commit and returns
+  // the first write's bytes.
+  ReadFixture f;
+  f.up_with(pattern(1 << 20, 1));
+  Result<BufferList> got = BufferList{};
+  Time first_at = -1;
+  Time second_at = -1;
+  Time read_at = -1;
+  run_sim(f.env, [&] {
+    fault::FaultSpec spike;
+    spike.probability = 1.0;
+    spike.count = 1;
+    spike.delay_ns = 50'000'000;
+    f.env.faults().set("bdev.latency_spike", spike);
+    // DPU -> host messages from here: the first write's stage + submit,
+    // then the second's lone stage of its first segment (dropped).
+    fault::FaultSpec drop;
+    drop.fire_at_hit = 2;
+    drop.count = 1;
+    drop.match = "/d2h";
+    f.env.faults().set("doca.comch_drop", drop);
+    os::Transaction first;
+    first.write_full(kColl, kObj, BufferList::copy_of(pattern(1 << 20, 2)));
+    f.proxy->queue_transaction(std::move(first), [&](Status st) {
+      EXPECT_TRUE(st.ok()) << st.to_string();
+      first_at = f.env.now();
+    });
+    os::Transaction second;
+    second.write_full(kColl, {1, "tail"}, BufferList::copy_of(pattern(3 << 20, 3)));
+    f.proxy->queue_transaction(std::move(second), [&](Status st) {
+      EXPECT_EQ(st.code(), Errc::corrupt) << st.to_string();
+      second_at = f.env.now();
+    });
+    got = f.proxy->read(kColl, kObj, 0, 0);
+    read_at = f.env.now();
+    EXPECT_EQ(f.env.faults().fires("doca.comch_drop"), 1u);
+    EXPECT_EQ(f.env.faults().fires("bdev.latency_spike"), 1u);
+    f.env.faults().clear_all();
+  });
+  ASSERT_TRUE(got.ok()) << got.status().to_string();
+  EXPECT_EQ(got->to_string(), pattern(1 << 20, 2));
+  EXPECT_GT(second_at, 0);
+  EXPECT_LT(second_at, first_at);
+  EXPECT_GE(read_at, first_at);
+  f.expect_staging_free();
+  f.down();
+}
+
 TEST(ProxyReads, ReadAtTheHostHoldsNoPairedBytes) {
   // The host's SSD read stalls for 50 ms. Meanwhile the read holds only its
   // landing extent, so a 2 MiB write segment takes the whole 1-slot arena
