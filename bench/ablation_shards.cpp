@@ -25,14 +25,13 @@ using namespace doceph::benchcore;
 
 namespace {
 
-/// One swept cell: the 16 KB qd64 fresh-object lap under the PR 8
-/// backpressure envelope (the acceptance workload for the sharding PR).
+/// One swept cell: the 16 KB qd64 fresh-object lap, the acceptance
+/// workload for the sharded write path.
 RunSpec small_write_spec(int op_threads, int kv_shards) {
   RunSpec spec;
   spec.mode = cluster::DeployMode::doceph;
   spec.object_size = 16 << 10;
   spec.concurrency = 64;
-  spec.backpressure = true;
   spec.warmup = 200'000'000;   // 200 ms
   spec.measure = 250'000'000;  // 250 ms: sized so the fastest sharded cell's
                                // fresh-object KV growth stays under nearfull

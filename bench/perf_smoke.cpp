@@ -184,7 +184,7 @@ int main(int argc, char** argv) {
   // baseline lap's snapshot grows past one 32 MiB WAL segment mid-run,
   // exercising the chained checkpoint path (pre-chaining this lap died with
   // no_space).
-  // Backpressure is on so the run degrades gracefully instead of
+  // Backpressure (always on) lets the run degrade gracefully instead of
   // collapsing if a queue or the store ever saturates; durations are
   // sized to stay under the 0.85 nearfull ratio (~3300 objects), above
   // which writes shed permanently.
@@ -192,7 +192,6 @@ int main(int argc, char** argv) {
     RunSpec small = spec;
     small.object_size = 16 << 10;
     small.concurrency = 64;
-    small.backpressure = true;
     small.warmup = 200'000'000;    // 200 ms
     small.measure = 400'000'000;   // 400 ms: ~2700 fresh objects ≈ 43 MiB of
                                    // inline payloads — past one segment,

@@ -41,12 +41,10 @@ std::string RunSpec::cache_key() const {
      << (object_size >> 10) << "k_c" << concurrency << "_m"
      << measure / 1'000'000 << "ms_pg" << pg_num << "_s" << seed;
   if (proxy_override) {
-    os << "_px" << proxy_override->slots << "_" << (proxy_override->pipelining ? 1 : 0)
-       << (proxy_override->mr_cache ? 1 : 0) << "_"
-       << (proxy_override->segment_size >> 10) << "k";
+    os << "_px" << proxy_override->slots << "_" << (proxy_override->segment_size >> 10)
+       << "k";
   }
   if (dma_failure_rate > 0) os << "_f" << static_cast<int>(dma_failure_rate * 1e4);
-  if (backpressure) os << "_bp";
   {
     // Sharded cells (DESIGN.md §15): `_shN` on the diagonal, `_thOPxKV`
     // when the ablation overrides split the op-thread and KV-shard counts.
@@ -85,16 +83,6 @@ RunResult run_experiment(const RunSpec& spec) {
   cfg.osd_template.op_threads = op_threads_of(spec);
   cfg.kv_shards = kv_shards_of(spec);
   if (spec.proxy_override) cfg.proxy = *spec.proxy_override;
-  if (spec.backpressure) {
-    // End-to-end admission control: bounded queues at every layer, typed
-    // throttled bounces, nearfull write shedding, client AIMD windowing.
-    cfg.osd_template.max_queue_depth = 256;
-    cfg.osd_template.max_conn_inflight = 128;
-    cfg.osd_template.throttle_retry_delay = 2'000'000;  // 2 ms
-    cfg.osd_template.nearfull_ratio = 0.85;
-    cfg.proxy.max_inflight = 4096;
-    cfg.client.flow_control = true;
-  }
 
   cluster::Cluster cl(env, cfg);
   RunResult result;
@@ -238,8 +226,7 @@ RunResult run_experiment(const RunSpec& spec) {
     }
 
     // Backpressure telemetry: throttled bounces by layer (counters were
-    // reset at the start of the measured window; all zero with the knobs
-    // off, so legacy cells are unaffected).
+    // reset at the start of the measured window).
     for (int i = 0; i < nodes; ++i) {
       result.osd_throttled += cl.osd(i).perf_counters()->get(osd::l_osd_op_throttled);
       if (auto* p = cl.proxy_store(i)) {
@@ -249,13 +236,6 @@ RunResult run_experiment(const RunSpec& spec) {
     }
     result.client_throttled =
         cl.client().perf_counters()->get(client::l_client_op_throttled);
-
-    if (spec.dump_admin) {
-      for (const char* cmd : {"perf dump", "dump_historic_ops"}) {
-        std::fprintf(stderr, "[bench admin] %s: %s\n", cmd,
-                     cl.admin_dump(cmd).c_str());
-      }
-    }
 
     cl.stop();
 

@@ -19,12 +19,6 @@ struct RunSpec {
   std::uint32_t pg_num = 64;
   std::uint64_t seed = 42;
 
-  /// End-to-end backpressure: bounded OSD/proxy queues replying
-  /// Errc::throttled, nearfull write shedding, and client AIMD flow
-  /// control. Off by default — the paper profiles predate admission
-  /// control, and the committed figure cells must stay byte-identical.
-  bool backpressure = false;
-
   /// Write-path sharding (DESIGN.md §15): N deploys ClusterConfig::kv_shards
   /// = N and OsdConfig::op_threads = 2N (the profile's two tp_osd_tp
   /// workers per shard). 1 (default) keeps the committed figure cells
@@ -38,10 +32,6 @@ struct RunSpec {
   std::optional<proxy::ProxyConfig> proxy_override;
   /// DMA error injection rate (fallback experiments).
   double dma_failure_rate = 0.0;
-
-  /// Dump the cluster-wide admin surface ("perf dump", historic ops) to
-  /// stderr at the end of the measured window. Diagnostic; not cached.
-  bool dump_admin = false;
 
   /// Distributed tracing: sample every Nth client op (0 = off) and, when
   /// `trace_out` is set, write the merged Chrome trace_event JSON for the
@@ -108,8 +98,8 @@ struct RunResult {
   std::uint64_t dma_fallback_events = 0;
   std::uint64_t rpc_fallback_bytes = 0;
 
-  // Backpressure telemetry (0 unless spec.backpressure): throttled bounces
-  // by layer over the measured window.
+  // Backpressure telemetry (DESIGN.md §14): throttled bounces by layer
+  // over the measured window.
   std::uint64_t osd_throttled = 0;
   std::uint64_t client_throttled = 0;
   std::uint64_t proxy_throttled = 0;

@@ -488,12 +488,11 @@ void BlueStore::finish_txc(const TxRef& txc, Status st) {
     for (const auto& extents : txc->release_after_commit) alloc_->release(extents);
   }
   // Refresh the capacity gauges on every commit: allocator headroom, KV
-  // checkpoint pressure, and the near-full flag the admission throttle
-  // mirrors (OsdConfig::nearfull_ratio reads the same fullness() figure).
+  // checkpoint pressure, and the near-full flag the OSD's admission
+  // throttle mirrors (both compare fullness() with os::kNearfullRatio).
   counters_->set(l_bstore_free_bytes, alloc_->free_bytes());
   counters_->set(l_bstore_kv_bytes, kv_->map_bytes());
-  counters_->set(l_bstore_nearfull,
-                 fullness() >= cfg_.nearfull_ratio ? 1 : 0);
+  counters_->set(l_bstore_nearfull, fullness() >= os::kNearfullRatio ? 1 : 0);
   // Checkpoint writes go in as deltas of the KV totals, so a counter reset
   // opens a clean window. Shard sync threads race here: only the caller
   // that advances `seen` adds the difference.
@@ -522,9 +521,10 @@ double BlueStore::fullness() const {
   // both WAL segments of its shard (two max-packed chunks), so 1.0 is the
   // hard limit beyond which checkpoint rolls fail with no_space. Above ~0.5
   // the shard is already in the degraded spanning regime (rolls rewrite
-  // both segments); a nearfull_ratio between the two sheds load before the
-  // ceiling becomes fatal. Sharded stores gauge the FULLEST shard — it hits
-  // the ceiling first, and hash imbalance makes it the binding constraint.
+  // both segments); os::kNearfullRatio, between the two, sheds load before
+  // the ceiling becomes fatal. Sharded stores gauge the FULLEST shard — it
+  // hits the ceiling first, and hash imbalance makes it the binding
+  // constraint.
   return std::max(alloc_used, kv_->checkpoint_pressure());
 }
 

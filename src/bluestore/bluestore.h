@@ -25,7 +25,7 @@ enum {
   l_bstore_commit_lat,  ///< queue_transaction -> commit callback, ns histogram
   l_bstore_free_bytes,  ///< gauge: allocator free bytes
   l_bstore_kv_bytes,    ///< gauge: KV map resident bytes (checkpoint pressure)
-  l_bstore_nearfull,    ///< gauge: 1 when fullness() >= nearfull_ratio
+  l_bstore_nearfull,    ///< gauge: 1 when fullness() >= os::kNearfullRatio
   l_bstore_kv_shard_bytes_hw,  ///< gauge: resident bytes of the fullest KV shard
   l_bstore_kv_shard_cross,     ///< gauge: cross-shard chained commits completed
   l_bstore_kv_ckpt_bytes,      ///< KV checkpoint chunk bytes written to the device
@@ -53,11 +53,6 @@ struct BlueStoreConfig {
   sim::Duration per_aio = 2000;        ///< ns per device IO completion
 
   std::size_t onode_cache_capacity = 65536;
-
-  /// High-water fullness ratio above which the store reports near-full (the
-  /// l_bstore_nearfull gauge; the OSD's early admission throttle reads the
-  /// same fullness() figure against its own configured ratio).
-  double nearfull_ratio = 0.85;
 };
 
 /// BlueStore-lite: the host-resident storage backend (paper Fig. 3, right).

@@ -1,7 +1,6 @@
 #include "client/rados_bench.h"
 
 #include <atomic>
-#include <iostream>
 
 #include "common/logger.h"
 #include "dbg/cond_var.h"
@@ -79,15 +78,6 @@ BenchResult RadosBench::run(sim::CpuDomain* domain) {
   result.failed = failed_ops.load();
   result.seconds = sim::to_seconds(env.now() - start);
   result.latency = latency.snapshot();
-
-  if (cfg_.dump_admin) {
-    AdminSocket& admin = client_.admin_socket();
-    for (const char* cmd : {"perf dump", "dump_historic_ops"}) {
-      auto r = admin.execute(cmd);
-      std::cerr << "[bench admin] " << cmd << ": "
-                << (r.ok() ? *r : r.status().to_string()) << "\n";
-    }
-  }
   return result;
 }
 

@@ -16,10 +16,6 @@ struct BenchConfig {
   std::uint64_t object_size = 4 << 20;     ///< bytes per object (-b)
   sim::Duration duration = 10'000'000'000; ///< 10 s
   std::string prefix = "bench";            ///< object name prefix
-  /// Dump the client's admin-socket surface ("perf dump", historic ops) to
-  /// stderr when the run completes, so every experiment ships its per-stage
-  /// latency table.
-  bool dump_admin = false;
 };
 
 struct BenchResult {

@@ -187,17 +187,15 @@ AioCompletionRef RadosClient::aio_operate(os::pool_t pool, const std::string& ob
     const dbg::LockGuard lk(mutex_);
     auto& entry = in_flight_[tid];
     entry = InFlight{request, completion, tracked, -1, 0};
-    if (cfg_.flow_control) {
-      // Window admission: ops beyond cwnd wait client-side instead of
-      // piling onto an OSD that just told us it is overloaded.
-      if (admitted_ < static_cast<int>(cwnd_)) {
-        ++admitted_;
-        entry.admitted = true;
-      } else {
-        send_now = false;
-        admit_queue_.push_back(tid);
-        if (tracked != nullptr) tracked->mark_event("admit_wait", env_.now());
-      }
+    // Window admission: ops beyond cwnd wait client-side instead of
+    // piling onto an OSD that just told us it is overloaded.
+    if (admitted_ < static_cast<int>(cwnd_)) {
+      ++admitted_;
+      entry.admitted = true;
+    } else {
+      send_now = false;
+      admit_queue_.push_back(tid);
+      if (tracked != nullptr) tracked->mark_event("admit_wait", env_.now());
     }
   }
   if (send_now) send_op(tid);
@@ -238,7 +236,7 @@ void RadosClient::fail_op(std::uint64_t tid, Status st) {
     if (it->second.admitted && admitted_ > 0) --admitted_;
     in_flight_.erase(it);
   }
-  if (cfg_.flow_control) admit_waiters();
+  admit_waiters();
   counters_->inc(l_client_op_timeout);
   DLOG(warn, "client") << "op tid=" << tid << " failed: " << st.to_string();
   if (tracked != nullptr) {
@@ -323,10 +321,8 @@ void RadosClient::finish_op(std::uint64_t tid, const msgr::MessageRef& reply) {
       auto it = in_flight_.find(tid);
       if (it == in_flight_.end()) return;  // duplicate reply after resend
       attempt = it->second.attempts;
-      if (cfg_.flow_control) {
-        cwnd_ = std::max(cfg_.cwnd_min, cwnd_ / 2.0);
-        counters_->set(l_client_cwnd, static_cast<std::uint64_t>(cwnd_));
-      }
+      cwnd_ = std::max(kCwndMin, cwnd_ / 2.0);
+      counters_->set(l_client_cwnd, static_cast<std::uint64_t>(cwnd_));
     }
     counters_->inc(l_client_op_throttled);
     const auto delay = std::max<sim::Duration>(
@@ -356,13 +352,13 @@ void RadosClient::finish_op(std::uint64_t tid, const msgr::MessageRef& reply) {
     tracked = it->second.tracked;
     if (it->second.admitted && admitted_ > 0) --admitted_;
     in_flight_.erase(it);
-    if (cfg_.flow_control && r->result == 0) {
+    if (r->result == 0) {
       // Additive increase: +1 per window's worth of successes.
-      cwnd_ = std::min(cfg_.cwnd_max, cwnd_ + 1.0 / std::max(cwnd_, 1.0));
+      cwnd_ = std::min(kCwndMax, cwnd_ + 1.0 / std::max(cwnd_, 1.0));
       counters_->set(l_client_cwnd, static_cast<std::uint64_t>(cwnd_));
     }
   }
-  if (cfg_.flow_control) admit_waiters();
+  admit_waiters();
   if (tracked != nullptr) {
     tracked->mark_event("done", env_.now());
     counters_->inc(l_client_op);

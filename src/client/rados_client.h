@@ -45,15 +45,17 @@ struct ClientConfig {
   sim::Duration resend_timeout = 5'000'000'000;   // 5 s of reply silence
   sim::Duration op_deadline = 120'000'000'000;    // 120 s hard limit
 
-  // ---- AIMD flow control (OFF by default; paper sweeps unchanged) -------
-  /// Cap concurrently-sent ops by a congestion window: halved on each
-  /// Errc::throttled bounce, grown by 1/cwnd per successful op. Ops beyond
-  /// the window wait client-side instead of hammering an overloaded OSD.
-  bool flow_control = false;
+  /// AIMD flow control: concurrently-sent ops are capped by a congestion
+  /// window that starts here, halves on each Errc::throttled bounce (down
+  /// to kCwndMin) and grows by 1/cwnd per successful op (up to kCwndMax).
+  /// Ops beyond the window wait client-side instead of hammering an
+  /// overloaded OSD.
   double cwnd_init = 64;
-  double cwnd_min = 1;
-  double cwnd_max = 4096;
 };
+
+/// Bounds of the AIMD congestion window (ClientConfig::cwnd_init).
+inline constexpr double kCwndMin = 1;
+inline constexpr double kCwndMax = 4096;
 
 /// Completion handle for asynchronous object operations (librados
 /// AioCompletion). wait() blocks the calling sim thread.
@@ -174,7 +176,7 @@ class RadosClient final : public msgr::Dispatcher {
   bool connected_ = false;  // connect/shutdown caller thread only
   sim::Rng rng_ DOCEPH_GUARDED_BY(mutex_);  // jitter stream
 
-  // AIMD flow-control state (only touched when cfg_.flow_control is on).
+  // AIMD flow-control state.
   double cwnd_ DOCEPH_GUARDED_BY(mutex_) = 0;
   int admitted_ DOCEPH_GUARDED_BY(mutex_) = 0;
   std::deque<std::uint64_t> admit_queue_ DOCEPH_GUARDED_BY(mutex_);

@@ -117,8 +117,6 @@ inline proxy::ProxyConfig default_proxy() {
   proxy::ProxyConfig cfg;
   cfg.segment_size = 2 << 20;
   cfg.slots = 1;
-  cfg.pipelining = true;
-  cfg.mr_cache = true;
   cfg.cooldown = 500'000'000;
   cfg.stage_copy_ns_per_byte = 0.15;
   return cfg;

@@ -12,8 +12,8 @@ namespace doceph::doca {
 
 /// A registered memory region visible to the DMA engine (DOCA's doca_mmap).
 /// In this simulation both sides live in one process, so "export/import" is
-/// sharing the MmapRef; the negotiation *cost* is modeled by the CommChannel
-/// round trips the proxy performs (see ProxyConfig::mr_cache).
+/// sharing the MmapRef. The proxy registers its regions once, at startup, and
+/// reuses them for every transfer, so no per-transfer negotiation is modeled.
 ///
 /// The bytes come from an anonymous mapping: they read as zero and are paged
 /// in on first touch, so a region a run never uses (the read landing during

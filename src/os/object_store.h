@@ -68,10 +68,14 @@ class ObjectStore {
   /// Fraction of backend capacity in use — the max over allocator pressure
   /// and KV/WAL checkpoint pressure for BlueStore-backed stores (it can
   /// exceed 1.0 in the degraded spanning regime). 0 when unknown; the OSD's
-  /// near-full admission throttle compares this against its configured
-  /// high-water ratio.
+  /// near-full admission throttle compares this against kNearfullRatio.
   [[nodiscard]] virtual double fullness() const { return 0.0; }
 };
+
+/// Near-full high-water of ObjectStore::fullness(): BlueStore's
+/// l_bstore_nearfull gauge reads 1 at or above it, and the OSD sheds client
+/// writes there (DESIGN.md §14.3).
+inline constexpr double kNearfullRatio = 0.85;
 
 using ObjectStoreRef = std::unique_ptr<ObjectStore>;
 

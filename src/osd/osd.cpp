@@ -260,32 +260,28 @@ void OSD::ms_dispatch(const MessageRef& m) {
         throttle_client(m, l_osd_throttle_queue, recv);
         break;
       }
-      if (cfg_.max_queue_depth > 0 &&
-          queue_depth_.load(std::memory_order_relaxed) >= cfg_.max_queue_depth) {
+      if (queue_depth_.load(std::memory_order_relaxed) >= cfg_.max_queue_depth) {
         throttle_client(m, l_osd_throttle_queue, recv);
         break;
       }
-      if (cfg_.nearfull_ratio > 0 && op->op != msgr::OsdOpType::read &&
-          op->op != msgr::OsdOpType::stat &&
-          store_.fullness() >= cfg_.nearfull_ratio) {
+      if (op->op != msgr::OsdOpType::read && op->op != msgr::OsdOpType::stat &&
+          store_.fullness() >= os::kNearfullRatio) {
         throttle_client(m, l_osd_throttle_nearfull, recv);
         break;
       }
-      if (cfg_.max_conn_inflight > 0) {
-        bool over = false;
-        {
-          const dbg::LockGuard lk(mutex_);
-          int& n = client_inflight_[op->client_id];
-          if (n >= cfg_.max_conn_inflight) {
-            over = true;
-          } else {
-            ++n;  // released when reply_client answers this op
-          }
+      bool over = false;
+      {
+        const dbg::LockGuard lk(mutex_);
+        int& n = client_inflight_[op->client_id];
+        if (n >= cfg_.max_conn_inflight) {
+          over = true;
+        } else {
+          ++n;  // released when reply_client answers this op
         }
-        if (over) {
-          throttle_client(m, l_osd_throttle_conn, recv);
-          break;
-        }
+      }
+      if (over) {
+        throttle_client(m, l_osd_throttle_conn, recv);
+        break;
       }
 
       TrackedOpRef tracked = tracker_.create_op(osd_op_desc(*op), recv);
@@ -398,7 +394,7 @@ void OSD::op_worker() {
 void OSD::reply_client(const MessageRef& req, std::int32_t result,
                        std::uint64_t version, std::uint64_t size, BufferList data,
                        const TrackedOpRef& op) {
-  if (cfg_.max_conn_inflight > 0 && req->type() == msgr::MsgType::osd_op) {
+  if (req->type() == msgr::MsgType::osd_op) {
     // Release this client's admission slot (taken at dispatch).
     const auto* cop = static_cast<const msgr::MOSDOp*>(req.get());
     const dbg::LockGuard lk(mutex_);
@@ -436,7 +432,7 @@ void OSD::throttle_client(const MessageRef& req, int counter, sim::Time recv) {
   reply->tid = req->tid;
   reply->result = -static_cast<std::int32_t>(Errc::throttled);
   reply->map_epoch = monc_.epoch();
-  reply->retry_after_ns = static_cast<std::uint64_t>(cfg_.throttle_retry_delay);
+  reply->retry_after_ns = static_cast<std::uint64_t>(kThrottleRetryDelay);
   reply->trace = req->trace;
   req->connection->send_message(reply);
 }

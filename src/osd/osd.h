@@ -69,22 +69,18 @@ struct OsdConfig {
   /// client load) catching up proceeds once the PG quiesces.
   sim::Duration recovery_quiesce = 5'000'000'000;  // 5 s
 
-  // ---- admission control / backpressure (all OFF by default; the paper
-  // profiles keep them off so the figure sweeps are unchanged) -----------
-  /// Bound on op_queue_: a client op arriving while the queue holds this
+  // ---- admission control (DESIGN.md §14.1). Client writes are also
+  // bounced once the store's fullness() reaches os::kNearfullRatio. -------
+  /// Bound on the op queue: a client op arriving while the queue holds this
   /// many entries is bounced with Errc::throttled instead of enqueued.
-  /// 0 = unbounded (legacy behavior). Repops are never throttled.
-  std::size_t max_queue_depth = 0;
-  /// Per-client in-flight cap enforced at dispatch (0 = unlimited).
-  int max_conn_inflight = 0;
-  /// Server-suggested client backoff carried in throttled replies.
-  sim::Duration throttle_retry_delay = 2'000'000;  // 2 ms
-  /// Bounce client WRITES with throttled once store_.fullness() reaches
-  /// this ratio — early shedding before the allocator or the KV WAL
-  /// actually exhausts (so clients never see no_space for transient
-  /// pressure). 0 = disabled.
-  double nearfull_ratio = 0.0;
+  /// Repops are never throttled.
+  std::size_t max_queue_depth = 256;
+  /// Per-client in-flight cap enforced at dispatch.
+  int max_conn_inflight = 128;
 };
+
+/// Server-suggested client backoff carried in throttled replies.
+inline constexpr sim::Duration kThrottleRetryDelay = 2'000'000;  // 2 ms
 
 /// The Object Storage Daemon: client request handling, PG-based
 /// primary-copy replication, heartbeats/failure reporting, and scan-based

@@ -124,7 +124,7 @@ void ProxyObjectStore::queue_transaction(os::Transaction txn, OnCommit on_commit
     return;
   }
   const std::size_t n = inflight_.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (cfg_.max_inflight > 0 && n > cfg_.max_inflight) {
+  if (n > cfg_.max_inflight) {
     inflight_.fetch_sub(1, std::memory_order_relaxed);
     counters_->inc(l_dpu_throttle_queue);
     if (on_commit) on_commit(Status(Errc::throttled, "DPU proxy in-flight cap"));
@@ -217,11 +217,6 @@ void ProxyObjectStore::advance(const OpRef& op, const Segment* done_seg) {
       op->ref = 0;
       continue;
     }
-    // Ablation: strictly serial -- wait out each transfer (and its staging
-    // handoff) before touching the next segment.
-    if (!cfg_.pipelining && (op->in_dma > 0 || !op->rpcs.empty() || done_seg != nullptr))
-      break;
-
     DataRef& ref = op->wire.parts[op->part][op->ref++];
     if (ref.kind == DataRef::Kind::inline_) continue;
     const auto path = fallback_.choose(env_.now());
@@ -249,7 +244,7 @@ void ProxyObjectStore::advance(const OpRef& op, const Segment* done_seg) {
     RpcChannel::Call stage = stage_call(op, *done_seg);
     const std::uint64_t id =
         rpc_.call_async(std::move(stage.request), std::move(stage.cb), stage.ctx);
-    op->rpcs[done_seg->index] = {.id = id, .seg = *done_seg, .named = true};
+    op->rpcs[done_seg->index] = {.id = id, .seg = *done_seg};
   }
 }
 
@@ -259,28 +254,13 @@ void ProxyObjectStore::on_reserved(const OpRef& op, const Segment& seg, sim::Tim
   // whose serialization remainder already counts them.
   if (op->first_submit < 0) op->dma_wait += env_.now() - asked;
   if (op->done) {
-    drop_segment(seg);
+    // The request died while it waited: the extent goes back, and a probe
+    // that never reached the engine is handed back to the fallback manager.
+    arena_.release(seg.off, seg.data.length());
+    if (seg.probing) fallback_.on_probe_abandoned();
     return;
   }
-  if (cfg_.mr_cache) {
-    stage(op, seg);
-    return;
-  }
-  // Without the MR cache each transfer renegotiates its memory region over
-  // the CommChannel (one round trip) before staging.
-  BufferList ping;
-  encode(ProxyOp::ping, ping);
-  const std::uint64_t id = rpc_.call_async(
-      std::move(ping),
-      segment_reply(op, seg,
-                    [this, op, seg](const Result<BufferList>&) {
-                      if (op->done)
-                        drop_segment(seg);
-                      else
-                        stage(op, seg);
-                    }),
-      op->wire.meta.trace());
-  op->rpcs[seg.index] = {.id = id, .seg = seg};
+  stage(op, seg);
 }
 
 RpcChannel::ResponseCb ProxyObjectStore::on_loop(Reply then) {
@@ -290,14 +270,6 @@ RpcChannel::ResponseCb ProxyObjectStore::on_loop(Reply then) {
       then(r);
     });
   };
-}
-
-RpcChannel::ResponseCb ProxyObjectStore::segment_reply(const OpRef& op,
-                                                       const Segment& seg, Reply then) {
-  return on_loop(
-      [op, index = seg.index, then = std::move(then)](const Result<BufferList>& r) {
-        if (op->rpcs.erase(index) != 0) then(r);  // else the call was withdrawn
-      });
 }
 
 RpcChannel::Call ProxyObjectStore::stage_call(const OpRef& op, const Segment& seg) {
@@ -311,10 +283,10 @@ RpcChannel::Call ProxyObjectStore::stage_call(const OpRef& op, const Segment& se
                .len = static_cast<std::uint32_t>(seg.data.length())}
       .encode(request);
   return {.request = std::move(request),
-          .cb = segment_reply(op, seg,
-                              [this, op, seg](const Result<BufferList>& r) {
-                                on_stage_ack(op, seg, r);
-                              }),
+          .cb = on_loop([this, op, seg](const Result<BufferList>& r) {
+            // A withdrawn call has no entry left: its extent is handled.
+            if (op->rpcs.erase(seg.index) != 0) on_stage_ack(op, seg, r);
+          }),
           .ctx = op->wire.meta.trace()};
 }
 
@@ -383,11 +355,6 @@ void ProxyObjectStore::segment_done(const OpRef& op, const Segment& seg, bool fa
   advance(op);
 }
 
-void ProxyObjectStore::drop_segment(const Segment& seg) {
-  arena_.release(seg.off, seg.data.length());
-  if (seg.probing) fallback_.on_probe_abandoned();
-}
-
 void ProxyObjectStore::withdraw_segments(const OpRef& op, bool host_past) {
   bool held = false;
   for (auto it = op->rpcs.begin(); it != op->rpcs.end();) {
@@ -398,12 +365,12 @@ void ProxyObjectStore::withdraw_segments(const OpRef& op, bool host_past) {
       continue;
     }
     const Segment& seg = it->second.seg;
-    if (it->second.named && !host_past) {
+    if (!host_past) {
       quarantine_.push_back(
           {.after = loop_calls_, .off = seg.off, .len = seg.data.length()});
       held = true;
     } else {
-      drop_segment(seg);
+      arena_.release(seg.off, seg.data.length());
     }
     it = op->rpcs.erase(it);
   }
@@ -459,7 +426,7 @@ void ProxyObjectStore::submit(const OpRef& op, const Segment* last_seg) {
     calls.push_back(stage_call(op, *last_seg));
     calls.push_back(std::move(submit_call));
     const auto ids = rpc_.call_together(std::move(calls));
-    op->rpcs[last_seg->index] = {.id = ids[0], .seg = *last_seg, .named = true};
+    op->rpcs[last_seg->index] = {.id = ids[0], .seg = *last_seg};
     op->submit_id = ids[1];
   }
   // The submit has left: the PG's next write may start. Comch is FIFO and

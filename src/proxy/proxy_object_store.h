@@ -44,21 +44,16 @@ struct ProxyConfig {
   /// exports a read landing of twice that.
   int slots = 16;
 
-  /// Ablations (paper §3.3 design choices):
-  bool pipelining = true;  ///< false: wait out each segment before staging the next
-  bool mr_cache = true;    ///< false: CommChannel negotiation round-trip per segment
-
   sim::Duration cooldown = 500'000'000;   ///< 500 ms DMA disable after an error
   /// Deadline of a blocking RPC, of a write request from its start to its
   /// host commit, and of a read from its dispatch to its completion.
   sim::Duration rpc_timeout = 30'000'000'000;
   double stage_copy_ns_per_byte = 0.25;   ///< DPU staging memcpy cost
 
-  // ---- backpressure (OFF by default; paper sweeps unchanged) ------------
-  /// Bound on admitted, uncommitted write txns: a txn arriving while this
-  /// many are in flight or queued is completed immediately with
-  /// Errc::throttled. 0 = unbounded.
-  std::size_t max_inflight = 0;
+  /// Bound on admitted, uncommitted write txns (DESIGN.md §14.2): a txn
+  /// arriving while this many are in flight or queued is completed
+  /// immediately with Errc::throttled.
+  std::size_t max_inflight = 4096;
 };
 
 /// Latency breakdown accumulators reproducing the taxonomy of paper Table 3.
@@ -211,12 +206,11 @@ class ProxyObjectStore final : public os::ObjectStore {
     int in_dma = 0;
     bool any_failed = false;
 
-    /// A segment whose extent waits on an RPC: the mr_cache=false ping, or
-    /// the stage ack (`named`: the host was told to copy the extent).
+    /// A segment whose extent waits on its stage ack: the host was told to
+    /// copy the extent.
     struct SegmentCall {
       std::uint64_t id = 0;
       Segment seg;
-      bool named = false;
     };
     std::map<std::uint32_t, SegmentCall> rpcs;  ///< by segment index
     std::uint64_t submit_id = 0;               ///< submit_txn call (0: none)
@@ -260,10 +254,10 @@ class ProxyObjectStore final : public os::ObjectStore {
   /// Start every write of the PG FIFO `q` that may start now, front to back.
   void start_ready(std::deque<OpRef>& q);
   void start(const OpRef& op);
-  /// Route segments until a reservation is pending, the pipeline must wait
-  /// (pipelining = false), or everything is staged and its DMA done (then
-  /// submit). `done_seg`, a segment whose DMA just finished, has its stage
-  /// frame sent: with the submit when that goes out now, else alone.
+  /// Route segments until a reservation is pending, or everything is staged
+  /// and its DMA done (then submit). `done_seg`, a segment whose DMA just
+  /// finished, has its stage frame sent: with the submit when that goes out
+  /// now, else alone.
   void advance(const OpRef& op, const Segment* done_seg = nullptr);
   void on_reserved(const OpRef& op, const Segment& seg, sim::Time asked);
   void stage(const OpRef& op, const Segment& seg);
@@ -273,23 +267,16 @@ class ProxyObjectStore final : public os::ObjectStore {
   /// on the loop with the response. A response also frees the quarantined
   /// extents withdrawn before that request went out.
   RpcChannel::ResponseCb on_loop(Reply then);
-  /// Response callback for a call that holds `seg`'s extent in `rpcs`:
-  /// `then` runs on the loop unless the call was withdrawn first.
-  RpcChannel::ResponseCb segment_reply(const OpRef& op, const Segment& seg,
-                                       Reply then);
   /// The stage_segment call for `seg`; its ack gives the extent back.
   RpcChannel::Call stage_call(const OpRef& op, const Segment& seg);
   /// The host acked (or failed) `seg`'s stage_segment.
   void on_stage_ack(const OpRef& op, const Segment& seg, const Result<BufferList>& r);
   /// A segment's extent is back in the arena; the request moves on.
   void segment_done(const OpRef& op, const Segment& seg, bool failed);
-  /// A dead request lets go of a segment: its extent goes back, and a probe
-  /// that never reached the engine is handed back to the fallback manager.
-  void drop_segment(const Segment& seg);
-  /// Withdraw the request's pending segment calls. An extent the host was
-  /// told to copy goes back at once only if `host_past` (a response to a
-  /// later request arrived); otherwise it is quarantined, and a ping makes
-  /// sure such a response comes.
+  /// Withdraw the request's pending stage calls. An extent goes back at
+  /// once only if `host_past` (a response to a later request arrived);
+  /// otherwise it is quarantined, and a ping makes sure such a response
+  /// comes.
   void withdraw_segments(const OpRef& op, bool host_past);
   /// A response arrived to the loop's request number `seq`: every extent
   /// quarantined before that request went out is safe to reuse.

@@ -66,26 +66,39 @@ TEST(BreakdownSnapshot, OthersIsResidualAndNonNegative) {
 }
 
 TEST(Experiment, ShortRunProducesCoherentMetrics) {
-  RunSpec spec;
-  spec.mode = cluster::DeployMode::doceph;
-  spec.object_size = 1 << 20;
-  spec.concurrency = 8;
-  spec.warmup = 200'000'000;
-  spec.measure = 800'000'000;
-  spec.pg_num = 16;
-  const auto r = run_experiment(spec);
-  EXPECT_GT(r.ops, 0u);
-  EXPECT_GT(r.iops, 0.0);
-  EXPECT_NEAR(r.mbps, r.iops * 1.048576, r.iops * 0.05);
-  EXPECT_GT(r.avg_lat_s, 0.0);
-  EXPECT_GT(r.dpu_cores, r.host_cores);  // the offload, in one assertion
-  EXPECT_GT(r.share_messenger, 0.3);
-  EXPECT_GT(r.bd_total_s, 0.0);
-  EXPECT_GE(r.bd_total_s,
-            r.bd_dma_s);  // total covers its components on average
-  const double share_sum = r.share_messenger + r.share_objectstore + r.share_osd;
-  EXPECT_LE(share_sum, 1.0 + 1e-9);
-  EXPECT_GT(r.window_s, 0.7);
+  for (const auto mode : {cluster::DeployMode::baseline, cluster::DeployMode::doceph}) {
+    const bool doceph = mode == cluster::DeployMode::doceph;
+    SCOPED_TRACE(doceph ? "doceph" : "baseline");
+    // A paper cell (1 MB writes, 16 clients, 64 PGs) over a short window.
+    RunSpec spec;
+    spec.mode = mode;
+    spec.object_size = 1 << 20;
+    spec.warmup = 200'000'000;
+    spec.measure = 800'000'000;
+    const auto r = run_experiment(spec);
+    EXPECT_GT(r.ops, 0u);
+    EXPECT_EQ(r.failed_ops, 0u);
+    EXPECT_GT(r.iops, 0.0);
+    EXPECT_NEAR(r.mbps, r.iops * 1.048576, r.iops * 0.05);
+    EXPECT_GT(r.avg_lat_s, 0.0);
+    EXPECT_GT(r.share_messenger, 0.3);
+    const double share_sum = r.share_messenger + r.share_objectstore + r.share_osd;
+    EXPECT_LE(share_sum, 1.0 + 1e-9);
+    EXPECT_GT(r.window_s, 0.7);
+    // The backpressure envelope is always on and never binds on a paper
+    // cell (DESIGN.md §14.5): no layer bounced a single op.
+    EXPECT_EQ(r.osd_throttled, 0u);
+    EXPECT_EQ(r.client_throttled, 0u);
+    EXPECT_EQ(r.proxy_throttled, 0u);
+    if (doceph) {
+      EXPECT_GT(r.dpu_cores, r.host_cores);  // the offload, in one assertion
+      EXPECT_GT(r.bd_total_s, 0.0);
+      EXPECT_GE(r.bd_total_s,
+                r.bd_dma_s);  // total covers its components on average
+    } else {
+      EXPECT_GT(r.host_cores, r.dpu_cores);
+    }
+  }
 }
 
 }  // namespace

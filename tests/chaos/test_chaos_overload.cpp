@@ -29,10 +29,7 @@ ClusterConfig overload_cfg() {
   cfg.pg_num = 8;
   cfg.osd_template.max_queue_depth = kQueueDepth;
   cfg.osd_template.max_conn_inflight = 24;
-  cfg.osd_template.throttle_retry_delay = 2'000'000;  // 2 ms
-  cfg.osd_template.nearfull_ratio = 0.85;
   cfg.proxy.max_inflight = kInflight;
-  cfg.client.flow_control = true;
   cfg.client.cwnd_init = kWriters;  // start wide open: the first wave overloads
 
   // The chaos script: force-bounce the first kBurst ops to reach dispatch,

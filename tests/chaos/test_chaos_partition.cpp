@@ -8,6 +8,9 @@
 // hanging, while ops whose primary is unaffected still succeed.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <mutex>
+
 #include "chaos_util.h"
 #include "cluster/cluster.h"
 
@@ -151,33 +154,78 @@ TEST(ChaosPartition, StalledHandoffKeepsItsExtentUntilTheHostIsPast) {
 }
 
 TEST(ChaosPartition, ProbeLostToPartitionIsHandedOutAgain) {
+  // The fallback probe goes to a write that then waits for arena bytes held
+  // by a stalled handoff, and the write dies at its deadline before it gets
+  // them. The probe never reached the engine, so it is handed out again.
   Env env(TimeKeeper::Mode::virtual_time, /*seed=*/5);
   run_sim(env, [&] {
     ProxyConfig pcfg;
-    pcfg.mr_cache = false;          // a negotiation ping precedes each transfer
+    pcfg.slots = 1;                 // one 2 MiB segment of arena
     pcfg.cooldown = 1'000'000;      // 1 ms
     pcfg.rpc_timeout = 200'000'000;
     ChaosProxyNode node(env, pcfg);
     ASSERT_TRUE(node.up().ok());
-    node.dpu.dma().fail_next(1);
-    ASSERT_TRUE(node.write("a", 64 << 10, 1).ok());  // falls back inline
-    ASSERT_FALSE(node.proxy->fallback().dma_enabled());
-    env.keeper().sleep_for(2'000'000);  // cooldown over: next segment probes
+    StagingArena& arena = node.proxy->slots();
+    FallbackManager& fallback = node.proxy->fallback();
 
-    // The probe segment's ping is lost, so its request dies before the
-    // transfer that would have settled the probe.
-    fault::FaultSpec part;
-    part.fire_at_time = 0;
-    part.match = "dpu-0";
-    env.faults().set("doca.comch_drop", part);
-    EXPECT_EQ(node.write("b", 64 << 10, 2).code(), Errc::timed_out);
-    env.faults().clear("doca.comch_drop");
+    // Each write goes to its own PG, so none waits on another's FIFO.
+    std::mutex m;
+    sim::CondVar cv(env.keeper());
+    int finished = 0;
+    std::map<std::string, Status> st;
+    const auto queue = [&](std::uint32_t pg, const std::string& name, std::size_t len) {
+      os::Transaction t;
+      t.create_collection({1, pg});
+      t.write_full({1, pg}, {1, name}, BufferList::copy_of(pattern(len, pg)));
+      node.proxy->queue_transaction(std::move(t), [&, name](Status s) {
+        const std::lock_guard<std::mutex> lk(m);
+        st[name] = s;
+        ++finished;
+        cv.notify_all();
+      });
+    };
+
+    // h's handoff message stalls past every deadline below: its 1 MiB
+    // extent stays out of the arena until the host is past the message.
+    fault::FaultSpec stall;
+    stall.fire_at_time = 0;
+    stall.count = 1;
+    stall.delay_ns = 400'000'000;
+    stall.match = "dpu-0/d2h";
+    env.faults().set("doca.comch_stall", stall);
+    queue(1, "h", 1 << 20);
+    env.keeper().sleep_for(10'000'000);  // h's DMA is done; its message waits
+    EXPECT_EQ(arena.free_bytes(), arena.capacity() - (1 << 20));
+
+    // a's DMA job fails, which turns DMA off for the cooldown.
+    node.dpu.dma().fail_next(1);
+    queue(2, "a", 64 << 10);
+    env.keeper().sleep_for(10'000'000);
+    ASSERT_FALSE(fallback.dma_enabled());
+
+    // Cooldown over: x's 2 MiB segment is the probe, and it waits for h's
+    // extent past x's deadline.
+    queue(3, "x", 2 << 20);
+    {
+      std::unique_lock<std::mutex> lk(m);
+      cv.wait(lk, [&] { return finished == 3; });
+    }
+    EXPECT_EQ(st["x"].code(), Errc::timed_out) << st["x"].to_string();
+    EXPECT_EQ(fallback.probes(), 1u);
+    env.faults().clear("doca.comch_stall");
+
+    // Once the host is past h's message, h's extent goes back and the dead
+    // x is granted its bytes: it returns them and the probe.
+    env.keeper().sleep_for(400'000'000);
+    EXPECT_EQ(arena.free_bytes(), arena.capacity());
+    EXPECT_FALSE(fallback.dma_enabled());
 
     // The next write gets the probe again and DMA comes back.
     ASSERT_TRUE(node.write("c", 64 << 10, 3).ok());
-    EXPECT_TRUE(node.proxy->fallback().dma_enabled());
-    EXPECT_EQ(node.proxy->fallback().recoveries(), 1u);
-    EXPECT_EQ(node.proxy->slots().free_bytes(), node.proxy->slots().capacity());
+    EXPECT_EQ(fallback.probes(), 2u);
+    EXPECT_TRUE(fallback.dma_enabled());
+    EXPECT_EQ(fallback.recoveries(), 1u);
+    EXPECT_EQ(arena.free_bytes(), arena.capacity());
     node.down();
   });
 }

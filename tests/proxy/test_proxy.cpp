@@ -309,36 +309,6 @@ TEST(Proxy, BreakdownAccumulatesAndResets) {
   f.down();
 }
 
-TEST(Proxy, MrCacheOffStillCorrect) {
-  ProxyConfig cfg;
-  cfg.mr_cache = false;
-  ProxyFixture f(cfg);
-  f.up();
-  const std::string big = pattern(4 << 20, 2);
-  run_sim(f.env, [&] {
-    os::Transaction t;
-    t.write_full(kColl, kObj, BufferList::copy_of(big));
-    ASSERT_TRUE(f.commit(std::move(t)).ok());
-    EXPECT_EQ(f.store->read(kColl, kObj, 0, 0)->to_string(), big);
-  });
-  f.down();
-}
-
-TEST(Proxy, PipeliningOffStillCorrect) {
-  ProxyConfig cfg;
-  cfg.pipelining = false;
-  ProxyFixture f(cfg);
-  f.up();
-  const std::string big = pattern(6 << 20, 8);
-  run_sim(f.env, [&] {
-    os::Transaction t;
-    t.write_full(kColl, kObj, BufferList::copy_of(big));
-    ASSERT_TRUE(f.commit(std::move(t)).ok());
-    EXPECT_EQ(f.store->read(kColl, kObj, 0, 0)->to_string(), big);
-  });
-  f.down();
-}
-
 TEST(Proxy, SubSegmentWritesOverlapInOneSegmentRegion) {
   // The paper's calibration: ONE segment's worth of staging region. Eight
   // 16 KiB writes on eight PGs (hence eight requests in flight) share it at

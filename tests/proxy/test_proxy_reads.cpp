@@ -36,7 +36,9 @@ struct ReadFixture {
         env, host_cpu, *store, dpu.host_comch(), proxy->slots().host_mmap());
   }
 
-  void up_with(const std::string& content) {
+  /// Bring the node up and write kObj, through the proxy or, with
+  /// `through_proxy` false, straight into the host store (no DMA job).
+  void up_with(const std::string& content, bool through_proxy = true) {
     run_sim(env, [&] {
       ASSERT_TRUE(store->mkfs().ok());
       ASSERT_TRUE(store->mount().ok());
@@ -48,7 +50,9 @@ struct ReadFixture {
       std::mutex m;
       CondVar cv(env.keeper());
       bool done = false;
-      proxy->queue_transaction(std::move(t), [&](Status st) {
+      os::ObjectStore& via =
+          through_proxy ? static_cast<os::ObjectStore&>(*proxy) : *store;
+      via.queue_transaction(std::move(t), [&](Status st) {
         ASSERT_TRUE(st.ok());
         const std::lock_guard<std::mutex> lk(m);
         done = true;
@@ -181,15 +185,13 @@ TEST(ProxyReads, DmaErrorMidReadFallsBackInline) {
 TEST(ProxyReads, DmaQueueFullMidReadWaitsThenFallsBack) {
   // A two-deep engine queue takes the first two of the read's three jobs and
   // refuses the third: the read waits both out before it withdraws its
-  // extent, then re-sends inline. (Unpipelined writes keep the preload to
-  // one job in flight.)
-  ProxyConfig cfg;
-  cfg.pipelining = false;
+  // extent, then re-sends inline. (The object is preloaded straight into
+  // the host store: a proxy write would queue three jobs of its own.)
   dpu::DpuProfile prof;
   prof.dma.queue_depth = 2;
-  ReadFixture f(cfg, prof);
+  ReadFixture f({}, prof);
   const std::string content = pattern(5 << 20, 6);
-  f.up_with(content);
+  f.up_with(content, /*through_proxy=*/false);
   run_sim(f.env, [&] {
     ASSERT_EQ(f.proxy->fallback().failures(), 0u);
     const auto jobs0 = f.dpu.dma().jobs_completed();
