@@ -104,7 +104,7 @@ std::optional<ParsedRecord> read_record(BlockDevice& dev, std::uint64_t off,
   (void)doceph::decode(stored_crc, ccur);
   BufferList body = hdr->substr(4, kRecHeader - 4);
   body.append(rec.payload);
-  if (body.crc32c() != stored_crc) return std::nullopt;
+  if (body.crc32c_verify() != stored_crc) return std::nullopt;
   rec.total_len = kRecHeader + payload_len + kRecTrailer;
   return rec;
 }

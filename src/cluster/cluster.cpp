@@ -292,7 +292,7 @@ Cluster::ScrubReport Cluster::scrub_replicas() {
             continue;
           }
           objects[oid.name][osd_id] =
-              Digest{content->length(), content->crc32c()};
+              Digest{content->length(), content->crc32c_verify()};
         }
       }
 

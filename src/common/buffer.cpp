@@ -8,21 +8,41 @@
 namespace doceph {
 
 Slice Slice::allocate(std::size_t len) {
-  // shared_ptr<char[]> with value-init suppressed: make_shared value-inits,
-  // which we avoid for large buffers; use the default_init overload pattern.
-  std::shared_ptr<char[]> store(new char[len]);
-  return {std::move(store), 0, len};
+  // The bytes are left uninitialized (new char[], not value-init): large
+  // buffers are filled by their caller anyway.
+  Slice s;
+  s.raw_ = std::make_shared<Raw>(len);
+  s.len_ = len;
+  return s;
 }
 
 Slice Slice::copy_of(const void* data, std::size_t len) {
   Slice s = allocate(len);
-  if (len > 0) std::memcpy(s.mutable_data(), data, len);
+  if (len > 0) std::memcpy(s.raw_->bytes, data, len);  // fresh: nothing cached yet
   return s;
+}
+
+char* Slice::mutable_data() noexcept {
+  if (raw_ == nullptr) return nullptr;
+  raw_->writes.fetch_add(1);
+  return raw_->bytes + off_;
+}
+
+bool Slice::cached_crc(std::uint32_t& crc) const noexcept {
+  const std::uint64_t c = crc_.load();
+  if ((c & kCrcValid) == 0 || ((c >> 32) & kWritesMask) != (writes() & kWritesMask))
+    return false;
+  crc = static_cast<std::uint32_t>(c);
+  return true;
 }
 
 Slice Slice::subslice(std::size_t off, std::size_t len) const {
   assert(off + len <= len_);
-  return {store_, off_ + off, len};
+  Slice s;
+  s.raw_ = raw_;
+  s.off_ = off_ + off;
+  s.len_ = len;
+  return s;
 }
 
 void BufferList::append(Slice s) {
@@ -106,9 +126,33 @@ std::string BufferList::to_string() const {
   return out;
 }
 
-std::uint32_t BufferList::crc32c(std::uint32_t seed) const {
+std::uint32_t BufferList::hash_slice(std::uint32_t crc, const Slice& s) {
+  if (s.size() < Slice::kCrcCacheMin) return doceph::crc32c(crc, s.data(), s.size());
+  const std::uint32_t writes = s.writes();
+  const std::uint32_t own = doceph::crc32c(0, s.data(), s.size());
+  s.cache_crc(writes, own);
+  return crc32c_combine(crc, own, s.size());
+}
+
+std::uint32_t BufferList::crc32c(std::uint32_t seed, std::size_t* hashed) const {
   std::uint32_t crc = seed;
-  for (const auto& s : slices_) crc = doceph::crc32c(crc, s.data(), s.size());
+  std::size_t n = 0;
+  for (const auto& s : slices_) {
+    std::uint32_t own = 0;
+    if (s.size() >= Slice::kCrcCacheMin && s.cached_crc(own)) {
+      crc = crc32c_combine(crc, own, s.size());
+      continue;
+    }
+    crc = hash_slice(crc, s);
+    n += s.size();
+  }
+  if (hashed != nullptr) *hashed = n;
+  return crc;
+}
+
+std::uint32_t BufferList::crc32c_verify(std::uint32_t seed) const {
+  std::uint32_t crc = seed;
+  for (const auto& s : slices_) crc = hash_slice(crc, s);
   return crc;
 }
 

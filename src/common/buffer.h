@@ -1,5 +1,6 @@
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -12,11 +13,41 @@ namespace doceph {
 
 /// A reference-counted, immutable-after-fill view of raw bytes.
 /// Copying a Slice is O(1); the underlying storage is shared.
+///
+/// A slice of at least kCrcCacheMin bytes remembers its crc32c(0, bytes)
+/// once BufferList::crc32c has hashed it, and copies of the slice carry
+/// that value along; this is how a received payload forwarded in another
+/// message is hashed only once (Ceph's buffer::raw crc cache). A write
+/// through mutable_data() of any view of the same storage drops every
+/// view's cached value. Views made by subslice() (and so by
+/// BufferList::substr) start with none.
 class Slice {
  public:
+  static constexpr std::size_t kCrcCacheMin = 4096;
+
   Slice() noexcept = default;
-  Slice(std::shared_ptr<char[]> store, std::size_t off, std::size_t len) noexcept
-      : store_(std::move(store)), off_(off), len_(len) {}
+  /// Adopt storage owned elsewhere (e.g. a registered memory region).
+  Slice(std::shared_ptr<char[]> store, std::size_t off, std::size_t len)
+      : raw_(std::make_shared<Raw>(std::move(store))), off_(off), len_(len) {}
+  Slice(const Slice& o) noexcept
+      : raw_(o.raw_), off_(o.off_), len_(o.len_), crc_(o.crc_.load()) {}
+  Slice(Slice&& o) noexcept
+      : raw_(std::move(o.raw_)),
+        off_(o.off_),
+        len_(o.len_),
+        crc_(o.crc_.load()) {}
+  Slice& operator=(const Slice& o) noexcept {
+    if (this != &o) *this = Slice(o);
+    return *this;
+  }
+  Slice& operator=(Slice&& o) noexcept {
+    raw_ = std::move(o.raw_);
+    off_ = o.off_;
+    len_ = o.len_;
+    crc_.store(o.crc_.load());
+    return *this;
+  }
+  ~Slice() = default;
 
   /// Allocate an uninitialized slice of `len` bytes (single owner until shared).
   static Slice allocate(std::size_t len);
@@ -24,8 +55,12 @@ class Slice {
   static Slice copy_of(const void* data, std::size_t len);
   static Slice copy_of(std::string_view sv) { return copy_of(sv.data(), sv.size()); }
 
-  [[nodiscard]] const char* data() const noexcept { return store_.get() + off_; }
-  [[nodiscard]] char* mutable_data() noexcept { return store_.get() + off_; }
+  [[nodiscard]] const char* data() const noexcept {
+    return raw_ != nullptr ? raw_->bytes + off_ : nullptr;
+  }
+  /// For filling the bytes: drops the cached crc of every view of this
+  /// storage. Write through the pointer before the bytes are hashed again.
+  [[nodiscard]] char* mutable_data() noexcept;
   [[nodiscard]] std::size_t size() const noexcept { return len_; }
   [[nodiscard]] bool empty() const noexcept { return len_ == 0; }
 
@@ -33,9 +68,42 @@ class Slice {
   [[nodiscard]] Slice subslice(std::size_t off, std::size_t len) const;
 
  private:
-  std::shared_ptr<char[]> store_;
+  friend class BufferList;
+
+  /// The bytes behind a slice and all its views, plus a count of writes
+  /// through mutable_data(): a cached crc is valid only for the count it
+  /// was taken at.
+  struct Raw {
+    explicit Raw(std::size_t len) : own(new char[len]), bytes(own.get()) {}
+    explicit Raw(std::shared_ptr<char[]> store)
+        : adopted(std::move(store)), bytes(adopted.get()) {}
+    std::unique_ptr<char[]> own;
+    std::shared_ptr<char[]> adopted;
+    char* bytes;
+    std::atomic<std::uint32_t> writes{0};
+  };
+
+  // crc_ packs a valid bit (63), the low 31 bits of Raw::writes when the
+  // crc was taken (62..32) and the crc (31..0); 0 is "none". Atomic
+  // because BufferList::crc32c is const and a slice may be hashed by two
+  // threads at once (one message sent on two connections).
+  static constexpr std::uint64_t kCrcValid = std::uint64_t{1} << 63;
+  static constexpr std::uint32_t kWritesMask = 0x7fffffffu;
+
+  /// The cached crc32c(0, bytes), if one was taken since the last write.
+  [[nodiscard]] bool cached_crc(std::uint32_t& crc) const noexcept;
+  /// The write count to pass to cache_crc: read it before hashing.
+  [[nodiscard]] std::uint32_t writes() const noexcept {
+    return raw_->writes.load();
+  }
+  void cache_crc(std::uint32_t writes, std::uint32_t crc) const noexcept {
+    crc_.store(kCrcValid | (std::uint64_t{writes & kWritesMask} << 32) | crc);
+  }
+
+  std::shared_ptr<Raw> raw_;
   std::size_t off_ = 0;
   std::size_t len_ = 0;
+  mutable std::atomic<std::uint64_t> crc_{0};
 };
 
 /// A rope of Slices, modeled after Ceph's bufferlist: appending, zero-copy
@@ -78,8 +146,16 @@ class BufferList {
 
   [[nodiscard]] std::string to_string() const;
 
-  /// CRC-32C over the whole content, continuing from `seed`.
-  [[nodiscard]] std::uint32_t crc32c(std::uint32_t seed = 0) const;
+  /// CRC-32C over the whole content, continuing from `seed`. A slice with a
+  /// cached crc is chained in with crc32c_combine instead of being hashed;
+  /// a slice of at least Slice::kCrcCacheMin bytes that is hashed caches
+  /// its crc. `hashed`, if set, receives the number of bytes hashed.
+  [[nodiscard]] std::uint32_t crc32c(std::uint32_t seed = 0,
+                                     std::size_t* hashed = nullptr) const;
+  /// The same value, but every byte is hashed and no cached crc is trusted
+  /// (the ones it computes are cached): for checking bytes against a crc
+  /// taken elsewhere (a received frame, a record read back, a scrub).
+  [[nodiscard]] std::uint32_t crc32c_verify(std::uint32_t seed = 0) const;
 
   /// Number of underlying slices (for tests / copy-avoidance assertions).
   [[nodiscard]] std::size_t num_slices() const noexcept { return slices_.size(); }
@@ -113,6 +189,9 @@ class BufferList {
   };
 
  private:
+  /// Continue `crc` over `s`'s bytes, caching the slice's own crc.
+  static std::uint32_t hash_slice(std::uint32_t crc, const Slice& s);
+
   std::vector<Slice> slices_;
   std::size_t len_ = 0;
 };

@@ -63,4 +63,54 @@ std::uint32_t crc32c(std::uint32_t crc, const void* data, std::size_t len) noexc
   return ~crc;
 }
 
+namespace {
+
+// GF(2) polynomials mod the (reflected) Castagnoli polynomial: bit 31 is
+// x^0, bit 0 is x^31.
+constexpr std::uint32_t kOne = 0x80000000u;
+
+/// a(x) * b(x) mod p(x).
+std::uint32_t multmodp(std::uint32_t a, std::uint32_t b) noexcept {
+  std::uint32_t m = kOne;
+  std::uint32_t p = 0;
+  for (;;) {
+    if ((a & m) != 0) {
+      p ^= b;
+      if ((a & (m - 1)) == 0) break;
+    }
+    m >>= 1;
+    b = (b & 1) != 0 ? (b >> 1) ^ kPoly : b >> 1;
+  }
+  return p;
+}
+
+/// x^(2^k) mod p(x), for every k a 64-bit byte count can reach (bit i of
+/// the count is 2^(i + 3) bits).
+struct PowerTable {
+  std::array<std::uint32_t, 64 + 3> x2n{};
+
+  PowerTable() {
+    std::uint32_t p = kOne >> 1;  // x^1
+    for (auto& e : x2n) {
+      e = p;
+      p = multmodp(p, p);
+    }
+  }
+};
+
+}  // namespace
+
+std::uint32_t crc32c_combine(std::uint32_t crc1, std::uint32_t crc2,
+                             std::size_t len2) noexcept {
+  static const PowerTable table;  // thread-safe magic static
+  // Appending len2 zero bytes multiplies crc1 by x^(8 * len2); B's own
+  // contribution is crc2 (the pre/post inversions cancel).
+  std::uint32_t xn = kOne;
+  std::uint64_t n = len2;
+  for (std::size_t k = 3; n != 0; n >>= 1, ++k) {
+    if ((n & 1) != 0) xn = multmodp(table.x2n[k], xn);
+  }
+  return multmodp(xn, crc1) ^ crc2;
+}
+
 }  // namespace doceph

@@ -18,4 +18,11 @@ inline std::uint32_t crc32c(const void* data, std::size_t len) noexcept {
   return crc32c(0, data, len);
 }
 
+/// The crc32c of A followed by B, given `crc1` (the running value after A,
+/// from any seed) and `crc2 = crc32c(0, B)` with `len2 = |B|`: equal to
+/// crc32c(crc1, B) without touching B's bytes. O(log len2) (zlib's
+/// crc32_combine, over the Castagnoli polynomial).
+std::uint32_t crc32c_combine(std::uint32_t crc1, std::uint32_t crc2,
+                             std::size_t len2) noexcept;
+
 }  // namespace doceph

@@ -85,7 +85,9 @@ class MOSDOpReply final : public Message {
 };
 
 /// Primary -> replica replicated transaction (Ceph's MOSDRepOp). The
-/// serialized ObjectStore::Transaction is opaque here; bulk payload in data.
+/// serialized ObjectStore::Transaction is opaque here; the bulk payload
+/// rides inside `txn` (its write ops' data), sharing the client message's
+/// slices, and `data` stays empty.
 class MOSDRepOp final : public Message {
  public:
   std::uint32_t pool = 0;
@@ -93,7 +95,7 @@ class MOSDRepOp final : public Message {
   std::int32_t from_osd = -1;
   std::uint32_t map_epoch = 0;
   bool recovery_push = false;  ///< true for recovery pushes (idempotent)
-  BufferList txn;  ///< encoded Transaction (metadata only)
+  BufferList txn;  ///< encoded Transaction, payloads included
 
   [[nodiscard]] MsgType type() const noexcept override { return MsgType::osd_repop; }
   void encode_payload(BufferList& out) const override {

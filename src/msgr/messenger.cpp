@@ -61,13 +61,22 @@ BufferList Connection::encode_message(const Message& m) {
   BufferList front;
   m.encode_payload(front);
 
-  const auto& costs = msgr_.config().costs;
+  // A payload this process received (and so verified) is shared into
+  // `front` or `data` with its crc cached: only the other bytes are hashed.
+  std::size_t front_hashed = 0, data_hashed = 0;
+  const std::uint32_t front_crc = front.crc32c(0, &front_hashed);
+  const std::uint32_t data_crc = m.data.crc32c(0, &data_hashed);
   const std::uint64_t bytes = front.length() + m.data.length();
+  const std::uint64_t hashed = front_hashed + data_hashed;
+
+  const auto& costs = msgr_.config().costs;
   msgr_.charge(costs.per_msg_encode +
                static_cast<sim::Duration>(costs.crc_per_byte_ns *
-                                          static_cast<double>(bytes)));
+                                          static_cast<double>(hashed)));
   msgr_.counters_->inc(l_msgr_msg_send);
   msgr_.counters_->inc(l_msgr_bytes_send, bytes);
+  msgr_.counters_->inc(l_msgr_crc_bytes, hashed);
+  msgr_.counters_->inc(l_msgr_crc_cached_bytes, bytes - hashed);
 
   BufferList frame;
   encode(static_cast<std::uint16_t>(m.type()), frame);
@@ -79,8 +88,6 @@ BufferList Connection::encode_message(const Message& m) {
   encode(m.trace, frame);
   assert(frame.length() == kHeaderSize);
 
-  const std::uint32_t front_crc = front.crc32c();
-  const std::uint32_t data_crc = m.data.crc32c();
   frame.claim_append(front);
   frame.append(m.data);  // zero-copy share of bulk payload
   encode(front_crc, frame);
@@ -160,13 +167,17 @@ bool Connection::parse_one() {
   rx_buf_ = rx_buf_.substr(need, rx_buf_.length() - need);
   have_header_ = false;
 
+  // Every byte that arrived is hashed: a cached crc, had one crossed the
+  // wire, would vouch for the sender's bytes, not these. The crcs computed
+  // here stay cached, so forwarding this payload does not hash it again.
+  const std::uint64_t bytes = std::uint64_t{hdr_.front_len} + hdr_.data_len;
   const auto& costs = msgr_.config().costs;
   msgr_.charge(costs.per_msg_decode +
-               static_cast<sim::Duration>(
-                   costs.crc_per_byte_ns *
-                   static_cast<double>(hdr_.front_len + hdr_.data_len)));
+               static_cast<sim::Duration>(costs.crc_per_byte_ns *
+                                          static_cast<double>(bytes)));
+  msgr_.counters_->inc(l_msgr_crc_bytes, bytes);
 
-  if (front.crc32c() != front_crc || data.crc32c() != data_crc) {
+  if (front.crc32c_verify() != front_crc || data.crc32c_verify() != data_crc) {
     fail(Status(Errc::corrupt, "message crc mismatch"));
     return false;
   }
@@ -192,7 +203,7 @@ bool Connection::parse_one() {
   m->recv_stamp = hdr_stamp_;
   received_.fetch_add(1, std::memory_order_relaxed);
   msgr_.counters_->inc(l_msgr_msg_recv);
-  msgr_.counters_->inc(l_msgr_bytes_recv, hdr_.front_len + hdr_.data_len);
+  msgr_.counters_->inc(l_msgr_bytes_recv, bytes);
   msgr_.dispatch_message(m);
   return true;
 }
@@ -231,6 +242,8 @@ Messenger::Messenger(sim::Env& env, net::Fabric& fabric, net::NetNode& node,
                     .add_counter(l_msgr_msg_send, "msg_send")
                     .add_counter(l_msgr_bytes_recv, "bytes_recv")
                     .add_counter(l_msgr_bytes_send, "bytes_send")
+                    .add_counter(l_msgr_crc_bytes, "crc_bytes")
+                    .add_counter(l_msgr_crc_cached_bytes, "crc_cached_bytes")
                     .create()) {
   centers_.reserve(static_cast<std::size_t>(cfg_.num_workers));
   for (int i = 0; i < cfg_.num_workers; ++i)

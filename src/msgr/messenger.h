@@ -41,6 +41,8 @@ enum {
   l_msgr_msg_send,    ///< messages encoded for transmission
   l_msgr_bytes_recv,  ///< payload bytes (front + data) received
   l_msgr_bytes_send,  ///< payload bytes (front + data) sent
+  l_msgr_crc_bytes,   ///< payload bytes crc32c'd: all received, sent less cached
+  l_msgr_crc_cached_bytes,  ///< sent payload bytes whose slices' crc was cached
   l_msgr_last,
 };
 
@@ -50,7 +52,7 @@ enum {
 struct MsgrCostModel {
   sim::Duration per_msg_encode = 2500;  ///< ns per message encode + dispatch
   sim::Duration per_msg_decode = 3500;  ///< ns per message decode + deliver
-  double crc_per_byte_ns = 0.3;         ///< crc32c over front+data
+  double crc_per_byte_ns = 0.3;         ///< crc32c per byte hashed (see encode_message)
 };
 
 struct MessengerConfig {

@@ -117,6 +117,8 @@ Result<std::size_t> Socket::send(BufferList& bl) {
       return std::size_t{0};
     }
     h.in_flight += take;
+    // substr makes fresh views: no crc a sender's slice cached crosses the
+    // wire, so the receiver's checks always hash the bytes it got.
     data = bl.substr(0, take);
   }
   bl = bl.substr(take, bl.length() - take);

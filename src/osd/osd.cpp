@@ -815,7 +815,7 @@ Result<std::vector<msgr::ObjectSummary>> OSD::scan_pg_local(const pg_t& pg) {
   for (const auto& oid : *objects) {
     auto content = store_.read(pg.to_coll(), oid, 0, 0);
     if (!content.ok()) continue;
-    out.push_back({oid.name, content->length(), content->crc32c()});
+    out.push_back({oid.name, content->length(), content->crc32c_verify()});
   }
   return out;
 }

@@ -331,9 +331,6 @@ void ProxyObjectStore::on_dma_done(const OpRef& op, Segment seg, const Status& s
     arena_.release(seg.off, seg.data.length());  // the request already failed
     return;
   }
-  // After an earlier failure the submit re-sends every staged chunk inline,
-  // so this one needs no handoff.
-  if (op->any_failed) return segment_done(op, seg, /*failed=*/false);
   advance(op, &seg);
 }
 
@@ -351,7 +348,7 @@ void ProxyObjectStore::on_stage_ack(const OpRef& op, const Segment& seg,
 void ProxyObjectStore::segment_done(const OpRef& op, const Segment& seg, bool failed) {
   arena_.release(seg.off, seg.data.length());
   if (op->done) return;
-  if (failed) op->any_failed = true;
+  if (failed) op->failed_segs.insert(seg.index);
   advance(op);
 }
 
@@ -390,13 +387,14 @@ void ProxyObjectStore::release_quarantine(std::uint64_t seq) {
 }
 
 void ProxyObjectStore::submit(const OpRef& op, const Segment* last_seg) {
-  if (op->any_failed) {
-    // Fallback (paper §4): staged segments whose transfer or handoff
-    // failed are unusable; conservatively re-send every staged chunk inline
-    // over RPC (the cooldown routes subsequent traffic there anyway).
+  if (!op->failed_segs.empty()) {
+    // Fallback (paper §4): a segment whose transfer or handoff failed is
+    // re-sent inline over RPC; the host already holds every other staged
+    // segment (the cooldown routes subsequent traffic over RPC anyway).
     for (auto& part : op->wire.parts) {
       for (auto& ref : part) {
-        if (ref.kind != DataRef::Kind::staged) continue;
+        if (ref.kind != DataRef::Kind::staged || !op->failed_segs.contains(ref.index))
+          continue;
         ref.kind = DataRef::Kind::inline_;
         rpc_fallback_bytes_.fetch_add(ref.len, std::memory_order_relaxed);
         counters_->inc(l_dpu_rpc_fallback_bytes, ref.len);

@@ -204,7 +204,9 @@ class ProxyObjectStore final : public os::ObjectStore {
     /// Segments routed to DMA whose job has not finished; the submit waits
     /// for these only.
     int in_dma = 0;
-    bool any_failed = false;
+    /// Segments whose transfer or handoff failed: the submit sends just
+    /// these inline.
+    std::set<std::uint32_t> failed_segs;
 
     /// A segment whose extent waits on its stage ack: the host was told to
     /// copy the extent.

@@ -4,6 +4,8 @@
 
 #include <numeric>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "common/crc32c.h"
 
@@ -169,6 +171,120 @@ TEST(BufferList, LargePayloadRoundTrip) {
   EXPECT_EQ(bl.length(), big.size());
   EXPECT_EQ(bl.to_string(), big);
   EXPECT_EQ(bl.crc32c(), crc32c(big.data(), big.size()));
+}
+
+/// A slice of `n` bytes of varied content (crc-cache sized when n >= 4 KiB).
+Slice filled(std::size_t n, unsigned seed) {
+  Slice s = Slice::allocate(n);
+  for (std::size_t i = 0; i < n; ++i)
+    s.mutable_data()[i] = static_cast<char>((i * 131 + seed) >> 3);
+  return s;
+}
+
+std::uint32_t flat_crc(const BufferList& bl, std::uint32_t seed = 0) {
+  const std::string s = bl.to_string();
+  return crc32c(seed, s.data(), s.size());
+}
+
+/// Small slices, odd-sized large ones, and large ones at both ends.
+BufferList mixed_list() {
+  BufferList bl;
+  bl.append(filled(Slice::kCrcCacheMin, 1));
+  bl.append("hdr");
+  bl.append(filled(65537, 2));
+  bl.append(filled(Slice::kCrcCacheMin - 1, 3));  // just under the cache size
+  bl.append(filled(8191, 4));
+  return bl;
+}
+
+TEST(BufferListCrcCache, CachedAndUncachedValuesAgree) {
+  const BufferList bl = mixed_list();
+  const std::size_t small = 3 + Slice::kCrcCacheMin - 1;
+  for (const std::uint32_t seed : {0u, 0x12345678u}) {
+    std::size_t hashed = 0;
+    const std::uint32_t want = flat_crc(bl, seed);
+    BufferList fresh = mixed_list();
+    EXPECT_EQ(fresh.crc32c(seed, &hashed), want);
+    EXPECT_EQ(hashed, fresh.length());  // nothing cached yet
+    EXPECT_EQ(fresh.crc32c(seed, &hashed), want);
+    EXPECT_EQ(hashed, small);  // only the slices under the cache size
+    EXPECT_EQ(fresh.crc32c_verify(seed), want);
+  }
+}
+
+TEST(BufferListCrcCache, CopiesCarryTheCacheAndSubstrStartsFresh) {
+  const BufferList bl = mixed_list();
+  (void)bl.crc32c();
+  std::size_t hashed = 0;
+  const BufferList copy = bl;  // what a forwarded payload is: shared slices
+  BufferList outer;
+  outer.append("prefix");
+  outer.append(copy);
+  EXPECT_EQ(outer.crc32c(0, &hashed), flat_crc(outer));
+  EXPECT_EQ(hashed, 6 + 3 + Slice::kCrcCacheMin - 1);
+  const BufferList views = bl.substr(0, bl.length());
+  EXPECT_EQ(views.crc32c(0, &hashed), flat_crc(bl));
+  EXPECT_EQ(hashed, bl.length());
+}
+
+TEST(BufferListCrcCache, WriteThroughMutableDataDropsIt) {
+  Slice s = filled(16384, 5);
+  BufferList bl;
+  bl.append(s);
+  std::size_t hashed = 0;
+  (void)bl.crc32c();
+  ASSERT_EQ(bl.crc32c(0, &hashed), flat_crc(bl));
+  ASSERT_EQ(hashed, 0u);
+  s.mutable_data()[100] ^= 1;  // same bytes as bl's slice, through s
+  EXPECT_EQ(bl.crc32c(0, &hashed), flat_crc(bl));
+  EXPECT_EQ(hashed, s.size());
+}
+
+TEST(BufferListCrcCache, WriteThroughAnyOtherViewDropsIt) {
+  const Slice s = filled(16384, 6);
+  BufferList whole;
+  whole.append(s);
+  BufferList half;
+  half.append(s.subslice(8192, 8192));
+  (void)whole.crc32c();
+  (void)half.crc32c();
+  // A view of other bytes of the same storage drops every cached crc.
+  Slice head = s.subslice(0, 16);
+  head.mutable_data()[0] ^= 1;
+  std::size_t hashed = 0;
+  EXPECT_EQ(whole.crc32c(0, &hashed), flat_crc(whole));
+  EXPECT_EQ(hashed, 16384u);
+  EXPECT_EQ(half.crc32c(0, &hashed), flat_crc(half));
+  EXPECT_EQ(hashed, 8192u);
+}
+
+TEST(BufferListCrcCache, VerifyTrustsNoCache) {
+  BufferList bl;
+  bl.append(filled(8192, 7));
+  (void)bl.crc32c();
+  // A write the cache is not told about (bypassing mutable_data) leaves it
+  // stale: crc32c keeps answering for the old bytes, verify does not.
+  const std::uint32_t stale = bl.crc32c();
+  const_cast<char*>(bl.slices().front().data())[0] ^= 1;
+  EXPECT_EQ(bl.crc32c(), stale);
+  EXPECT_NE(bl.crc32c_verify(), stale);
+  EXPECT_EQ(bl.crc32c_verify(), flat_crc(bl));
+  EXPECT_EQ(bl.crc32c(), flat_crc(bl));  // verify refreshed the cache
+}
+
+TEST(BufferListCrcCache, ConcurrentHashesOfOneListAgree) {
+  // crc32c is const and fills the cache: two threads hashing the same list
+  // (one message sent on two connections) must not race.
+  const BufferList bl = mixed_list();
+  const std::uint32_t want = flat_crc(bl);
+  std::vector<std::thread> threads;
+  std::vector<std::uint32_t> got(4, 0);
+  for (std::size_t t = 0; t < got.size(); ++t)
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < 50; ++i) got[t] = bl.crc32c();
+    });
+  for (auto& t : threads) t.join();
+  for (const std::uint32_t g : got) EXPECT_EQ(g, want);
 }
 
 }  // namespace

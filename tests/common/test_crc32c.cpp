@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -57,6 +58,26 @@ TEST(Crc32c, UnalignedStartMatches) {
     EXPECT_EQ(a, b) << "offset " << off;
     (void)ref;
   }
+}
+
+TEST(Crc32c, CombineMatchesDirectCrcOverRandomSplits) {
+  std::mt19937_64 rng(7);
+  std::vector<unsigned char> buf(70001);
+  for (auto& b : buf) b = static_cast<unsigned char>(rng());
+  // Lengths 0 and 1, odd lengths, and ones spanning the 8-byte fast path.
+  for (const std::size_t len : {0u, 1u, 3u, 7u, 9u, 255u, 4097u, 65537u, 70001u}) {
+    for (int trial = 0; trial < 8; ++trial) {
+      const std::size_t split = len == 0 ? 0 : rng() % (len + 1);
+      const auto seed = static_cast<std::uint32_t>(rng());
+      const std::uint32_t direct = crc32c(seed, buf.data(), len);
+      const std::uint32_t head = crc32c(seed, buf.data(), split);
+      const std::uint32_t tail = crc32c(0, buf.data() + split, len - split);
+      EXPECT_EQ(crc32c_combine(head, tail, len - split), direct)
+          << "len " << len << " split " << split;
+    }
+  }
+  // Chaining nothing leaves the running value as it is.
+  EXPECT_EQ(crc32c_combine(0xDEADBEEFu, 0, 0), 0xDEADBEEFu);
 }
 
 TEST(Crc32c, DetectsSingleBitFlip) {

@@ -6,6 +6,7 @@
 #include <mutex>
 
 #include "msgr/messages.h"
+#include "os/transaction.h"
 #include "sim/env.h"
 
 namespace doceph::msgr {
@@ -257,6 +258,53 @@ TEST(Messenger, MessengerWorkChargesDomain) {
   EXPECT_GT(host.busy_ns(), 0u);
   ma.shutdown();
   mb.shutdown();
+}
+
+TEST(Messenger, ForwardedPayloadIsHashedOnce) {
+  // The primary's path: a client payload arrives (and is verified), then
+  // rides on inside a repop's encoded transaction. Only the repop's own
+  // bytes are hashed again; the payload's crc is reused.
+  MsgrFixture f;
+  const std::string payload(64 << 10, 'p');
+  const auto& c = f.mb.counters();
+  std::uint64_t hashed = 0, cached = 0, sent = 0;
+  Thread primary = f.env.spawn("primary", nullptr, [&] {
+    auto con = f.ma.get_connection(f.mb.addr());
+    ASSERT_NE(con, nullptr);
+    con->send_message(make_op("obj", payload, 1));
+    f.rb.wait_count(1);
+    const MessageRef op = f.rb.messages()[0];
+    ASSERT_EQ(op->data.num_slices(), 1u);  // one fabric chunk
+    const std::uint64_t recv_bytes = c->get(l_msgr_bytes_recv);
+    EXPECT_EQ(c->get(l_msgr_crc_bytes), recv_bytes);  // every byte that arrived
+
+    os::Transaction txn;
+    txn.write({1, 0}, {1, "obj"}, 0, op->data);
+    auto repop = std::make_shared<MOSDRepOp>();
+    txn.encode(repop->txn);
+    const std::uint64_t hashed0 = c->get(l_msgr_crc_bytes);
+    const std::uint64_t cached0 = c->get(l_msgr_crc_cached_bytes);
+    const std::uint64_t sent0 = c->get(l_msgr_bytes_send);
+    op->connection->send_message(repop);
+    f.ra.wait_count(1);
+    hashed = c->get(l_msgr_crc_bytes) - hashed0;
+    cached = c->get(l_msgr_crc_cached_bytes) - cached0;
+    sent = c->get(l_msgr_bytes_send) - sent0;
+  });
+  primary.join();
+  EXPECT_EQ(cached, payload.size());
+  EXPECT_EQ(hashed, sent - payload.size());
+  EXPECT_LT(hashed, 1024u);  // the repop's metadata only
+  // The peer still verified every byte and got the payload intact.
+  ASSERT_EQ(f.ra.messages().size(), 1u);
+  const auto* got = static_cast<const MOSDRepOp*>(f.ra.messages()[0].get());
+  os::Transaction decoded;
+  BufferList::Cursor cur(got->txn);
+  ASSERT_TRUE(decoded.decode(cur));
+  ASSERT_EQ(decoded.num_ops(), 1u);
+  EXPECT_EQ(decoded.ops()[0].data.to_string(), payload);
+  EXPECT_EQ(f.ma.counters()->get(l_msgr_crc_bytes), f.ma.counters()->get(l_msgr_bytes_recv) +
+                                                       f.ma.counters()->get(l_msgr_bytes_send));
 }
 
 TEST(Messenger, AllMessageTypesRoundTripThroughFactory) {

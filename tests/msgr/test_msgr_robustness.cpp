@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "../test_util.h"
+#include "common/logger.h"
 #include "msgr/messages.h"
 #include "msgr/messenger.h"
 
@@ -104,6 +105,40 @@ TEST(MsgrRobustness, CorruptedPayloadRejectedByCrc) {
     EXPECT_EQ(f.sink.msgs.size(), 1u);  // only the legitimate message landed
     client.shutdown();
   });
+}
+
+TEST(MsgrRobustness, ReceiverTrustsNoCachedCrc) {
+  // The sender's payload slice carries a wrong cached crc (its bytes were
+  // changed behind the cache's back), so the footer vouches for other
+  // bytes. The receiver hashes what arrived and rejects the frame.
+  Fixture f;
+  BufferList data = BufferList::copy_of(pattern(64 << 10));
+  (void)data.crc32c();
+  const_cast<char*>(data.slices().front().data())[17] ^= 0x40;
+  const log::Level was = log::level();
+  log::set_level(log::Level::debug);
+  ::testing::internal::CaptureStderr();
+  run_sim(f.env, [&] {
+    Messenger client(f.env, f.fabric, f.na, nullptr, "client.1");
+    Sink client_sink(f.env);
+    client.set_dispatcher(&client_sink);
+    client.start();
+    auto con = client.get_connection(f.server.addr());
+    ASSERT_NE(con, nullptr);
+    auto op = std::make_shared<MOSDOp>();
+    op->object = "stale";
+    op->data = data;
+    con->send_message(op);
+    {
+      std::unique_lock<std::mutex> lk(f.sink.m);
+      f.sink.cv.wait(lk, [&] { return f.sink.resets > 0; });
+    }
+    client.shutdown();
+  });
+  const std::string log = ::testing::internal::GetCapturedStderr();
+  log::set_level(was);
+  EXPECT_TRUE(f.sink.msgs.empty());
+  EXPECT_NE(log.find("message crc mismatch"), std::string::npos) << log;
 }
 
 class MsgrSizeSweep : public ::testing::TestWithParam<std::size_t> {};

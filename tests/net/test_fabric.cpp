@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "common/crc32c.h"
 #include "sim/env.h"
 
 namespace doceph::net {
@@ -149,6 +150,29 @@ TEST(Fabric, LargeTransferIntegrityAcrossChunks) {
   driver.join();
   EXPECT_EQ(f.received.length(), payload.size());
   EXPECT_EQ(f.received.to_string(), payload);
+}
+
+TEST(Fabric, ReceiverGetsFreshSlicesWithNoCachedCrc) {
+  // The receiver's checks must hash the bytes it got: no crc a sender's
+  // slice cached may cross the wire with them.
+  NetFixture f;
+  f.start_sink(7000);
+  const std::string payload = pattern(64 << 10);
+  BufferList sent = BufferList::copy_of(payload);
+  (void)sent.crc32c();  // caches the 64 KiB slice's crc
+  std::size_t hashed = 1;
+  ASSERT_EQ(sent.crc32c(0, &hashed), crc32c(payload.data(), payload.size()));
+  ASSERT_EQ(hashed, 0u);
+  Thread sender = f.env.spawn("sender", nullptr, [&] {
+    auto r = f.fabric.connect(f.a, Address{f.b.id(), 7000});
+    ASSERT_TRUE(r.ok());
+    f.send_all(**r, sent);
+    f.wait_received(payload.size());
+  });
+  sender.join();
+  const std::lock_guard<std::mutex> lk(f.m);
+  EXPECT_EQ(f.received.crc32c(0, &hashed), crc32c(payload.data(), payload.size()));
+  EXPECT_EQ(hashed, payload.size());
 }
 
 TEST(Fabric, TransferTimeMatchesBandwidthPlusLatency) {

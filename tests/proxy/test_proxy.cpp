@@ -167,6 +167,29 @@ TEST(Proxy, ControlPlaneOps) {
   f.down();
 }
 
+TEST(Proxy, FailedSegmentAloneIsResentInline) {
+  // Four 2 MiB segments; the last one's DMA fails. The three the host
+  // already staged stay staged: only the failed one rides over RPC.
+  ProxyFixture f;
+  f.up();
+  const std::string big = pattern(4 * (2 << 20), 11);
+  run_sim(f.env, [&] {
+    fault::FaultSpec spec;
+    spec.fire_at_hit = 4;
+    spec.count = 1;
+    spec.match = "dpu-0";
+    f.env.faults().set("doca.dma_error", spec);
+    const auto failed0 = f.dpu.dma().jobs_failed();
+    os::Transaction t;
+    t.write_full(kColl, kObj, BufferList::copy_of(big));
+    ASSERT_TRUE(f.commit(std::move(t)).ok());
+    EXPECT_EQ(f.dpu.dma().jobs_failed(), failed0 + 1);
+    EXPECT_EQ(f.proxy->rpc_fallback_bytes(), 2u << 20);
+    EXPECT_EQ(f.store->read(kColl, kObj, 0, 0)->to_string(), big);
+  });
+  f.down();
+}
+
 TEST(Proxy, DmaFailureFallsBackToRpcAndRecovers) {
   ProxyConfig cfg;
   cfg.cooldown = 50'000'000;  // 50 ms for a fast test
