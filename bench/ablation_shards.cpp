@@ -73,7 +73,7 @@ int main(int argc, char** argv) {
   Table t({"op thr", "kv", "IOPS", "speedup", "p99 (s)", "queue (s)", "store (s)",
            "failed"});
   for (auto& c : cells) {
-    c.r = run_cached(small_write_spec(c.op_threads, c.kv_shards));
+    c.r = run_experiment(small_write_spec(c.op_threads, c.kv_shards));
     if (c.op_threads == 2 && c.kv_shards == 1) base_iops = c.r.iops;
     t.row({std::to_string(c.op_threads), std::to_string(c.kv_shards),
            Table::num(c.r.iops, 1),
@@ -83,13 +83,25 @@ int main(int argc, char** argv) {
            std::to_string(c.r.failed_ops)});
   }
   t.print();
+  const auto cell = [&](int op_threads, int kv_shards) -> const RunResult& {
+    for (const auto& c : cells)
+      if (c.op_threads == op_threads && c.kv_shards == kv_shards) return c.r;
+    return cells.front().r;
+  };
+  const RunResult& base = cell(2, 1);
+  const RunResult& top = cell(16, 8);
+  const RunResult& diag8 = cell(8, 4);
+  const RunResult& one_kv = cell(8, 1);
+  const RunResult& kv_only = cell(2, 4);
+  const auto ratio = [](double a, double b) { return b > 0 ? a / b : 0.0; };
   std::printf(
-      "\nReading: on the offload path, op threads carry the gain (the OSD\n"
-      "queue stage falls, and the proxy overlaps the extra requests in\n"
-      "flight); KV shards alone are flat (row 2x4), but eight threads on\n"
-      "one KV commit stream (row 8x1) pay for it in p99. Ordering is\n"
-      "untouched — ops for one object share a PG, hence an ordering token,\n"
-      "hence a KV shard (DESIGN.md §15).\n");
+      "\nReading (from the rows above): the diagonal reaches %.2fx at 16x8, and\n"
+      "the OSD queue stage falls %.1f -> %.1f ms. KV shards alone (2x4) run\n"
+      "%.2fx the 2x1 rate. Eight op threads on one KV stream (8x1) run %.2fx\n"
+      "the ops/s of 8x4 at %.2fx its p99.\n",
+      ratio(top.iops, base.iops), base.stage_queue_s * 1e3, top.stage_queue_s * 1e3,
+      ratio(kv_only.iops, base.iops), ratio(one_kv.iops, diag8.iops),
+      ratio(one_kv.p99_lat_s, diag8.p99_lat_s));
 
   if (!out_path.empty()) {
     JsonWriter w;

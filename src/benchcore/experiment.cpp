@@ -1,7 +1,6 @@
 #include "benchcore/experiment.h"
 
 #include <cstdlib>
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -34,7 +33,7 @@ int kv_shards_of(const RunSpec& s) {
 
 }  // namespace
 
-std::string RunSpec::cache_key() const {
+std::string RunSpec::cell_name() const {
   std::ostringstream os;
   os << (mode == cluster::DeployMode::baseline ? "base" : "doceph") << "_"
      << (net == cluster::NetworkKind::gbe_100 ? "100g" : "1g") << "_"
@@ -47,8 +46,8 @@ std::string RunSpec::cache_key() const {
   if (dma_failure_rate > 0) os << "_f" << static_cast<int>(dma_failure_rate * 1e4);
   {
     // Sharded cells (DESIGN.md §15): `_shN` on the diagonal, `_thOPxKV`
-    // when the ablation overrides split the op-thread and KV-shard counts.
-    // Nothing at 1/1 so the committed paper cells keep their keys.
+    // when the ablation overrides split the op-thread and KV-shard counts,
+    // nothing for an unsharded cell.
     const int threads = op_threads_of(*this);
     const int kv_sh = kv_shards_of(*this);
     if (threads != kOpThreadsPerShard * kv_sh)
@@ -244,7 +243,7 @@ RunResult run_experiment(const RunSpec& spec) {
     if (!spec.trace_out.empty()) {
       std::string path = spec.trace_out;
       if (const auto pos = path.find("%k"); pos != std::string::npos)
-        path.replace(pos, 2, spec.cache_key());
+        path.replace(pos, 2, spec.cell_name());
       std::ofstream out(path);
       if (out) {
         out << cl.dump_traces() << "\n";
@@ -254,91 +253,6 @@ RunResult run_experiment(const RunSpec& spec) {
       }
     }
   });
-  return result;
-}
-
-// ---- cache ---------------------------------------------------------------------
-
-namespace {
-
-constexpr const char* kCacheDir = "bench_cache";
-
-#define DOCEPH_RESULT_FIELDS(X)                                                   \
-  X(iops) X(mbps) X(avg_lat_s) X(p50_lat_s) X(p99_lat_s) X(host_cores)            \
-  X(dpu_cores)                                                                    \
-  X(share_messenger) X(share_objectstore) X(share_osd) X(total_ceph_cores)        \
-  X(window_s) X(bd_host_write_s) X(bd_dma_s) X(bd_dma_wait_s) X(bd_others_s)      \
-  X(bd_total_s) X(stage_msgr_s) X(stage_queue_s) X(stage_store_s)                 \
-  X(stage_repl_s) X(stage_reply_s) X(stage_total_s)
-
-bool load_cached(const std::string& key, RunResult& out) {
-  std::ifstream in(std::string(kCacheDir) + "/" + key);
-  if (!in) return false;
-  std::string name;
-  double value = 0;
-  while (in >> name >> value) {
-#define DOCEPH_LOAD(f) \
-  if (name == #f) {    \
-    out.f = value;     \
-    continue;          \
-  }
-    DOCEPH_RESULT_FIELDS(DOCEPH_LOAD)
-#undef DOCEPH_LOAD
-    if (name == "ctx_messenger") out.ctx_messenger = static_cast<std::uint64_t>(value);
-    if (name == "ctx_objectstore")
-      out.ctx_objectstore = static_cast<std::uint64_t>(value);
-    if (name == "ops") out.ops = static_cast<std::uint64_t>(value);
-    if (name == "failed_ops") out.failed_ops = static_cast<std::uint64_t>(value);
-    if (name == "dma_fallback_events")
-      out.dma_fallback_events = static_cast<std::uint64_t>(value);
-    if (name == "rpc_fallback_bytes")
-      out.rpc_fallback_bytes = static_cast<std::uint64_t>(value);
-    if (name == "osd_throttled") out.osd_throttled = static_cast<std::uint64_t>(value);
-    if (name == "client_throttled")
-      out.client_throttled = static_cast<std::uint64_t>(value);
-    if (name == "proxy_throttled")
-      out.proxy_throttled = static_cast<std::uint64_t>(value);
-  }
-  return true;
-}
-
-void store_cached(const std::string& key, const RunResult& r) {
-  std::error_code ec;
-  std::filesystem::create_directories(kCacheDir, ec);
-  std::ofstream out(std::string(kCacheDir) + "/" + key);
-  if (!out) return;
-  out.precision(12);
-#define DOCEPH_STORE(f) out << #f << " " << r.f << "\n";
-  DOCEPH_RESULT_FIELDS(DOCEPH_STORE)
-#undef DOCEPH_STORE
-  out << "ctx_messenger " << r.ctx_messenger << "\n";
-  out << "ctx_objectstore " << r.ctx_objectstore << "\n";
-  out << "ops " << r.ops << "\n";
-  out << "failed_ops " << r.failed_ops << "\n";
-  out << "dma_fallback_events " << r.dma_fallback_events << "\n";
-  out << "rpc_fallback_bytes " << r.rpc_fallback_bytes << "\n";
-  out << "osd_throttled " << r.osd_throttled << "\n";
-  out << "client_throttled " << r.client_throttled << "\n";
-  out << "proxy_throttled " << r.proxy_throttled << "\n";
-}
-
-}  // namespace
-
-RunResult run_cached(const RunSpec& spec) {
-  const std::string key = spec.cache_key();
-  // The trace artifact is the whole point of a traced run, so a cached
-  // result (which has no trace file) must not satisfy it. The run still
-  // refreshes the numeric cache for later untraced callers.
-  const bool tracing = spec.trace_sample_every > 0 || !spec.trace_out.empty();
-  const bool no_cache = std::getenv("DOCEPH_NO_CACHE") != nullptr;
-  RunResult result;
-  if (!no_cache && !tracing && load_cached(key, result)) {
-    std::fprintf(stderr, "[bench] cache hit: %s\n", key.c_str());
-    return result;
-  }
-  std::fprintf(stderr, "[bench] running: %s\n", key.c_str());
-  result = run_experiment(spec);
-  if (!no_cache) store_cached(key, result);
   return result;
 }
 

@@ -21,8 +21,8 @@ struct RunSpec {
 
   /// Write-path sharding (DESIGN.md §15): N deploys ClusterConfig::kv_shards
   /// = N and OsdConfig::op_threads = 2N (the profile's two tp_osd_tp
-  /// workers per shard). 1 (default) keeps the committed figure cells
-  /// byte-identical; >1 adds a `_shN` cache-key suffix.
+  /// workers per shard). 1 (default) is the paper's cluster; >1 adds a
+  /// `_shN` suffix to the cell name.
   int shards = 1;
   /// Ablation overrides splitting the diagonal: 0 = follow `shards`.
   int op_threads_override = 0;
@@ -35,15 +35,13 @@ struct RunSpec {
 
   /// Distributed tracing: sample every Nth client op (0 = off) and, when
   /// `trace_out` is set, write the merged Chrome trace_event JSON for the
-  /// run there. A `%k` in the path expands to cache_key(), so multi-cell
-  /// figure harnesses can emit one trace per cell. Traced runs always
-  /// execute (run_cached() bypasses the result cache); the trace fields are
-  /// deliberately not part of the cache key.
+  /// run there. A `%k` in the path expands to cell_name(), so a multi-cell
+  /// harness can emit one trace per cell.
   std::uint32_t trace_sample_every = 0;
   std::string trace_out;
 
-  /// Stable cache key for this configuration.
-  [[nodiscard]] std::string cache_key() const;
+  /// Stable, distinct name of this configuration (what `%k` expands to).
+  [[nodiscard]] std::string cell_name() const;
 };
 
 /// Parse the shared tracing flags (`--trace-out <file>`,
@@ -87,8 +85,8 @@ struct RunResult {
   // over the measured window. The clamped event chain makes the five stages
   // sum exactly to the OSD-side latency (recv -> reply_sent).
   double stage_msgr_s = 0;   // recv -> ms_dispatch queue
-  double stage_queue_s = 0;  // op queue wait (tp_osd_tp dequeue)
-  double stage_store_s = 0;  // ObjectStore prep + WAL commit
+  double stage_queue_s = 0;  // op queue wait for a tp_osd_tp worker
+  double stage_store_s = 0;  // OSD per-op CPU + ObjectStore prep + WAL commit
   double stage_repl_s = 0;   // waiting on replica acks
   double stage_reply_s = 0;  // commit/acks -> reply on the wire
   double stage_total_s = 0;  // recv -> reply_sent, per op
@@ -107,10 +105,5 @@ struct RunResult {
 
 /// Execute the spec on a fresh simulated cluster (warmup, then measure).
 RunResult run_experiment(const RunSpec& spec);
-
-/// run_experiment with an on-disk cache (bench_cache/<key>): the paper
-/// sweep is shared by several figure binaries, so later ones reuse earlier
-/// results. Set DOCEPH_NO_CACHE=1 (or remove the directory) to force reruns.
-RunResult run_cached(const RunSpec& spec);
 
 }  // namespace doceph::benchcore

@@ -25,7 +25,8 @@ class OpTracker;
 /// the mapping to the paper's steps ①–⑨):
 ///
 ///   queued      messenger handed the op to the OSD op queue   (after ①–③)
-///   dequeued    a tp_osd_tp worker picked it up               (④)
+///   dequeued    a tp_osd_tp worker took it, before charging its
+///               per-op CPU                                    (④)
 ///   sub_op_sent replication messages left for the replicas    (⑤)
 ///   store_submit  handed to the ObjectStore (in proxy mode this is the
 ///                 start of the host<->DPU hop)                (⑥,⑦)
@@ -56,8 +57,9 @@ class TrackedOp {
   /// beyond the local commit, and reply with the tail beyond both):
   ///
   ///   messenger    = queued - initiated        (rx decode + dispatch)
-  ///   queue        = dequeued - queued         (PG queue wait)
-  ///   objectstore  = commit - dequeued         (prep + WAL, or read)
+  ///   queue        = dequeued - queued         (wait for a worker; no CPU)
+  ///   objectstore  = commit - dequeued         (OSD per-op CPU, prep + WAL,
+  ///                                             or read)
   ///   replication  = max(0, last repl_ack - commit)
   ///   reply        = reply_sent - max(commit, last repl_ack)
   struct StageBreakdown {

@@ -301,7 +301,7 @@ void OSD::ms_dispatch(const MessageRef& m) {
       const crush::pg_t pg = monc_.map().object_to_pg(op->pool, op->object);
       const std::uint64_t ord = pg_ord(pg.pool, pg.seed);
       enqueue_op([this, m, tracked, ord] { handle_client_op(m, tracked, ord); },
-                 ord, op->op == msgr::OsdOpType::read);
+                 ord, op->op == msgr::OsdOpType::read, tracked);
       break;
     }
     case msgr::MsgType::osd_repop: {
@@ -331,10 +331,11 @@ void OSD::ms_dispatch(const MessageRef& m) {
 
 void OSD::ms_handle_reset(const msgr::ConnectionRef&) {}
 
-void OSD::enqueue_op(std::function<void()> fn, std::uint64_t ord, bool read) {
+void OSD::enqueue_op(std::function<void()> fn, std::uint64_t ord, bool read,
+                     TrackedOpRef tracked) {
   const dbg::LockGuard lk(queue_mutex_);
   if (queue_stopping_) return;
-  op_queue_.push_back(QueuedOp{ord, read, std::move(fn)});
+  op_queue_.push_back(QueuedOp{ord, read, std::move(fn), std::move(tracked)});
   const auto depth = queue_depth_.fetch_add(1, std::memory_order_relaxed) + 1;
   counters_->set(l_osd_queue_depth, depth);
   if (depth > counters_->get(l_osd_queue_depth_hw))
@@ -379,6 +380,9 @@ void OSD::op_worker() {
       counters_->set(l_osd_queue_depth,
                      queue_depth_.fetch_sub(1, std::memory_order_relaxed) - 1);
     }
+    // The queue stage ends here: the per-op CPU below is the op's work,
+    // not its wait.
+    if (e.tracked != nullptr) e.tracked->mark_event("dequeued", env_.now());
     if (domain_ != nullptr) domain_->charge(cfg_.per_op_cost);
     e.fn();
     if (e.ord != 0) {
@@ -480,7 +484,6 @@ void OSD::ensure_pg_collection(const pg_t& pg, os::Transaction& txn) {
 
 void OSD::handle_client_op(const MessageRef& m, const TrackedOpRef& tracked,
                            std::uint64_t ord) {
-  tracked->mark_event("dequeued", env_.now());
   auto* op = static_cast<msgr::MOSDOp*>(m.get());
   const crush::OSDMap map = monc_.map();
   const pg_t pg = map.object_to_pg(op->pool, op->object);
@@ -854,11 +857,6 @@ Result<std::vector<msgr::ObjectSummary>> OSD::wait_pg_scan(ScanHandle& h) {
   pending_scans_.erase(h.tid);
   if (!ok) return Status(Errc::timed_out, "pg scan");
   return h.pending->objects;
-}
-
-Result<std::vector<msgr::ObjectSummary>> OSD::scan_pg_remote(const pg_t& pg, int osd) {
-  ScanHandle h = start_pg_scan(pg, osd);
-  return wait_pg_scan(h);
 }
 
 void OSD::handle_pg_scan(const MessageRef& m) {

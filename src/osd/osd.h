@@ -151,7 +151,10 @@ class OSD final : public msgr::Dispatcher {
   /// dispatch until its store callback: later reads may pass it, but a
   /// tokened write or repop waits until the PG has no read in flight.
   /// Entries of other PGs dispatch past a waiting one (DESIGN.md §15.1).
-  void enqueue_op(std::function<void()> fn, std::uint64_t ord = 0, bool read = false);
+  /// A client op's `tracked` is stamped `dequeued` when a worker takes the
+  /// entry, before the worker charges any CPU for it.
+  void enqueue_op(std::function<void()> fn, std::uint64_t ord = 0, bool read = false,
+                  TrackedOpRef tracked = nullptr);
   /// Index of the first entry of op_queue_ a worker may take, or
   /// op_queue_.size() when none may.
   [[nodiscard]] std::size_t next_ready_op() const DOCEPH_REQUIRES(queue_mutex_);
@@ -202,7 +205,6 @@ class OSD final : public msgr::Dispatcher {
   void check_recovery();
   void recover_pg(const crush::pg_t& pg, const std::vector<int>& acting);
   Result<std::vector<msgr::ObjectSummary>> scan_pg_local(const crush::pg_t& pg);
-  Result<std::vector<msgr::ObjectSummary>> scan_pg_remote(const crush::pg_t& pg, int osd);
   struct ScanHandle;  // in-flight remote scan (parallel recovery fan-out)
   ScanHandle start_pg_scan(const crush::pg_t& pg, int osd);
   Result<std::vector<msgr::ObjectSummary>> wait_pg_scan(ScanHandle& h);
@@ -222,6 +224,7 @@ class OSD final : public msgr::Dispatcher {
     std::uint64_t ord = 0;  ///< 0 = unordered; else per-PG serial token
     bool read = false;      ///< a client read: may pass reads in flight
     std::function<void()> fn;
+    TrackedOpRef tracked;   ///< client ops only
   };
   dbg::Mutex queue_mutex_{"osd.queue"};
   dbg::CondVar queue_cv_;

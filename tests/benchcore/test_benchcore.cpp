@@ -15,40 +15,41 @@ TEST(Table, FormatHelpers) {
   EXPECT_EQ(Table::pct(1.0, 0), "100%");
 }
 
-TEST(RunSpec, CacheKeyIsStableAndDistinct) {
+TEST(RunSpec, CellNameIsStableAndDistinct) {
   RunSpec a;
   RunSpec b;
-  EXPECT_EQ(a.cache_key(), b.cache_key());
+  EXPECT_EQ(a.cell_name(), b.cell_name());
   b.object_size = 16 << 20;
-  EXPECT_NE(a.cache_key(), b.cache_key());
+  EXPECT_NE(a.cell_name(), b.cell_name());
   RunSpec c;
   c.mode = cluster::DeployMode::doceph;
-  EXPECT_NE(a.cache_key(), c.cache_key());
+  EXPECT_NE(a.cell_name(), c.cell_name());
   RunSpec d;
   d.proxy_override = cluster::default_proxy();
   d.proxy_override->slots = 4;
-  EXPECT_NE(a.cache_key(), d.cache_key());
+  EXPECT_NE(a.cell_name(), d.cell_name());
   RunSpec e;
   e.dma_failure_rate = 0.01;
-  EXPECT_NE(a.cache_key(), e.cache_key());
+  EXPECT_NE(a.cell_name(), e.cell_name());
 }
 
-TEST(RunSpec, ShardedKeysNameTheDiagonalOrTheSplit) {
-  // shards = N deploys 2N op threads and N KV shards: `_shN`, however it is
-  // spelled. Off the diagonal the key names both counts.
+TEST(RunSpec, ShardedCellNamesNameTheDiagonalOrTheSplit) {
+  // Distinct cells need distinct `%k` trace files. shards = N deploys 2N op
+  // threads and N KV shards: `_shN`, however it is spelled. Off the
+  // diagonal the name carries both counts.
   RunSpec diag;
   diag.shards = 4;
   RunSpec spelled;
   spelled.op_threads_override = 8;
   spelled.kv_shards_override = 4;
-  EXPECT_EQ(diag.cache_key(), RunSpec{}.cache_key() + "_sh4");
-  EXPECT_EQ(spelled.cache_key(), diag.cache_key());
+  EXPECT_EQ(diag.cell_name(), RunSpec{}.cell_name() + "_sh4");
+  EXPECT_EQ(spelled.cell_name(), diag.cell_name());
   RunSpec split;
   split.op_threads_override = 8;
-  EXPECT_EQ(split.cache_key(), RunSpec{}.cache_key() + "_th8x1");
+  EXPECT_EQ(split.cell_name(), RunSpec{}.cell_name() + "_th8x1");
   RunSpec unsharded;
   unsharded.op_threads_override = 2;
-  EXPECT_EQ(unsharded.cache_key(), RunSpec{}.cache_key());
+  EXPECT_EQ(unsharded.cell_name(), RunSpec{}.cell_name());
 }
 
 TEST(BreakdownSnapshot, OthersIsResidualAndNonNegative) {

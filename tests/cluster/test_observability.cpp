@@ -109,6 +109,36 @@ TEST_P(ObservabilityTest, ReplyStageCoversTheReplyEncode) {
   });
 }
 
+TEST_P(ObservabilityTest, QueueStageHoldsNoPerOpCpu) {
+  // The queue stage is waiting for a tp_osd_tp worker. The worker's per-op
+  // CPU is the op's work, so on an idle cluster it lands in the objectstore
+  // stage and the queue stage stays far below it.
+  auto cfg = small_cfg(GetParam());
+  constexpr sim::Duration kPerOpCost = 20'000'000;  // 20 ms, dwarfs the rest
+  cfg.osd_template.per_op_cost = kPerOpCost;
+  Env env;
+  Cluster cluster(env, cfg);
+  run_sim(env, [&] {
+    ASSERT_TRUE(cluster.start().ok());
+    auto io = cluster.client().io_ctx(1);
+    ASSERT_TRUE(io.write_full("one", BufferList::copy_of(pattern(4096))).ok());
+
+    std::size_t writes = 0;
+    for (int i = 0; i < cluster.num_nodes(); ++i) {
+      cluster.osd(i).op_tracker().for_each_historic([&](const osd::TrackedOp& op) {
+        if (op.description() != "osd_op(write_full one)") return;
+        const auto bd = op.stage_breakdown();
+        EXPECT_LT(bd.queue_ns, static_cast<std::uint64_t>(kPerOpCost / 10));
+        EXPECT_GE(bd.objectstore_ns, static_cast<std::uint64_t>(kPerOpCost));
+        EXPECT_EQ(bd.sum(), bd.total_ns);
+        ++writes;
+      });
+    }
+    EXPECT_EQ(writes, 1u);
+    cluster.stop();
+  });
+}
+
 TEST_P(ObservabilityTest, DumpOpsInFlightSeesLiveOp) {
   Env env;
   Cluster cluster(env, small_cfg(GetParam()));
